@@ -55,7 +55,9 @@ from .homcount import (
     count_homs_cyclic,
     count_homs_group,
     enumerate_homs,
+    evaluate_word,
     free_product_count,
+    group_presentation,
     power_target_count,
     witness_quotient,
 )

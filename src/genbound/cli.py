@@ -348,12 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="omit volatile fields (timestamp) from the report",
         )
         p.add_argument("--output", type=Path, help="write the report to this path")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="upper bound on worker threads (evaluation is deterministic)",
-        )
 
     p = sub.add_parser("homcount", help="per-factor and combined hom counts")
     p.add_argument("--factors", nargs="+", required=True)
@@ -454,8 +448,6 @@ def _render_text(doc: dict, indent: int = 0) -> str:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be >= 1")
     try:
         status, report = args.handler(args)
     except (

@@ -110,14 +110,14 @@ class FiniteGroup:
     def power(self, a, n: int):
         if n < 0:
             return self.power(self.inv(a), -n)
-        result = self.identity
-        base = a
+        result = None
         while n:
             if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                result = a if result is None else self.mul(result, a)
             n >>= 1
-        return result
+            if n:
+                a = self.mul(a, a)
+        return self.identity if result is None else result
 
     def element_order(self, a) -> int:
         e = self.identity

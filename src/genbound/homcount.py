@@ -1,6 +1,7 @@
-"""Exact enumeration of homomorphisms from finite presentations (or concrete
-finite groups) into finite targets, the log-ratio functional h, and witness
-quotients realizing the full homomorphism count.
+"""Exact enumeration of homomorphisms from finite presentations into finite
+targets, the log-ratio functional h, and witness quotients realizing the
+full homomorphism count. Concrete source groups are first compiled to
+Schreier presentations, so one backtracking search serves every source.
 """
 
 from __future__ import annotations
@@ -19,7 +20,13 @@ from .groups import (
     closure,
     power_group,
 )
-from .presentations import Presentation, Word, free_product
+from .presentations import (
+    Presentation,
+    Word,
+    canonical_relator,
+    free_product,
+    inverse_word,
+)
 
 DEFAULT_NODE_BUDGET = 5_000_000
 DEFAULT_WITNESS_WIDTH_CAP = 512
@@ -67,11 +74,13 @@ def _single_generator_order_bound(pres: Presentation, gen: int) -> int:
     return bound
 
 
-def _evaluate_word(word: Word, images: Sequence, target: FiniteGroup):
-    result = target.identity
+def evaluate_word(word: Word, images: Sequence, group: FiniteGroup):
+    """The value in `group` of a word with generator i sent to images[i]."""
+    result = None
     for idx, exp in word:
-        result = target.mul(result, target.power(images[idx], exp))
-    return result
+        value = group.power(images[idx], exp)
+        result = value if result is None else group.mul(result, value)
+    return group.identity if result is None else result
 
 
 class _BacktrackSearch:
@@ -105,7 +114,8 @@ class _BacktrackSearch:
         self.checks: list[list[Word]] = [[] for _ in range(k)]
         for word in pres.relators:
             used = {idx for idx, _ in word}
-            if not used:
+            # single-generator relators hold for every candidate already
+            if len(used) < 2:
                 continue
             last = max(position[g] for g in used)
             self.checks[last].append(word)
@@ -131,7 +141,7 @@ class _BacktrackSearch:
                     )
                 images[gen] = x
                 if all(
-                    _evaluate_word(w, images, self.target) == self.target.identity
+                    evaluate_word(w, images, self.target) == self.target.identity
                     for w in self.checks[level]
                 ):
                     descend(level + 1)
@@ -215,85 +225,55 @@ def power_target_count(
     return analytic
 
 
-# -- homomorphisms from concrete groups ------------------------------------
+# -- concrete source groups --------------------------------------------------
 
 
-def _bfs_words(G: FiniteGroup) -> tuple[list, dict]:
-    """Elements in BFS order with, for each non-seed, (parent, generator id)."""
-    gens = list(G.generators)
-    order = [G.identity]
-    parents: dict = {}
-    seen = {G.identity}
-    qi = 0
-    while qi < len(order):
-        x = order[qi]
-        qi += 1
+def _bfs_words(G: FiniteGroup) -> tuple[dict, list]:
+    """Words along a BFS spanning tree over the generators, one per reached
+    element, and the non-tree edges (x, generator id, y) with x*g = y."""
+    gens = G.generators
+    words: dict = {G.identity: ()}
+    queue = [G.identity]
+    edges = []
+    for x in queue:
         for gi, g in enumerate(gens):
             y = G.mul(x, g)
-            if y not in seen:
-                seen.add(y)
-                parents[y] = (x, gi)
-                order.append(y)
-    return order, parents
+            if y in words:
+                edges.append((x, gi, y))
+            else:
+                words[y] = words[x] + ((gi, 1),)
+                queue.append(y)
+    return words, edges
 
 
-def enumerate_homs_group(
-    source: FiniteGroup,
-    target: FiniteGroup,
-    limit: int | None = None,
-) -> list[tuple]:
-    """Homomorphisms from a concrete finite group, as generator-image tuples.
+def group_presentation(G: FiniteGroup) -> Presentation:
+    """Schreier presentation of a concrete finite group on its generators.
 
-    Candidate generator images are filtered by order divisibility, extended
-    to the whole source along a BFS spanning tree, then checked against every
-    (element, generator) product. Exact and deterministic.
+    Each non-tree edge x*g = y of a BFS spanning tree gives the relator
+    w(x) g w(y)^-1, where w reads the tree path (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005, 2.4). The order relator
+    g^|g| of each generator is added so that the search filters candidate
+    images by order; single-syllable Schreier relators follow from it and
+    are dropped. Relators are kept once per class under rotation and
+    inversion, shortest first.
     """
-    gens = list(source.generators)
-    if not gens:
-        if source.order != 1:
-            raise ValueError("source group without generators")
-        return [()]
-    order_bfs, parents = _bfs_words(source)
-    if len(order_bfs) != source.order:
+    gens = G.generators
+    words, edges = _bfs_words(G)
+    if len(words) != G.order:
         raise ValueError("generators do not generate the source group")
-    gen_orders = [source.element_order(g) for g in gens]
-    candidates = [
-        tuple(
-            x
-            for x in target.elements
-            if gen_orders[i] % target.element_order(x) == 0
-        )
-        for i in range(len(gens))
-    ]
-    found: list[tuple] = []
-
-    def check(images: tuple) -> bool:
-        phi = {source.identity: target.identity}
-        for x in order_bfs[1:]:
-            px, gi = parents[x]
-            phi[x] = target.mul(phi[px], images[gi])
-        for x in order_bfs:
-            for gi, g in enumerate(gens):
-                if phi[source.mul(x, g)] != target.mul(phi[x], images[gi]):
-                    return False
-        return True
-
-    def descend(level: int, images: tuple):
-        if limit is not None and len(found) >= limit:
-            return
-        if level == len(gens):
-            if check(images):
-                found.append(images)
-            return
-        for x in candidates[level]:
-            descend(level + 1, images + (x,))
-
-    descend(0, ())
-    return found
+    relators = {((gi, G.element_order(g)),) for gi, g in enumerate(gens)}
+    for x, gi, y in edges:
+        word = canonical_relator(words[x] + ((gi, 1),) + inverse_word(words[y]))
+        if len(word) > 1:
+            relators.add(word)
+    names = tuple(f"g{i + 1}" for i in range(len(gens)))
+    ordered = tuple(sorted(relators, key=lambda w: (len(w), w)))
+    return Presentation(names, ordered, name=G.describe())
 
 
 def count_homs_group(source: FiniteGroup, target: FiniteGroup) -> HomCountResult:
-    return HomCountResult(len(enumerate_homs_group(source, target)), target.order)
+    """Exact |Hom(source, target)| for a concrete source group."""
+    return count_homs(group_presentation(source), target)
 
 
 # -- witness quotients ------------------------------------------------------

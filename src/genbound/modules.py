@@ -10,7 +10,7 @@ from math import prod
 
 from . import linalg
 from .groups import FiniteGroup, MatrixGroup
-from .homcount import enumerate_homs, enumerate_homs_group
+from .homcount import enumerate_homs, evaluate_word, group_presentation
 from .numtheory import is_prime, least_primitive_root
 from .presentations import Presentation
 
@@ -34,24 +34,16 @@ class ModuleAction:
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-        mats = tuple(linalg.normalize_matrix(m, self.p) for m in self.matrices)
-        object.__setattr__(self, "matrices", mats)
-        if len(mats) != len(self.source.generators):
+        if len(self.matrices) != len(self.source.generators):
             raise ValueError("one matrix per source generator required")
-        for m in mats:
-            if len(m) != self.dim:
-                raise ValueError("matrix dimension mismatch")
-            linalg.mat_inv(m, self.p)  # raises if singular
-        identity = linalg.mat_identity(self.dim)
+        # normalizes the matrices and rejects wrong dimensions and singular ones
+        group = MatrixGroup(self.p, self.dim, self.matrices)
+        mats = group.generators
+        object.__setattr__(self, "matrices", mats)
         for word in self.source.relators:
-            value = identity
-            for idx, exp in word:
-                value = linalg.mat_mul(
-                    value, linalg.mat_pow(mats[idx], exp, self.p), self.p
-                )
-            if value != identity:
+            if evaluate_word(word, mats, group) != group.identity:
                 raise ValueError("matrices do not satisfy the source relators")
-        if all(m == identity for m in mats):
+        if all(m == group.identity for m in mats):
             raise ValueError("action is trivial")
 
 
@@ -134,17 +126,11 @@ def find_simple_module(
     Each dimension enumerates homomorphisms into the full matrix group and
     tests the nontrivial ones for irreducibility; the first hit wins (small
     dimensions keep downstream targets small). Dimensions whose matrix group
-    or vector space exceeds the caps are reported as skipped.
+    or vector space exceeds the caps are reported as skipped. A concrete
+    source group is searched through its Schreier presentation.
     """
-    if isinstance(source, Presentation):
-        pres = source
-        hom_enumerator = lambda target: enumerate_homs(pres, target)  # noqa: E731
-        names = pres.generators
-    else:
-        group = source
-        hom_enumerator = lambda target: enumerate_homs_group(group, target)  # noqa: E731
-        names = tuple(f"g{i + 1}" for i in range(len(group.generators)))
-        pres = Presentation(names, (), name=source.describe())
+    if isinstance(source, FiniteGroup):
+        source = group_presentation(source)
     searched: list[int] = []
     skipped: list[tuple[int, str]] = []
     for dim in range(1, d_max + 1):
@@ -158,17 +144,13 @@ def find_simple_module(
         target = general_linear_group(p, dim)
         searched.append(dim)
         identity = linalg.mat_identity(dim)
-        for images in hom_enumerator(target):
+        for images in enumerate_homs(source, target):
             if all(m == identity for m in images):
                 continue
             try:
-                action = ModuleAction(p, dim, tuple(images), _action_source(source, pres))
+                action = ModuleAction(p, dim, tuple(images), source)
             except ValueError:
                 continue
             if is_irreducible(action, space_cap):
                 return SimpleModuleSearch(action, tuple(searched), tuple(skipped))
     return SimpleModuleSearch(None, tuple(searched), tuple(skipped))
-
-
-def _action_source(source, pres: Presentation) -> Presentation:
-    return source if isinstance(source, Presentation) else pres

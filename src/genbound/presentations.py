@@ -137,8 +137,11 @@ def parse_word(text: str, generators: Sequence[str]) -> Word:
 def _repeat_word(pairs: list[tuple[int, int]], exp: int) -> list[tuple[int, int]]:
     if exp > 0:
         return pairs * exp
-    inverted = [(idx, -e) for idx, e in reversed(pairs)]
-    return inverted * (-exp)
+    return list(inverse_word(pairs)) * (-exp)
+
+
+def inverse_word(word: Sequence[tuple[int, int]]) -> Word:
+    return tuple((idx, -exp) for idx, exp in reversed(word))
 
 
 def _merge_pairs(pairs: Sequence[tuple[int, int]]) -> Word:
@@ -153,6 +156,32 @@ def _merge_pairs(pairs: Sequence[tuple[int, int]]) -> Word:
         else:
             merged.append((idx, exp))
     return tuple(merged)
+
+
+def canonical_relator(word: Sequence[tuple[int, int]]) -> Word:
+    """One representative of a relator's class under free and cyclic
+    reduction, rotation and inversion; () when the word reduces away.
+
+    The representative has the fewest negative syllables (each costs an
+    inversion when evaluated), starts with a positive exponent, and is the
+    lexicographically least such rotation.
+    """
+    w = list(_merge_pairs(word))
+    while len(w) > 1 and w[0][0] == w[-1][0]:
+        idx, exp = w.pop()
+        if w[0][1] + exp:
+            w[0] = (idx, w[0][1] + exp)
+        else:
+            w.pop(0)
+    best = None
+    for form in (tuple(w), inverse_word(w)):
+        negatives = sum(exp < 0 for _, exp in form)
+        for r, (_, exp) in enumerate(form):
+            if exp > 0:
+                key = (negatives, form[r:] + form[:r])
+                if best is None or key < best:
+                    best = key
+    return best[1] if best else ()
 
 
 def render_word(word: Word, generators: Sequence[str]) -> str:

@@ -18,6 +18,7 @@ from .groups import (
     PermGroup,
     closure,
 )
+from .numtheory import factorize, is_prime
 
 
 class SearchBudgetError(RuntimeError):
@@ -58,9 +59,6 @@ class SubgroupHandle:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, x) -> bool:
-        return x in set(self.elements)
 
     def is_normal(self) -> bool:
         eset = set(self.elements)
@@ -168,7 +166,7 @@ def abelian_invariants(G: FiniteGroup) -> list[int]:
         return []
     orders = [G.element_order(x) for x in G.elements]
     partitions: dict[int, list[int]] = {}
-    for p in _prime_factors(n):
+    for p, _ in factorize(n):
         # count elements of order dividing p^k to recover the p-type
         counts = []
         k = 1
@@ -197,20 +195,6 @@ def abelian_invariants(G: FiniteGroup) -> list[int]:
     divisors.reverse()  # ascending, each dividing the next
     assert prod(divisors) == n
     return divisors
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _int_log(n: int, p: int) -> int:
@@ -329,7 +313,7 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> SubgroupHandle:
 
 def largest_normal_p_subgroup(G: FiniteGroup, p: int) -> SubgroupHandle:
     """O_p(G): the intersection of all conjugates of one Sylow p-subgroup."""
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     sylow = sylow_subgroup(G, p)
     if sylow.order == 1:

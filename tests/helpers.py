@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the library's own algorithms: normal
 subgroups come from conjugacy-class joins, centralizers from brute force
 over the full symmetric group, irreducibility from enumerating all
-subspaces, and subset sums from explicit powerset search.
+subspaces, subset sums from explicit powerset search, and homomorphisms
+from a concrete group by extending every candidate tuple and checking it
+on every element.
 """
 
 from __future__ import annotations
@@ -81,6 +83,46 @@ def perm_parity(p) -> int:
         1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j]
     )
     return inversions % 2
+
+
+def brute_homs_group(source: FiniteGroup, target: FiniteGroup) -> set[tuple]:
+    """Homomorphisms from a concrete group as generator-image tuples.
+
+    Each tuple of images whose orders divide the generators' orders is
+    extended along a BFS spanning tree and kept when phi(x g) = phi(x) phi(g)
+    for every element x and generator g.
+    """
+    gens = list(source.generators)
+    phi_parent = {source.identity: None}
+    order = [source.identity]
+    for x in order:
+        for gi, g in enumerate(gens):
+            y = source.mul(x, g)
+            if y not in phi_parent:
+                phi_parent[y] = (x, gi)
+                order.append(y)
+    assert len(order) == source.order, "generators do not generate the source"
+    candidates = [
+        [
+            x
+            for x in target.elements
+            if source.element_order(g) % target.element_order(x) == 0
+        ]
+        for g in gens
+    ]
+    found = set()
+    for images in itertools.product(*candidates):
+        phi = {source.identity: target.identity}
+        for x in order[1:]:
+            px, gi = phi_parent[x]
+            phi[x] = target.mul(phi[px], images[gi])
+        if all(
+            phi[source.mul(x, g)] == target.mul(phi[x], images[gi])
+            for x in order
+            for gi, g in enumerate(gens)
+        ):
+            found.add(images)
+    return found
 
 
 def brute_centralizer_order(G: PermGroup) -> int:

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from genbound.groups import (
     AffineSemidirect,
@@ -165,3 +167,13 @@ def test_conjugacy_classes_partition():
     classes = s4.conjugacy_classes()
     assert sorted(len(c) for c in classes) == [1, 3, 6, 6, 8]
     assert sum(len(c) for c in classes) == 24
+
+
+@given(st.permutations(list(range(6))).map(tuple), st.integers(-40, 40))
+def test_power_matches_repeated_multiplication(x, n):
+    group = symmetric_group(6)
+    base = x if n >= 0 else group.inv(x)
+    expected = group.identity
+    for _ in range(abs(n)):
+        expected = group.mul(expected, base)
+    assert group.power(x, n) == expected

@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from genbound.groups import cyclic_group, power_group
+from genbound.groups import CayleyGroup, PermGroup, cyclic_group, power_group
 from genbound.homcount import (
     HomCountResult,
     HomSearchBudgetError,
@@ -11,11 +13,14 @@ from genbound.homcount import (
     count_homs_cyclic,
     count_homs_group,
     enumerate_homs,
+    evaluate_word,
     free_product_count,
+    group_presentation,
     kernels_equal,
     power_target_count,
     witness_quotient,
 )
+from genbound.modules import general_linear_group
 from genbound.presentations import (
     cyclic_presentation,
     free_presentation,
@@ -24,7 +29,15 @@ from genbound.presentations import (
 )
 from genbound.subgroups import d_min_generators
 
-from helpers import alternating_group_5, symmetric_group
+from helpers import (
+    alternating_group_5,
+    brute_homs_group,
+    cyclic_perm_group,
+    dihedral_group,
+    klein_group,
+    quaternion_group,
+    symmetric_group,
+)
 
 
 def a5_presentation():
@@ -158,6 +171,71 @@ def test_count_homs_group_endomorphisms_of_sym3():
     s3 = symmetric_group(3)
     # endomorphisms of Sym(3): 1 trivial + 3 onto C2 + 6 automorphisms
     assert count_homs_group(s3, s3).count == 10
+
+
+def _witness_c2_c3_sym3():
+    factors = [cyclic_presentation(2, "a"), cyclic_presentation(3, "b")]
+    return witness_quotient(factors, symmetric_group(3)).group
+
+
+CONCRETE_SOURCES = {
+    "C6": lambda: cyclic_group(6),
+    "Sym3": lambda: symmetric_group(3),
+    "Sym4": lambda: symmetric_group(4),
+    "Alt5": alternating_group_5,
+    "Klein": klein_group,
+    "C13": lambda: cyclic_perm_group(13),
+    "Q8": quaternion_group,
+    "D4": lambda: dihedral_group(4),
+    "witness-C2*C3-Sym3": _witness_c2_c3_sym3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONCRETE_SOURCES))
+def test_schreier_presentation_homs_match_brute_force(name):
+    source = CONCRETE_SOURCES[name]()
+    pres = group_presentation(source)
+    targets = [
+        symmetric_group(3),
+        symmetric_group(4),
+        alternating_group_5(),
+        general_linear_group(2, 2),
+        general_linear_group(3, 2),
+        general_linear_group(2, 3),
+    ]
+    for target in targets:
+        homs = enumerate_homs(pres, target)
+        assert len(set(homs)) == len(homs)
+        assert set(homs) == brute_homs_group(source, target)
+
+
+small_perm_groups = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.permutations(list(range(n))).map(tuple), min_size=1, max_size=2
+    ).map(lambda gens: PermGroup(n, gens))
+)
+
+
+@given(small_perm_groups)
+@settings(max_examples=40, deadline=None)
+def test_schreier_relators_hold_in_source_and_count_endomorphisms(group):
+    pres = group_presentation(group)
+    assert pres.generators == ("g1", "g2")[: len(group.generators)]
+    for word in pres.relators:
+        assert evaluate_word(word, group.generators, group) == group.identity
+    assert count_homs(pres, group).count == len(brute_homs_group(group, group))
+
+
+def test_schreier_presentation_of_cyclic_group_is_one_relator():
+    pres = group_presentation(cyclic_perm_group(13))
+    assert pres.relators == (((0, 13),),)
+
+
+def test_group_presentation_rejects_non_generating_set():
+    c6 = cyclic_group(6)
+    subgroup_only = CayleyGroup(c6.table, generators=(2,), check=False)
+    with pytest.raises(ValueError, match="do not generate"):
+        group_presentation(subgroup_only)
 
 
 # -- witness quotients ------------------------------------------------------------

@@ -107,6 +107,15 @@ def test_find_simple_module_from_concrete_group():
     assert search.found.dim == 1  # sign action: the unit -1 mod 5
 
 
+def test_module_action_on_concrete_source_checks_its_relators():
+    source = find_simple_module(symmetric_group(3), 5, 2).found.source
+    assert source.relators
+    # the generators are the 3-cycle and the transposition; 2 has order 4
+    # mod 5, so it cannot be the image of the transposition
+    with pytest.raises(ValueError, match="relators"):
+        ModuleAction(5, 1, (((1,),), ((2,),)), source)
+
+
 def test_find_simple_module_reports_skipped_dimensions():
     search = find_simple_module(C2, 7, 4, gl_order_cap=5)
     assert search.found is None

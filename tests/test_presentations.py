@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from genbound.presentations import (
     Presentation,
+    canonical_relator,
     cyclic_presentation,
     free_presentation,
     free_product,
@@ -91,3 +94,26 @@ def test_presentation_from_words():
     p = presentation_from_words(["a", "b"], ["a^2", "b^3", "(a*b)^5"])
     assert len(p.relators) == 3
     assert p.relators[2] == ((0, 1), (1, 1)) * 5
+
+
+syllables = st.tuples(st.integers(0, 2), st.integers(-3, 3).filter(bool))
+
+
+@given(st.lists(syllables, max_size=8), st.integers(0, 7))
+def test_canonical_relator_is_invariant_under_rotation_and_inversion(word, shift):
+    word = tuple(word)
+    canonical = canonical_relator(word)
+    r = shift % len(word) if word else 0
+    rotated = word[r:] + word[:r]
+    inverse = tuple((idx, -exp) for idx, exp in reversed(word))
+    assert canonical_relator(rotated) == canonical
+    assert canonical_relator(inverse) == canonical
+    assert canonical_relator(canonical) == canonical
+    assert not canonical or canonical[0][1] > 0
+
+
+def test_canonical_relator_reduces_conjugates_and_prefers_positive_syllables():
+    a, b = 0, 1
+    assert canonical_relator(((a, 1), (b, 2), (a, -1))) == ((b, 2),)
+    assert canonical_relator(((b, -1), (a, -1))) == ((a, 1), (b, 1))
+    assert canonical_relator(((a, 1), (a, -1))) == ()
