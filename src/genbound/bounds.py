@@ -15,8 +15,8 @@ from functools import cmp_to_key
 from math import factorial, prod
 from typing import Sequence
 
-from .groups import FiniteGroup
-from .homcount import HomCountResult, count_homs
+from .groups import ClosureOverflowError, FiniteGroup
+from .homcount import HomCountResult, HomSearchBudgetError, count_homs
 from .presentations import Presentation
 
 PROOF_EXACT = "exact-count"
@@ -415,7 +415,8 @@ def best_bound(
 
     Ranked by conclusion, ties broken by the larger exact certified margin
     and then by library position. Targets must be nontrivial. All candidate
-    certificates (and failures) are recorded.
+    certificates are recorded, and so are targets whose search ran out of
+    budget (node budget or element cap); any other error propagates.
     """
     if not target_library:
         raise ValueError("target library is empty")
@@ -427,7 +428,7 @@ def best_bound(
     for name, target in zip(names, target_library):
         try:
             candidates.append(lower_bound_explicit(factors, target, target_name=name))
-        except Exception as exc:  # noqa: BLE001 - collected into the report
+        except (HomSearchBudgetError, ClosureOverflowError) as exc:
             failures.append(f"{name}: {exc}")
     if not candidates:
         raise RuntimeError("all candidate targets failed: " + "; ".join(failures))

@@ -191,8 +191,11 @@ def _cmd_construct_thm1(args) -> tuple[int, dict]:
     if args.prime is None:
         raise JobError("construct-thm1 needs --prime")
     modules = []
+    searches: dict = {}  # repeated factors share one module search
     for f in factors:
-        search = find_simple_module(f, args.prime, args.dmax)
+        if f not in searches:
+            searches[f] = find_simple_module(f, args.prime, args.dmax)
+        search = searches[f]
         if search.found is None:
             skipped = "; ".join(f"dim {d}: {why}" for d, why in search.skipped)
             raise JobError(

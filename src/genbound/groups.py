@@ -4,7 +4,8 @@ Four concrete realizations are provided (permutation, Cayley table, matrix
 over a prime field, affine semidirect product), plus direct products and
 subgroups generated inside an ambient group. Elements are plain hashable
 values (tuples or ints); every group value is immutable after construction
-and enumeration caches are write-once.
+and enumeration caches are write-once. Structure work runs on one integer
+kernel: `FiniteGroup.compiled`, the group as a `CayleyGroup` on 0..n-1.
 """
 
 from __future__ import annotations
@@ -39,32 +40,52 @@ def closure(
     the identity first. Exceeding `cap` raises ClosureOverflowError;
     results are never silently truncated.
     """
-    if not generators:
-        return [identity]
-    seen = {identity}
+    return _closure_with_action(generators, mul, identity, cap)[0]
+
+
+def _closure_with_action(generators, mul, identity, cap) -> tuple[list, list]:
+    """`closure`, plus the generators' right action it walked:
+    action[j][i] is the position of out[i] * generators[j]."""
+    position = {identity: 0}
     out = [identity]
-    frontier = [identity]
-    while frontier:
-        next_frontier = []
-        for a in frontier:
-            for g in generators:
-                b = mul(a, g)
-                if b not in seen:
-                    seen.add(b)
-                    out.append(b)
-                    next_frontier.append(b)
-                    if len(out) > cap:
-                        raise ClosureOverflowError(cap)
-        frontier = next_frontier
+    action: list[list[int]] = [[] for _ in generators]
+    for a in out:
+        for g, row in zip(generators, action):
+            b = mul(a, g)
+            i = position.get(b)
+            if i is None:
+                i = position[b] = len(out)
+                out.append(b)
+                if len(out) > cap:
+                    raise ClosureOverflowError(cap)
+            row.append(i)
+    return out, action
+
+
+def orbit_partition(n: int, maps: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Orbits of 0..n-1 under the maps, each sorted, listed by least point."""
+    seen: set[int] = set()
+    out = []
+    for start in range(n):
+        if start not in seen:
+            orbit = [start]
+            seen.add(start)
+            for x in orbit:
+                for y in {m[x] for m in maps} - seen:
+                    seen.add(y)
+                    orbit.append(y)
+            out.append(sorted(orbit))
     return out
 
 
 class FiniteGroup:
-    """Base class: mul/inv/identity plus cached element enumeration."""
+    """Base class: mul/inv/identity, cached enumeration and the int kernel."""
 
     element_cap: int = DEFAULT_ELEMENT_CAP
     _elements: tuple | None = None
     _index: dict | None = None
+    _action: list | None = None  # the generators' right action, if recorded
+    _compiled: CayleyGroup | None = None
 
     # -- realization interface -------------------------------------------
 
@@ -83,7 +104,10 @@ class FiniteGroup:
         raise NotImplementedError
 
     def _enumerate(self) -> list:
-        return closure(self.generators, self.mul, self.identity, self.element_cap)
+        elements, self._action = _closure_with_action(
+            self.generators, self.mul, self.identity, self.element_cap
+        )
+        return elements
 
     # -- derived, shared machinery ---------------------------------------
 
@@ -97,15 +121,29 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def element_index(self, x) -> int:
+    def _positions(self) -> dict:
         if self._index is None:
             self._index = {e: i for i, e in enumerate(self.elements)}
-        return self._index[x]
+        return self._index
 
-    def __contains__(self, x) -> bool:
-        if self._index is None:
-            self._index = {e: i for i, e in enumerate(self.elements)}
-        return x in self._index
+    def element_index(self, x) -> int:
+        return self._positions()[x]
+
+    @property
+    def compiled(self) -> CayleyGroup:
+        """This group on 0..n-1, int i standing for elements[i], compiled
+        on first use and kept. The default enumeration BFS records the
+        action it needs; other groups pay one `mul` per element and generator."""
+        if self._compiled is None:
+            self._compiled = self._compile()
+        return self._compiled
+
+    def _compile(self) -> CayleyGroup:
+        elems = self.elements
+        if self._action is None:
+            index = self._positions()
+            self._action = [[index[self.mul(x, g)] for x in elems] for g in self.generators]
+        return CayleyGroup.from_action(len(elems), self.element_index(self.identity), self._action)
 
     def power(self, a, n: int):
         if n < 0:
@@ -137,35 +175,25 @@ class FiniteGroup:
         return self.mul(self.mul(g, a), self.inv(g))
 
     def is_abelian(self) -> bool:
-        elems = self.elements
-        for i, a in enumerate(elems):
-            for b in elems[i + 1 :]:
-                if self.mul(a, b) != self.mul(b, a):
-                    return False
-        return True
+        """Whether the generators commute pairwise, read off the kernel."""
+        gens, right = self.compiled.generators, self.compiled.right
+        return all(
+            right[j][a] == right[i][b] for i, a in enumerate(gens) for j, b in enumerate(gens[:i])
+        )
 
     def conjugacy_classes(self) -> list[tuple]:
-        """Conjugacy classes as tuples, each in element enumeration order."""
-        remaining = dict.fromkeys(self.elements)
-        classes = []
+        """Conjugacy classes as tuples, each in element enumeration order and
+        listed by first element: the orbits of x -> g x g^-1 over the
+        generators g, found on the kernel in O(|G| * #generators)."""
         elems = self.elements
-        while remaining:
-            x = next(iter(remaining))
-            cls = {self.conjugate(x, g) for g in elems}
-            classes.append(tuple(e for e in elems if e in cls))
-            for e in cls:
-                remaining.pop(e, None)
-        return classes
+        return [
+            tuple(elems[i] for i in orbit)
+            for orbit in orbit_partition(len(elems), self.compiled.conjugations)
+        ]
 
-    def to_cayley(self) -> tuple["CayleyGroup", dict]:
-        """Cayley-table copy of this group plus the element -> index map."""
-        elems = self.elements
-        index = {e: i for i, e in enumerate(elems)}
-        table = tuple(
-            tuple(index[self.mul(a, b)] for b in elems) for a in elems
-        )
-        gens = tuple(index[g] for g in self.generators)
-        return CayleyGroup(table, generators=gens, check=False), index
+    def to_cayley(self) -> tuple[CayleyGroup, dict]:
+        """The compiled group plus the element -> index map."""
+        return self.compiled, self._positions()
 
     def describe(self) -> str:
         return f"{type(self).__name__}(order={self.order})"
@@ -212,10 +240,16 @@ class PermGroup(FiniteGroup):
 
 
 class CayleyGroup(FiniteGroup):
-    """Group given by a full multiplication table; elements are 0..n-1."""
+    """The integer kernel: a group on 0..n-1 held as the right action of its
+    generators (right[j][i] is i * generators[j]). A BFS over the action
+    gives every element a word; a * b walks b's word from a. Built from a
+    multiplication table, kept with its inverses for lookups, or by
+    `from_action`.
+    """
 
     # Full associativity is cubic in the order; above this it is spot-checked.
     FULL_ASSOCIATIVITY_LIMIT = 64
+    _table = _inv = _right = _words = _conjugations = None
 
     def __init__(
         self,
@@ -224,49 +258,44 @@ class CayleyGroup(FiniteGroup):
         check: bool = True,
     ):
         n = len(table)
-        self.table = tuple(tuple(row) for row in table)
-        if any(len(row) != n for row in self.table):
+        table = tuple(tuple(row) for row in table)
+        if any(len(row) != n for row in table):
             raise ValueError("multiplication table is not square")
-        if any(not (0 <= x < n) for row in self.table for x in row):
+        if any(not (0 <= x < n) for row in table for x in row):
             raise ValueError("table entry out of range")
-        identity = next(
-            (e for e in range(n) if all(self.table[e][x] == x for x in range(n))),
-            None,
-        )
-        if identity is None or any(self.table[x][identity] != x for x in range(n)):
+        e = next((e for e in range(n) if table[e] == tuple(range(n))), None)
+        if e is None or any(table[x][e] != x for x in range(n)):
             raise ValueError("table has no two-sided identity")
-        self._identity = identity
-        inv = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if self.table[a][b] == identity and self.table[b][a] == identity:
-                    inv[a] = b
-                    break
-            if inv[a] is None:
+        inv = [row.index(e) if e in row else None for row in table]
+        for a, b in enumerate(inv):
+            if b is None or table[b][a] != e:
                 raise ValueError(f"element {a} has no two-sided inverse")
-        self._inv = tuple(inv)
         if check:
-            self._check_structure(n)
-        if generators is None:
-            self._generators = tuple(range(n))
-        else:
-            self._generators = tuple(generators)
+            for a in range(n):
+                col = sorted(table[x][a] for x in range(n))
+                if sorted(table[a]) != list(range(n)) or col != list(range(n)):
+                    raise ValueError(f"row/column of {a} is not a bijection")
+            small = range(n if n <= self.FULL_ASSOCIATIVITY_LIMIT else min(n, 16))
+            for a, b, c in itertools.product(small, range(n), small):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    raise ValueError(f"table is not associative at ({a},{b},{c})")
+        self._table = table
+        self._inv = tuple(inv)
+        self._identity = e
+        self._generators = tuple(range(n) if generators is None else generators)
         self._elements = tuple(range(n))
 
-    def _check_structure(self, n: int):
-        for a in range(n):
-            row = self.table[a]
-            col = tuple(self.table[x][a] for x in range(n))
-            if sorted(row) != list(range(n)) or sorted(col) != list(range(n)):
-                raise ValueError(f"row/column of {a} is not a bijection")
-        triples = (
-            itertools.product(range(n), repeat=3)
-            if n <= self.FULL_ASSOCIATIVITY_LIMIT
-            else itertools.product(range(min(n, 16)), range(n), range(min(n, 16)))
-        )
-        for a, b, c in triples:
-            if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
-                raise ValueError(f"table is not associative at ({a},{b},{c})")
+    @classmethod
+    def from_action(cls, order: int, identity: int, action: Sequence) -> CayleyGroup:
+        """The group on 0..order-1 in which action[j][i] is i * g_j for its
+        generators g_j. Raises ValueError if they miss an element."""
+        group = cls.__new__(cls)
+        group._identity = identity
+        group._right = tuple(action)
+        group._generators = tuple(row[identity] for row in action)
+        group._elements = tuple(range(order))
+        group.words()
+        return group
 
     @property
     def identity(self):
@@ -276,11 +305,69 @@ class CayleyGroup(FiniteGroup):
     def generators(self):
         return self._generators
 
+    @property
+    def right(self) -> tuple:
+        """right[j][i] is i * generators[j], read off the table if not given."""
+        if self._right is None:
+            self._right = tuple([row[g] for row in self._table] for g in self._generators)
+        return self._right
+
+    @property
+    def table(self) -> tuple:
+        """Full multiplication table, built on first use if not given."""
+        if self._table is None:
+            self._table = tuple(
+                tuple(self.mul(a, b) for b in self._elements) for a in self._elements
+            )
+        return self._table
+
     def mul(self, a, b):
-        return self.table[a][b]
+        if self._table is not None:
+            return self._table[a][b]
+        right = self._right
+        for j in self._words[b]:
+            a = right[j][a]
+        return a
 
     def inv(self, a):
-        return self._inv[a]
+        if self._inv is not None:
+            return self._inv[a]
+        return self.power(a, self.element_order(a) - 1)
+
+    def _compile(self) -> CayleyGroup:
+        self.words()
+        return self
+
+    def words(self) -> list:
+        """Each element's word (generator positions) along a BFS tree of the
+        right action. Raises ValueError if the generators miss an element."""
+        if self._words is None:
+            words: list = [None] * self.order
+            words[self._identity] = ()
+            queue = [self._identity]
+            for x in queue:
+                for j, row in enumerate(self.right):
+                    if words[y := row[x]] is None:
+                        words[y] = words[x] + (j,)
+                        queue.append(y)
+            if len(queue) != self.order:
+                raise ValueError(
+                    f"generators do not generate the group: they reach "
+                    f"{len(queue)} of {self.order} elements"
+                )
+            self._words = words
+        return self._words
+
+    @property
+    def conjugations(self) -> tuple:
+        """conjugations[j][i] is g i g^-1 for g = generators[j]."""
+        if self._conjugations is None:
+            self.words()
+            self._conjugations = tuple(
+                [self.mul(g, x) for x in sorted(self._elements, key=row.__getitem__)]
+                for g, row in zip(self._generators, self.right)
+            )
+        return self._conjugations
 
     def describe(self) -> str:
         return f"cayley-group(order={self.order})"

@@ -228,28 +228,11 @@ def power_target_count(
 # -- concrete source groups --------------------------------------------------
 
 
-def _bfs_words(G: FiniteGroup) -> tuple[dict, list]:
-    """Words along a BFS spanning tree over the generators, one per reached
-    element, and the non-tree edges (x, generator id, y) with x*g = y."""
-    gens = G.generators
-    words: dict = {G.identity: ()}
-    queue = [G.identity]
-    edges = []
-    for x in queue:
-        for gi, g in enumerate(gens):
-            y = G.mul(x, g)
-            if y in words:
-                edges.append((x, gi, y))
-            else:
-                words[y] = words[x] + ((gi, 1),)
-                queue.append(y)
-    return words, edges
-
-
 def group_presentation(G: FiniteGroup) -> Presentation:
     """Schreier presentation of a concrete finite group on its generators.
 
-    Each non-tree edge x*g = y of a BFS spanning tree gives the relator
+    Each non-tree edge x*g = y of the BFS spanning tree of the compiled
+    group (`FiniteGroup.compiled`) gives the relator
     w(x) g w(y)^-1, where w reads the tree path (Holt, Eick and O'Brien,
     Handbook of Computational Group Theory, 2005, 2.4). The order relator
     g^|g| of each generator is added so that the search filters candidate
@@ -257,16 +240,18 @@ def group_presentation(G: FiniteGroup) -> Presentation:
     are dropped. Relators are kept once per class under rotation and
     inversion, shortest first.
     """
-    gens = G.generators
-    words, edges = _bfs_words(G)
-    if len(words) != G.order:
-        raise ValueError("generators do not generate the source group")
-    relators = {((gi, G.element_order(g)),) for gi, g in enumerate(gens)}
-    for x, gi, y in edges:
-        word = canonical_relator(words[x] + ((gi, 1),) + inverse_word(words[y]))
-        if len(word) > 1:
-            relators.add(word)
-    names = tuple(f"g{i + 1}" for i in range(len(gens)))
+    kernel = G.compiled  # raises ValueError if the generators do not generate
+    words = kernel.words()
+    paths = [tuple((j, 1) for j in word) for word in words]
+    relators = {((gi, G.element_order(g)),) for gi, g in enumerate(G.generators)}
+    for x, word in enumerate(words):
+        for j, row in enumerate(kernel.right):
+            y = row[x]
+            if words[y] != word + (j,):  # not the tree edge that reached y
+                relator = canonical_relator(paths[x] + ((j, 1),) + inverse_word(paths[y]))
+                if len(relator) > 1:
+                    relators.add(relator)
+    names = tuple(f"g{i + 1}" for i in range(len(G.generators)))
     ordered = tuple(sorted(relators, key=lambda w: (len(w), w)))
     return Presentation(names, ordered, name=G.describe())
 

@@ -1,22 +1,24 @@
 """Subgroup computations: derived subgroups, quotients, abelian invariants,
 minimal generator search, Sylow subgroups and their normal cores, orbits and
-the transitive centralizer-order criterion.
+the transitive centralizer-order criterion. Structure work runs on the
+group's integer kernel (`FiniteGroup.compiled`); results are mapped back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from math import prod
 from typing import Sequence
 
 from . import perm
 from .groups import (
     CayleyGroup,
-    ClosureOverflowError,
     FiniteGroup,
     GeneratedGroup,
     PermGroup,
     closure,
+    orbit_partition,
 )
 from .numtheory import factorize, is_prime
 
@@ -27,45 +29,47 @@ class SearchBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class SubgroupHandle:
-    """A subgroup of `parent` held as an explicit element tuple.
-
-    Elements are stored sorted for determinism. Construction verifies the
-    subset is closed, contains the identity, and satisfies Lagrange.
+    """A subgroup of `parent` held as an explicit element tuple, sorted for
+    determinism; `indices` holds their positions in the parent's kernel.
+    Construction verifies the identity, Lagrange and closure under products.
     """
 
     parent: FiniteGroup
     elements: tuple
     generators: tuple = ()
+    indices: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         elems = tuple(sorted(set(self.elements)))
         object.__setattr__(self, "elements", elems)
-        eset = set(elems)
-        if self.parent.identity not in eset:
+        parent = self.parent
+        if parent.identity not in elems:
             raise ValueError("subgroup does not contain the identity")
-        if self.parent.order % len(elems):
+        if parent.order % len(elems):
             raise ValueError(
-                f"Lagrange violation: {len(elems)} does not divide {self.parent.order}"
+                f"Lagrange violation: {len(elems)} does not divide {parent.order}"
             )
-        for a in elems:
-            if self.parent.inv(a) not in eset:
-                raise ValueError("subgroup is not closed under inversion")
-        if len(elems) <= 128:
-            for a in elems:
-                for b in elems:
-                    if self.parent.mul(a, b) not in eset:
-                        raise ValueError("subgroup is not closed under products")
+        indices = frozenset(parent.element_index(x) for x in elems)
+        object.__setattr__(self, "indices", indices)
+        # closed iff some of its elements generate exactly it; each element
+        # added at least doubles the closure
+        kernel = parent.compiled
+        gens, reached = [], {kernel.identity}
+        for x in sorted(indices - reached):
+            if x not in reached:
+                gens.append(x)
+                reached = set(closure(gens, kernel.mul, kernel.identity))
+                if not reached <= indices:
+                    raise ValueError("subgroup is not closed under products")
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def is_normal(self) -> bool:
-        eset = set(self.elements)
-        gens = self.parent.generators or self.parent.elements
-        return all(
-            self.parent.conjugate(a, g) in eset for a in self.elements for g in gens
-        )
+        """Whether conjugation by each generator of the parent keeps it."""
+        members = self.indices
+        return all(c[x] in members for c in self.parent.compiled.conjugations for x in members)
 
     def as_group(self) -> GeneratedGroup:
         gens = self.generators or self.elements
@@ -73,31 +77,32 @@ class SubgroupHandle:
         return g
 
 
+def _handle(parent: FiniteGroup, indices, generators=()) -> SubgroupHandle:
+    """The subgroup with the given kernel indices, as parent elements."""
+    elems = parent.elements
+    members = tuple(elems[i] for i in indices)
+    return SubgroupHandle(parent, members, tuple(elems[i] for i in generators))
+
+
 def subgroup_from_generators(parent: FiniteGroup, generators: Sequence) -> SubgroupHandle:
-    elems = closure(list(generators), parent.mul, parent.identity, parent.element_cap)
-    return SubgroupHandle(parent, tuple(elems), tuple(generators))
-
-
-def trivial_subgroup(parent: FiniteGroup) -> SubgroupHandle:
-    return SubgroupHandle(parent, (parent.identity,), ())
+    kernel = parent.compiled
+    gens = [parent.element_index(g) for g in generators]
+    return _handle(parent, closure(gens, kernel.mul, kernel.identity), gens)
 
 
 def normal_closure(parent: FiniteGroup, seeds: Sequence) -> SubgroupHandle:
-    """Smallest normal subgroup of parent containing the seeds."""
-    conjugators = parent.generators or parent.elements
-    gens = list(dict.fromkeys(seeds))
+    """Smallest normal subgroup of parent containing the seeds. Conjugates
+    join the generators one at a time, each outside the closure so far."""
+    kernel = parent.compiled
+    gens = list(dict.fromkeys(parent.element_index(x) for x in seeds))
     while True:
-        elems = closure(gens, parent.mul, parent.identity, parent.element_cap)
-        eset = set(elems)
-        new = [
-            c
-            for a in elems
-            for g in conjugators
-            if (c := parent.conjugate(a, g)) not in eset
-        ]
-        if not new:
-            return SubgroupHandle(parent, tuple(elems), tuple(gens))
-        gens.extend(dict.fromkeys(new))
+        elems = closure(gens, kernel.mul, kernel.identity)
+        members = set(elems)
+        conjugates = (c[x] for x in elems for c in kernel.conjugations)
+        new = next((y for y in conjugates if y not in members), None)
+        if new is None:
+            return _handle(parent, elems, gens)
+        gens.append(new)
 
 
 def derived_subgroup(G: FiniteGroup) -> SubgroupHandle:
@@ -105,15 +110,12 @@ def derived_subgroup(G: FiniteGroup) -> SubgroupHandle:
 
     The quotient by the result is verified to be abelian.
     """
-    gens = G.generators or G.elements
-    seeds = []
-    for i, a in enumerate(gens):
-        for b in gens[i + 1 :]:
-            c = G.commutator(a, b)
-            if c != G.identity:
-                seeds.append(c)
+    kernel = G.compiled
+    gens = kernel.generators
+    commutators = (kernel.commutator(a, b) for i, a in enumerate(gens) for b in gens[i + 1 :])
+    seeds = [G.elements[c] for c in dict.fromkeys(commutators) if c != kernel.identity]
     if not seeds:
-        return trivial_subgroup(G)
+        return _handle(G, [kernel.identity])
     handle = normal_closure(G, seeds)
     quotient, _ = quotient_group(G, handle)
     if not quotient.is_abelian():
@@ -122,35 +124,26 @@ def derived_subgroup(G: FiniteGroup) -> SubgroupHandle:
 
 
 def quotient_group(G: FiniteGroup, N: SubgroupHandle) -> tuple[CayleyGroup, dict]:
-    """Quotient G/N as a Cayley table on coset representatives.
-
-    Returns the quotient group and the element -> coset index projection.
-    N must be normal.
-    """
+    """Quotient G/N, built from the action of G's generators on the cosets
+    (numbered by their first element in G's order), and the element ->
+    coset index projection. N must be normal."""
     if N.parent is not G:
         raise ValueError("subgroup does not belong to this group")
     if not N.is_normal():
         raise ValueError("subgroup is not normal")
-    n_elems = N.elements
-    coset_of: dict = {}
-    reps: list = []
-    for x in G.elements:
-        if x in coset_of:
-            continue
-        idx = len(reps)
-        reps.append(x)
-        for n in n_elems:
-            coset_of[G.mul(x, n)] = idx
-    table = tuple(
-        tuple(coset_of[G.mul(a, b)] for b in reps) for a in reps
-    )
-    gens = tuple(dict.fromkeys(coset_of[g] for g in (G.generators or G.elements)))
-    return CayleyGroup(table, generators=gens, check=False), coset_of
-
-
-def abelianization(G: FiniteGroup) -> CayleyGroup:
-    quotient, _ = quotient_group(G, derived_subgroup(G))
-    return quotient
+    kernel = G.compiled
+    coset = [-1] * G.order
+    reps: list[int] = []
+    for x in range(G.order):
+        if coset[x] < 0:
+            for n in N.indices:
+                coset[kernel.mul(x, n)] = len(reps)
+            reps.append(x)
+    action: dict = {}
+    for g, row in zip(kernel.generators, kernel.right):
+        action.setdefault(coset[g], [coset[row[r]] for r in reps])
+    quotient = CayleyGroup.from_action(len(reps), coset[kernel.identity], list(action.values()))
+    return quotient, dict(zip(G.elements, coset))
 
 
 def abelian_invariants(G: FiniteGroup) -> list[int]:
@@ -164,47 +157,31 @@ def abelian_invariants(G: FiniteGroup) -> list[int]:
     n = G.order
     if n == 1:
         return []
-    orders = [G.element_order(x) for x in G.elements]
-    partitions: dict[int, list[int]] = {}
+    kernel = G.compiled
+    orders = [kernel.element_order(x) for x in range(n)]
+    # #{x : x^(p^k) = 1} is p^(sum over the p-parts p^e of min(k, e)), so its
+    # growth from k-1 to k counts the p-parts with e >= k
+    ranks: dict[int, list[int]] = {}
     for p, _ in factorize(n):
-        # count elements of order dividing p^k to recover the p-type
-        counts = []
-        k = 1
-        while True:
-            pk = p**k
-            m = sum(1 for o in orders if pk % o == 0)
-            counts.append(m)
-            if m == n or (counts[-1] == (counts[-2] if len(counts) > 1 else 0)):
-                break
-            k += 1
-        exps = [0] + [_int_log(c, p) for c in counts]
-        parts: list[int] = []
-        for k, (lo, hi) in enumerate(zip(exps, exps[1:]), start=1):
-            grew = hi - lo  # number of parts of size >= k
-            while len(parts) < grew:
-                parts.append(0)
-            for i in range(grew):
-                parts[i] = k
-        if parts:
-            partitions[p] = sorted(parts, reverse=True)
-    rank = max(len(parts) for parts in partitions.values())
-    divisors = []
-    for j in range(rank):
-        d = prod(p ** parts[j] for p, parts in partitions.items() if j < len(parts))
-        divisors.append(d)
-    divisors.reverse()  # ascending, each dividing the next
+        below, k, ranks[p] = 1, 1, []
+        while (count := sum(1 for o in orders if p**k % o == 0)) > below:
+            ranks[p].append(_p_log(count // below, p))
+            below, k = count, k + 1
+    divisors = [
+        prod(p ** sum(1 for r in rs if r > j) for p, rs in ranks.items())
+        for j in reversed(range(max(rs[0] for rs in ranks.values())))
+    ]
     assert prod(divisors) == n
     return divisors
 
 
-def _int_log(n: int, p: int) -> int:
+def _p_log(n: int, p: int) -> int | None:
+    """k with n = p^k, or None when n is not a power of p."""
     k = 0
-    while n > 1:
-        if n % p:
-            raise ValueError(f"{n} is not a power of {p}")
+    while n % p == 0:
         n //= p
         k += 1
-    return k
+    return k if n == 1 else None
 
 
 @dataclass(frozen=True)
@@ -234,126 +211,76 @@ def d_min_generators(
     n = G.order
     if n == 1:
         return MinGenResult(0, (), True)
-    for x in G.elements:
-        if G.element_order(x) == n:
-            return MinGenResult(1, (x,), True)
+    kernel = G.compiled
+    elems = G.elements
+    for x in range(n):
+        if kernel.element_order(x) == n:
+            return MinGenResult(1, (elems[x],), True)
     # d = 1 is exhausted: no element has order |G|
-    reps = [c[0] for c in G.conjugacy_classes() if c[0] != G.identity]
-    others = [x for x in G.elements if x != G.identity]
+    e = kernel.identity
+    reps = [c[0] for c in kernel.conjugacy_classes() if c[0] != e]
+    others = [x for x in range(n) if x != e]
     tried = 0
     for d in range(2, max_d + 1):
         for first in reps:
-            stack = [(first,)]
-            while stack:
-                tup = stack.pop()
-                if len(tup) < d:
-                    for x in others:
-                        stack.append(tup + (x,))
-                    continue
+            # later elements first: the reported witness depends on this order
+            for rest in itertools.product(others[::-1], repeat=d - 1):
                 tried += 1
                 if tried > budget:
                     return MinGenResult(d, None, False)
-                try:
-                    size = len(closure(list(tup), G.mul, G.identity, n))
-                except ClosureOverflowError:
-                    size = 0
-                if size == n:
-                    return MinGenResult(d, tup, True)
+                if len(closure((first, *rest), kernel.mul, e, n)) == n:
+                    return MinGenResult(d, tuple(elems[x] for x in (first, *rest)), True)
     raise SearchBudgetError(f"no generating tuple of size <= {max_d} found")
 
 
 def sylow_subgroup(G: FiniteGroup, p: int) -> SubgroupHandle:
-    """A Sylow p-subgroup, grown by iterated normalizer extension."""
+    """A Sylow p-subgroup grown from the trivial group: while P is below the
+    p-part of |G|, the first p-element y outside P that normalizes it (one
+    exists in N_S(P) for a Sylow S > P) extends it to <P, y>."""
     n = G.order
+    kernel = G.compiled
+    e = kernel.identity
     target = 1
-    m = n
-    while m % p == 0:
-        m //= p
+    while n % (target * p) == 0:
         target *= p
-    if target == 1:
-        return trivial_subgroup(G)
-    # seed with an element of order p
-    seed = None
-    for x in G.elements:
-        o = G.element_order(x)
-        if o % p == 0:
-            seed = G.power(x, o // p)
-            break
-    assert seed is not None  # Cauchy: p divides |G|
-    current = subgroup_from_generators(G, [seed])
-    while current.order < target:
-        eset = set(current.elements)
-        normalizer = [
-            g
-            for g in G.elements
-            if all(G.conjugate(a, g) in eset for a in current.elements)
-        ]
-        extended = False
-        for y in normalizer:
-            if y in eset:
-                continue
-            # order of the coset yP in N/P
-            k = 1
-            z = y
-            while z not in eset:
-                z = G.mul(z, y)
-                k += 1
-            if k % p == 0:
-                w = G.power(y, k // p)  # coset of order p
-                if w not in eset:
-                    current = subgroup_from_generators(
-                        G, list(current.generators or current.elements) + [w]
-                    )
-                    extended = True
-                    break
-        if not extended:
-            raise AssertionError("Sylow extension stalled below the full p-part")
-    return current
+    p_elements = [x for x in range(n) if _p_log(kernel.element_order(x), p) is not None]
+    gens: list[int] = []
+    members = {e}
+    while len(members) < target:
+        y = next(
+            y
+            for y in p_elements
+            if y not in members and all(kernel.conjugate(a, y) in members for a in gens)
+        )
+        gens.append(y)
+        members = set(closure(gens, kernel.mul, e))
+    return _handle(G, members, gens)
 
 
 def largest_normal_p_subgroup(G: FiniteGroup, p: int) -> SubgroupHandle:
-    """O_p(G): the intersection of all conjugates of one Sylow p-subgroup."""
+    """O_p(G), the core of a Sylow p-subgroup S: the fixed point of
+    S <- S meet (the S^g over the generators g of G), which is normal in G
+    and contains every normal subgroup of G inside S."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     sylow = sylow_subgroup(G, p)
     if sylow.order == 1:
         return sylow
-    core = set(sylow.elements)
-    seen_conjugates = {frozenset(core)}
-    for g in G.elements:
-        conj = frozenset(G.conjugate(a, g) for a in sylow.elements)
-        if conj in seen_conjugates:
-            continue
-        seen_conjugates.add(conj)
-        core &= conj
-        if len(core) == 1:
+    conjugations = G.compiled.conjugations
+    core = set(sylow.indices)
+    while True:
+        kept = {x for x in core if all(conj[x] in core for conj in conjugations)}
+        if len(kept) == len(core):
             break
-    handle = SubgroupHandle(G, tuple(core))
+        core = kept
+    handle = _handle(G, core)
     assert handle.is_normal()
     return handle
 
 
 def orbits(G: PermGroup) -> list[list[int]]:
     """Orbit partition of the points under the group action."""
-    degree = G.degree
-    seen = [False] * degree
-    out = []
-    for start in range(degree):
-        if seen[start]:
-            continue
-        orbit = [start]
-        seen[start] = True
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for g in G.generators:
-                y = g[x]
-                if not seen[y]:
-                    seen[y] = True
-                    orbit.append(y)
-                    queue.append(y)
-        out.append(sorted(orbit))
-    return out
+    return orbit_partition(G.degree, G.generators)
 
 
 def centralizer_order_transitive(G: PermGroup) -> int:

@@ -1,11 +1,11 @@
 """Shared corpus groups and independent oracles for the test suite.
 
-The oracles here deliberately avoid the library's own algorithms: normal
-subgroups come from conjugacy-class joins, centralizers from brute force
-over the full symmetric group, irreducibility from enumerating all
-subspaces, subset sums from explicit powerset search, and homomorphisms
-from a concrete group by extending every candidate tuple and checking it
-on every element.
+The oracles here deliberately avoid the library's own algorithms: conjugacy
+classes come from conjugating by every element, normal subgroups from
+conjugacy-class joins, centralizers from brute force over the full
+symmetric group, irreducibility from enumerating all subspaces, subset sums
+from explicit powerset search, and homomorphisms from a concrete group by
+extending every candidate tuple and checking it on every element.
 """
 
 from __future__ import annotations
@@ -123,6 +123,24 @@ def brute_homs_group(source: FiniteGroup, target: FiniteGroup) -> set[tuple]:
         ):
             found.add(images)
     return found
+
+
+def brute_conjugacy_classes(G: FiniteGroup) -> list[tuple]:
+    """Conjugacy classes by conjugating a representative by every element.
+
+    Each class is a tuple in element enumeration order, and classes are
+    listed by their first element.
+    """
+    remaining = dict.fromkeys(G.elements)
+    classes = []
+    elems = G.elements
+    while remaining:
+        x = next(iter(remaining))
+        cls = {G.conjugate(x, g) for g in elems}
+        classes.append(tuple(e for e in elems if e in cls))
+        for e in cls:
+            remaining.pop(e, None)
+    return classes
 
 
 def brute_centralizer_order(G: PermGroup) -> int:

@@ -215,3 +215,26 @@ def test_best_bound_margin_tie_break_is_deterministic():
 def test_best_bound_rejects_trivial_targets():
     with pytest.raises(ValueError, match="nontrivial"):
         best_bound([cyclic_presentation(2)], [cyclic_group(1)])
+
+
+def test_best_bound_records_budget_failures_only():
+    from genbound.groups import PermGroup, ProductGroup
+
+    class BrokenAfterEnumeration(PermGroup):
+        """Multiplies while enumerating, then raises TypeError."""
+
+        def mul(self, a, b):
+            if self._elements is not None:
+                raise TypeError("broken multiplication")
+            return super().mul(a, b)
+
+    broken = BrokenAfterEnumeration(3, [(1, 2, 0), (1, 0, 2)])
+    assert broken.order == 6
+    factors = [cyclic_presentation(2, "a")]
+    with pytest.raises(TypeError, match="broken multiplication"):
+        best_bound(factors, [symmetric_group(3), broken], ["S3", "broken"])
+    # a target past its element cap is a recorded failure, not an error
+    capped = ProductGroup([symmetric_group(3)] * 2, element_cap=10)
+    result = best_bound(factors, [symmetric_group(3), capped], ["S3", "capped"])
+    assert result.certificate.target == "S3"
+    assert len(result.failures) == 1 and result.failures[0].startswith("capped:")

@@ -223,3 +223,24 @@ def test_presentation_where_group_expected(files, capsys):
     )
     assert status == 1
     assert "realized group" in err
+
+
+def test_construct_thm1_searches_repeated_factors_once(files, capsys, monkeypatch):
+    import genbound.cli as cli
+
+    calls = []
+    search = cli.find_simple_module
+
+    def counted(factor, *args):
+        calls.append(factor)
+        return search(factor, *args)
+
+    monkeypatch.setattr(cli, "find_simple_module", counted)
+    status, out, _ = run(
+        ["construct-thm1", "--factors", files["c3.pres"], files["c2.pres"], files["c3.pres"],
+         "--prime", "7", "--json", "--reproducible"],
+        capsys,
+    )
+    assert status == 0
+    assert [f.name for f in calls] == ["C3", "C2"]
+    assert json.loads(out)["construction"]["module_dims"] == [1, 1, 1]

@@ -1,0 +1,168 @@
+"""The integer group kernel (`FiniteGroup.compiled`) against the realizations
+it is compiled from, and the structure algorithms that run on it against
+the brute-force oracles in `helpers`."""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from genbound.groups import (
+    CayleyGroup,
+    ClosureOverflowError,
+    PermGroup,
+    ProductGroup,
+    closure,
+)
+from genbound.homcount import witness_quotient
+from genbound.modules import general_linear_group
+from genbound.numtheory import factorize
+from genbound.presentations import cyclic_presentation
+from genbound.subgroups import (
+    d_min_generators,
+    derived_subgroup,
+    largest_normal_p_subgroup,
+    quotient_group,
+    subgroup_from_generators,
+)
+
+from helpers import (
+    brute_conjugacy_classes,
+    brute_derived_subgroup,
+    brute_largest_normal_p_subgroup,
+    symmetric_group,
+)
+
+small_perm_groups = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.permutations(list(range(n))).map(tuple), min_size=1, max_size=3
+    ).map(lambda gens: PermGroup(n, gens))
+)
+
+
+def check_kernel_matches_realization(group):
+    kernel = group.compiled
+    elems = group.elements
+    assert kernel.order == group.order
+    assert elems[kernel.identity] == group.identity
+    assert [elems[g] for g in kernel.generators] == list(group.generators)
+    for i, a in enumerate(elems):
+        assert elems[kernel.inv(i)] == group.inv(a)
+        for j, b in enumerate(elems):
+            assert elems[kernel.mul(i, j)] == group.mul(a, b)
+
+
+def check_d_min_is_minimal(group):
+    result = d_min_generators(group)
+    assert result.exact
+    generated = closure(list(result.witness), group.mul, group.identity)
+    assert len(generated) == group.order
+    if result.value:
+        for fewer in itertools.combinations(group.elements, result.value - 1):
+            assert len(closure(list(fewer), group.mul, group.identity)) < group.order
+
+
+@given(small_perm_groups)
+@settings(max_examples=40, deadline=None)
+def test_kernel_and_classes_match_realization_on_random_perm_groups(group):
+    check_kernel_matches_realization(group)
+    assert group.conjugacy_classes() == brute_conjugacy_classes(group)
+    assert set(derived_subgroup(group).elements) == brute_derived_subgroup(group)
+    for p, _ in factorize(group.order):
+        computed = set(largest_normal_p_subgroup(group, p).elements)
+        assert computed == brute_largest_normal_p_subgroup(group, p)
+    check_d_min_is_minimal(group)
+
+
+def test_kernel_and_classes_match_realization_on_gl_2_3():
+    gl = general_linear_group(3, 2)
+    assert gl.order == 48
+    check_kernel_matches_realization(gl)
+    assert gl.conjugacy_classes() == brute_conjugacy_classes(gl)
+    assert set(derived_subgroup(gl).elements) == brute_derived_subgroup(gl)
+    for p in (2, 3):
+        computed = set(largest_normal_p_subgroup(gl, p).elements)
+        assert computed == brute_largest_normal_p_subgroup(gl, p)
+    check_d_min_is_minimal(gl)
+
+
+def test_table_group_with_identity_away_from_zero():
+    # Sym(3) relabelled so that the identity is element 4
+    s3 = symmetric_group(3)
+    label = [4, 0, 5, 1, 3, 2]
+    table = [[0] * 6 for _ in range(6)]
+    for i, a in enumerate(s3.elements):
+        for j, b in enumerate(s3.elements):
+            table[label[i]][label[j]] = label[s3.element_index(s3.mul(a, b))]
+    group = CayleyGroup(table)
+    assert group.identity == 4
+    check_kernel_matches_realization(group)
+    assert group.conjugacy_classes() == brute_conjugacy_classes(group)
+    derived = derived_subgroup(group)
+    assert set(derived.elements) == brute_derived_subgroup(group)
+    quotient, projection = quotient_group(group, derived)
+    assert quotient.order == 2 and quotient.identity == projection[4]
+    assert largest_normal_p_subgroup(group, 3).order == 3
+    assert largest_normal_p_subgroup(group, 2).order == 1
+    assert d_min_generators(group).value == 2
+
+
+def test_non_generating_cayley_group_is_rejected():
+    s3 = symmetric_group(3)
+    table = s3.compiled.table
+    t = s3.element_index((1, 0, 2))
+    only_t = CayleyGroup(table, generators=(t,))
+    # multiplication still works off the table
+    assert only_t.mul(t, t) == s3.element_index(s3.identity)
+    with pytest.raises(ValueError, match="do not generate"):
+        only_t.conjugacy_classes()
+    # <t> is not normal in Sym(3): no quotient of order 3 is built
+    with pytest.raises(ValueError, match="do not generate"):
+        quotient_group(only_t, subgroup_from_generators(only_t, [t]))
+
+
+def test_from_action_checks_generation():
+    c6 = CayleyGroup.from_action(6, 0, [[(i + 1) % 6 for i in range(6)]])
+    assert c6.order == 6 and c6.inv(1) == 5 and c6.mul(4, 5) == 3
+    with pytest.raises(ValueError, match="do not generate"):
+        CayleyGroup.from_action(6, 0, [[(i + 2) % 6 for i in range(6)]])
+
+
+def test_compiling_past_the_element_cap_overflows():
+    with pytest.raises(ClosureOverflowError):
+        PermGroup(4, [(1, 2, 3, 0), (1, 0, 2, 3)], element_cap=23).compiled
+    with pytest.raises(ClosureOverflowError):
+        ProductGroup([symmetric_group(3)] * 2, element_cap=35).compiled
+
+
+class CountingPermGroup(PermGroup):
+    calls = 0
+
+    def mul(self, a, b):
+        CountingPermGroup.calls += 1
+        return super().mul(a, b)
+
+    def inv(self, a):
+        CountingPermGroup.calls += 1
+        return super().inv(a)
+
+
+def test_witness_structure_work_is_bounded_by_one_enumeration():
+    # Compiling the order-288 witness quotient of C2*C3 in Sym(4) and
+    # running conjugacy classes and d_min on it costs at most as many
+    # realization calls as one pass of the generators over the elements.
+    sym4 = CountingPermGroup(4, [(1, 2, 3, 0), (1, 0, 2, 3)])
+    witness = witness_quotient(
+        [cyclic_presentation(2, "a"), cyclic_presentation(3, "b")], sym4
+    )
+    group = witness.group
+    assert group.order == 288 and witness.width_used == 90
+    CountingPermGroup.calls = 0
+    group.compiled
+    classes = group.conjugacy_classes()
+    result = d_min_generators(group)
+    bound = group.order * len(group.generators) * witness.width_used
+    assert CountingPermGroup.calls <= bound
+    assert sum(len(c) for c in classes) == 288
+    assert result.value == 2 and result.exact
