@@ -11,8 +11,9 @@ kernel: `FiniteGroup.compiled`, the group as a `CayleyGroup` on 0..n-1.
 from __future__ import annotations
 
 import itertools
+import math
 from math import prod
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import linalg, perm
 
@@ -40,15 +41,23 @@ def closure(
     the identity first. Exceeding `cap` raises ClosureOverflowError;
     results are never silently truncated.
     """
-    return _closure_with_action(generators, mul, identity, cap)[0]
+    out: list = []
+    for _ in _bfs(generators, mul, identity, cap, out, [[] for _ in generators]):
+        pass
+    return out
 
 
-def _closure_with_action(generators, mul, identity, cap) -> tuple[list, list]:
-    """`closure`, plus the generators' right action it walked:
-    action[j][i] is the position of out[i] * generators[j]."""
+def _bfs(generators, mul, identity, cap, out: list, action: list) -> Iterator:
+    """The enumeration BFS behind `closure` and `FiniteGroup.elements`.
+
+    Appends each element to `out` as it is reached, identity first, and
+    yields it, so a reader may stop part way and resume later. It also
+    records the generators' right action it walked: action[j][i] is the
+    position of out[i] * generators[j], filled for every element it has
+    moved past."""
     position = {identity: 0}
-    out = [identity]
-    action: list[list[int]] = [[] for _ in generators]
+    out.append(identity)
+    yield identity
     for a in out:
         for g, row in zip(generators, action):
             b = mul(a, g)
@@ -58,8 +67,10 @@ def _closure_with_action(generators, mul, identity, cap) -> tuple[list, list]:
                 out.append(b)
                 if len(out) > cap:
                     raise ClosureOverflowError(cap)
-            row.append(i)
-    return out, action
+                row.append(i)
+                yield b
+            else:
+                row.append(i)
 
 
 def orbit_partition(n: int, maps: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -83,6 +94,8 @@ class FiniteGroup:
 
     element_cap: int = DEFAULT_ELEMENT_CAP
     _elements: tuple | None = None
+    _reached: list | tuple | None = None  # the elements enumerated so far
+    _pending: Iterator | None = None  # the enumeration, while part way
     _index: dict | None = None
     _action: list | None = None  # the generators' right action, if recorded
     _compiled: CayleyGroup | None = None
@@ -103,19 +116,53 @@ class FiniteGroup:
     def generators(self) -> tuple:
         raise NotImplementedError
 
-    def _enumerate(self) -> list:
-        elements, self._action = _closure_with_action(
-            self.generators, self.mul, self.identity, self.element_cap
-        )
-        return elements
+    def _generate(self, out: list) -> Iterator:
+        """Append the elements to `out` in enumeration order, yielding after
+        each. By default this is the closure BFS over the generators, which
+        records their action for `compiled`."""
+        self._action = [[] for _ in self.generators]
+        return _bfs(self.generators, self.mul, self.identity, self.element_cap, out, self._action)
 
     # -- derived, shared machinery ---------------------------------------
+
+    def _reach(self, n: float) -> bool:
+        """Whether element n exists, enumerating up to it and no further.
+
+        A partial enumeration keeps its place, so the group is enumerated
+        at most once however its readers interleave."""
+        if self._reached is None:
+            if self._elements is not None:
+                self._reached = self._elements
+            else:
+                self._reached = []
+                self._pending = self._generate(self._reached)
+        reached = self._reached
+        if self._pending is not None:
+            try:
+                while len(reached) <= n:
+                    next(self._pending)
+            except StopIteration:
+                self._pending = None
+            except BaseException:  # the enumeration is spent: restart on the next read
+                self._reached = self._pending = None
+                raise
+        return len(reached) > n
 
     @property
     def elements(self) -> tuple:
         if self._elements is None:
-            self._elements = tuple(self._enumerate())
+            self._reach(math.inf)
+            self._elements = self._reached = tuple(self._reached)
         return self._elements
+
+    def stream(self) -> Iterator:
+        """The elements in `elements` order, enumerated only as far as they
+        are read. A stream left part way leaves the enumeration where it
+        stopped; `elements`, `compiled` and later streams continue it."""
+        i = 0
+        while self._reach(i):
+            yield self._reached[i]
+            i += 1
 
     @property
     def order(self) -> int:
@@ -479,14 +526,14 @@ class AffineSemidirect(FiniteGroup):
         a_inv = self.point_group.inv(a)
         return (linalg.vec_neg(linalg.mat_vec(self.action(a_inv), v, self.p), self.p), a_inv)
 
-    def _enumerate(self) -> list:
+    def _generate(self, out: list) -> Iterator:
         total = self.p**self.dim * self.point_group.order
         if total > self.element_cap:
             raise ClosureOverflowError(self.element_cap)
         vectors = itertools.product(range(self.p), repeat=self.dim)
-        return [
-            (v, a) for v in vectors for a in self.point_group.elements
-        ]
+        for x in itertools.product(vectors, self.point_group.elements):
+            out.append(x)
+            yield x
 
     @property
     def order(self) -> int:
@@ -528,11 +575,13 @@ class ProductGroup(FiniteGroup):
     def inv(self, a):
         return tuple(f.inv(x) for f, x in zip(self.factors, a))
 
-    def _enumerate(self) -> list:
+    def _generate(self, out: list) -> Iterator:
         total = prod(f.order for f in self.factors)
         if total > self.element_cap:
             raise ClosureOverflowError(self.element_cap)
-        return list(itertools.product(*(f.elements for f in self.factors)))
+        for x in itertools.product(*(f.elements for f in self.factors)):
+            out.append(x)
+            yield x
 
     @property
     def order(self) -> int:

@@ -10,7 +10,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from math import gcd, prod
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .groups import (
     DEFAULT_ELEMENT_CAP,
@@ -89,6 +89,9 @@ class _BacktrackSearch:
     Generators are assigned in order of ascending candidate-set size (most
     constrained first); each relator is checked as soon as all generators it
     mentions are assigned. Deterministic given the target's element order.
+    A single generator needs no ranking, so its candidates are drawn from
+    the target's element stream as the search goes, and a search that stops
+    early enumerates the target no further than it read.
     """
 
     def __init__(self, pres: Presentation, target: FiniteGroup, node_budget: int):
@@ -96,20 +99,13 @@ class _BacktrackSearch:
         self.target = target
         self.node_budget = node_budget
         self.nodes = 0
-        elements = target.elements
         k = len(pres.generators)
-        candidates = []
-        for g in range(k):
-            m = _single_generator_order_bound(pres, g)
-            if m == 0:
-                candidates.append(elements)
-            else:
-                candidates.append(
-                    tuple(x for x in elements if target.power(x, m) == target.identity)
-                )
-        # stable sort: most constrained generator first
-        self.order = sorted(range(k), key=lambda g: (len(candidates[g]), g))
-        self.candidates = candidates
+        self.candidates = None  # materialized only to rank two or more generators
+        self.order = list(range(k))
+        if k > 1:
+            self.candidates = [tuple(self._filtered(g, target.elements)) for g in range(k)]
+            # stable sort: most constrained generator first
+            self.order.sort(key=lambda g: (len(self.candidates[g]), g))
         position = {g: i for i, g in enumerate(self.order)}
         self.checks: list[list[Word]] = [[] for _ in range(k)]
         for word in pres.relators:
@@ -120,20 +116,32 @@ class _BacktrackSearch:
             last = max(position[g] for g in used)
             self.checks[last].append(word)
 
-    def run(self, collect: list | None):
+    def _filtered(self, gen: int, elements: Iterable) -> Iterable:
+        """The elements x with x^m = e, m the order bound of `gen`."""
+        m = _single_generator_order_bound(self.pres, gen)
+        if m == 0:
+            return elements
+        target, e = self.target, self.target.identity
+        return (x for x in elements if target.power(x, m) == e)
+
+    def run(self, visit: Callable[[tuple], object] | None) -> int:
+        """Visit each homomorphism, as its tuple of generator images, in
+        order until `visit` returns a truthy value; the number visited."""
         k = len(self.pres.generators)
+        candidates = self.candidates or [
+            self._filtered(g, self.target.stream()) for g in range(k)
+        ]
         images: list = [None] * k
         count = 0
 
-        def descend(level: int) -> int:
+        def descend(level: int) -> bool:
+            """Extend the assignment from `level` on; True to stop."""
             nonlocal count
             if level == k:
                 count += 1
-                if collect is not None:
-                    collect.append(tuple(images))
-                return count
+                return visit is not None and bool(visit(tuple(images)))
             gen = self.order[level]
-            for x in self.candidates[gen]:
+            for x in candidates[gen]:
                 self.nodes += 1
                 if self.nodes > self.node_budget:
                     raise HomSearchBudgetError(
@@ -143,16 +151,13 @@ class _BacktrackSearch:
                 if all(
                     evaluate_word(w, images, self.target) == self.target.identity
                     for w in self.checks[level]
-                ):
-                    descend(level + 1)
+                ) and descend(level + 1):
+                    return True
             images[gen] = None
-            return count
+            return False
 
-        if k == 0:
-            if collect is not None:
-                collect.append(())
-            return 1
-        return descend(0)
+        descend(0)
+        return count
 
 
 def count_homs(
@@ -172,7 +177,7 @@ def enumerate_homs(
 ) -> list[tuple]:
     """All homomorphisms as generator-image tuples, in deterministic order."""
     found: list[tuple] = []
-    _BacktrackSearch(pres, target, node_budget).run(found)
+    _BacktrackSearch(pres, target, node_budget).run(found.append)
     return found
 
 
@@ -284,6 +289,13 @@ def _image_order(target: FiniteGroup, images: Sequence) -> int:
     return len(closure(list(images), target.mul, target.identity, target.element_cap))
 
 
+def _paired_order(target: FiniteGroup, hom_a: Sequence, hom_b: Sequence) -> int:
+    """Order of the subgroup of target x target generated by the paired images."""
+    pair_group = ProductGroup([target, target])
+    paired = list(zip(hom_a, hom_b))
+    return len(closure(paired, pair_group.mul, pair_group.identity, target.element_cap))
+
+
 def kernels_equal(
     target: FiniteGroup, hom_a: Sequence, hom_b: Sequence
 ) -> bool:
@@ -293,12 +305,8 @@ def kernels_equal(
     paired images is the graph of an isomorphism between the two images,
     i.e. has the same order as both images.
     """
-    pair_group = ProductGroup([target, target])
-    paired = [(x, y) for x, y in zip(hom_a, hom_b)]
-    pair_order = len(
-        closure(paired, pair_group.mul, pair_group.identity, target.element_cap)
-    )
-    return pair_order == _image_order(target, hom_a) == _image_order(target, hom_b)
+    order = _image_order(target, hom_a)
+    return order == _image_order(target, hom_b) == _paired_order(target, hom_a, hom_b)
 
 
 def witness_quotient(
@@ -330,11 +338,17 @@ def witness_quotient(
                 "retry with kernel deduplication (one homomorphism per kernel "
                 "suffices for the witness quotient)"
             )
-        kept: list[tuple] = []
-        for hom in homs:
-            if not any(kernels_equal(target, hom, other) for other in kept):
-                kept.append(hom)
-        homs = kept
+        # equal kernels have isomorphic images, so the paired images are
+        # closed (as in `kernels_equal`) only for images of equal order
+        orders = [_image_order(target, hom) for hom in homs]
+        kept: list[int] = []
+        for i, hom in enumerate(homs):
+            if not any(
+                orders[j] == orders[i] == _paired_order(target, homs[j], hom)
+                for j in kept
+            ):
+                kept.append(i)
+        homs = [homs[i] for i in kept]
         if len(homs) > width_cap:
             raise WitnessWidthError(
                 f"{len(homs)} distinct kernels still exceed the width cap {width_cap}"

@@ -10,7 +10,12 @@ from math import prod
 
 from . import linalg
 from .groups import FiniteGroup, MatrixGroup
-from .homcount import enumerate_homs, evaluate_word, group_presentation
+from .homcount import (
+    DEFAULT_NODE_BUDGET,
+    _BacktrackSearch,
+    evaluate_word,
+    group_presentation,
+)
 from .numtheory import is_prime, least_primitive_root
 from .presentations import Presentation
 
@@ -123,9 +128,11 @@ def find_simple_module(
     """Search dimensions 1..d_max for a nontrivial irreducible action of the
     source over F_p.
 
-    Each dimension enumerates homomorphisms into the full matrix group and
-    tests the nontrivial ones for irreducibility; the first hit wins (small
-    dimensions keep downstream targets small). Dimensions whose matrix group
+    Each dimension runs the homomorphism search into the full matrix group
+    and tests the nontrivial homomorphisms for irreducibility as it finds
+    them; the search stops at the first hit (small dimensions keep
+    downstream targets small). A one-generator source reads the matrix
+    group's elements only as far as that hit. Dimensions whose matrix group
     or vector space exceeds the caps are reported as skipped. A concrete
     source group is searched through its Schreier presentation.
     """
@@ -141,16 +148,30 @@ def find_simple_module(
         if p**dim > space_cap:
             skipped.append((dim, f"space size {p}^{dim} exceeds cap {space_cap}"))
             continue
-        target = general_linear_group(p, dim)
         searched.append(dim)
-        identity = linalg.mat_identity(dim)
-        for images in enumerate_homs(source, target):
-            if all(m == identity for m in images):
-                continue
-            try:
-                action = ModuleAction(p, dim, tuple(images), source)
-            except ValueError:
-                continue
-            if is_irreducible(action, space_cap):
-                return SimpleModuleSearch(action, tuple(searched), tuple(skipped))
+        found = _first_irreducible(source, general_linear_group(p, dim), space_cap)
+        if found is not None:
+            return SimpleModuleSearch(found, tuple(searched), tuple(skipped))
     return SimpleModuleSearch(None, tuple(searched), tuple(skipped))
+
+
+def _first_irreducible(
+    source: Presentation, gl: MatrixGroup, space_cap: int
+) -> ModuleAction | None:
+    """The first nontrivial irreducible action among the homomorphisms into
+    `gl`, in search order; the search stops there."""
+    identity, found = gl.identity, None
+
+    def irreducible(images) -> bool:
+        nonlocal found
+        if any(m != identity for m in images):
+            try:
+                action = ModuleAction(gl.p, gl.dim, images, source)
+            except ValueError:
+                return False
+            if is_irreducible(action, space_cap):
+                found = action
+        return found is not None
+
+    _BacktrackSearch(source, gl, DEFAULT_NODE_BUDGET).run(irreducible)
+    return found

@@ -13,6 +13,10 @@ from typing import Sequence
 
 Word = tuple[tuple[int, int], ...]
 
+# Longest relator word `parse_word` expands, in syllables: "(a*b)^n" is
+# stored as 2n syllables, so a short input could otherwise fill memory.
+MAX_WORD_SYLLABLES = 10**6
+
 
 @dataclass(frozen=True)
 class Presentation:
@@ -87,11 +91,20 @@ def parse_word(text: str, generators: Sequence[str]) -> Word:
 
     Grammar: word := power ("*" power)* ; power := atom ("^" int)? ;
     atom := generator | "(" word ")". Exponents may be negative; the
-    expansion repeats (or inverts) the inner word accordingly.
+    expansion repeats (or inverts) the inner word accordingly. A word that
+    would expand past MAX_WORD_SYLLABLES raises ValueError before it is
+    expanded.
     """
     tokens = _tokenize(text)
     index = {g: i for i, g in enumerate(generators)}
     pos = 0
+
+    def check_length(n: int) -> None:
+        if n > MAX_WORD_SYLLABLES:
+            raise ValueError(
+                f"word {text!r} expands to {n} syllables, more than the bound "
+                f"{MAX_WORD_SYLLABLES}"
+            )
 
     def parse_power() -> list[tuple[int, int]]:
         nonlocal pos
@@ -117,6 +130,8 @@ def parse_word(text: str, generators: Sequence[str]) -> Word:
             pos += 1
             if exp == 0:
                 raise ValueError("zero exponent in relator word")
+            if len(inner) > 1:
+                check_length(len(inner) * abs(exp))
             inner = _repeat_word(inner, exp)
         return inner
 
@@ -125,7 +140,9 @@ def parse_word(text: str, generators: Sequence[str]) -> Word:
         out = parse_power()
         while pos < len(tokens) and tokens[pos] == "*":
             pos += 1
-            out.extend(parse_power())
+            part = parse_power()
+            check_length(len(out) + len(part))
+            out.extend(part)
         return out
 
     pairs = parse_sequence()
@@ -135,6 +152,8 @@ def parse_word(text: str, generators: Sequence[str]) -> Word:
 
 
 def _repeat_word(pairs: list[tuple[int, int]], exp: int) -> list[tuple[int, int]]:
+    if len(pairs) == 1:  # a power of one syllable stays one syllable
+        return [(pairs[0][0], pairs[0][1] * exp)]
     if exp > 0:
         return pairs * exp
     return list(inverse_word(pairs)) * (-exp)

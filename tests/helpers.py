@@ -10,6 +10,7 @@ extending every candidate tuple and checking it on every element.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from genbound.groups import FiniteGroup, MatrixGroup, PermGroup, closure
@@ -260,3 +261,52 @@ def brute_common_subset_sum(sets, cap):
         achievable.append(sums)
     common = set.intersection(*achievable)
     return min(common) if common else None
+
+
+
+@functools.cache
+def enumerated_general_linear_group(p: int, dim: int) -> MatrixGroup:
+    """GL(dim, p), fully enumerated once and shared by the tests."""
+    from genbound.modules import general_linear_group
+
+    gl = general_linear_group(p, dim)
+    gl.elements
+    return gl
+
+
+def eager_find_simple_module(source, p: int, d_max: int):
+    """The module search that collects first, with the default caps: every
+    homomorphism into a fully enumerated GL(d, p), in search order, then
+    the first nontrivial irreducible one."""
+    from genbound.homcount import enumerate_homs, group_presentation
+    from genbound.modules import (
+        DEFAULT_GL_ORDER_CAP,
+        DEFAULT_SPACE_CAP,
+        ModuleAction,
+        SimpleModuleSearch,
+        general_linear_order,
+        is_irreducible,
+    )
+
+    if isinstance(source, FiniteGroup):
+        source = group_presentation(source)
+    searched, skipped = [], []
+    for dim in range(1, d_max + 1):
+        gl_order = general_linear_order(p, dim)
+        if gl_order > DEFAULT_GL_ORDER_CAP:
+            skipped.append(
+                (dim, f"matrix group order {gl_order} exceeds cap {DEFAULT_GL_ORDER_CAP}")
+            )
+            continue
+        if p**dim > DEFAULT_SPACE_CAP:
+            skipped.append((dim, f"space size {p}^{dim} exceeds cap {DEFAULT_SPACE_CAP}"))
+            continue
+        gl = enumerated_general_linear_group(p, dim)
+        searched.append(dim)
+        homs = enumerate_homs(source, gl)
+        for images in homs:
+            if any(m != gl.identity for m in images):
+                action = ModuleAction(p, dim, images, source)
+                if is_irreducible(action):
+                    return SimpleModuleSearch(action, tuple(searched), tuple(skipped))
+    return SimpleModuleSearch(None, tuple(searched), tuple(skipped))

@@ -203,6 +203,16 @@ def test_error_exit_code_on_missing_file(files, capsys):
     assert "error" in err
 
 
+def test_overlong_relator_is_an_error(files, capsys):
+    path = files["dir"] / "long.pres.json"
+    path.write_text(json.dumps(
+        {"type": "presentation", "generators": ["a", "b"], "relators": ["(a*b)^1000000000"]}
+    ))
+    status, _, err = run(["homcount", "--factors", str(path), "--target", files["s3.perm"]], capsys)
+    assert status == 1
+    assert err.startswith("error:") and "syllables" in err
+
+
 def test_unknown_flag_rejected(files):
     with pytest.raises(SystemExit):
         main(["bound", "--factors", files["c2.pres"], "--target", files["s3.perm"],

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from genbound.groups import (
     cyclic_group,
     power_group,
 )
+from genbound.modules import general_linear_generators
 from helpers import (
     alternating_group_5,
     perm_parity,
@@ -177,3 +180,43 @@ def test_power_matches_repeated_multiplication(x, n):
     for _ in range(abs(n)):
         expected = group.mul(expected, base)
     assert group.power(x, n) == expected
+
+
+def test_stream_left_part_way_is_continued_not_restarted():
+    class CountingMatrixGroup(MatrixGroup):
+        calls = 0
+
+        def mul(self, a, b):
+            CountingMatrixGroup.calls += 1
+            return super().mul(a, b)
+
+    fresh = CountingMatrixGroup(3, 2, general_linear_generators(3, 2))
+    fresh.elements
+    full_cost = CountingMatrixGroup.calls
+    CountingMatrixGroup.calls = 0
+    gl = CountingMatrixGroup(3, 2, general_linear_generators(3, 2))
+    first = list(itertools.islice(gl.stream(), 5))
+    assert first == list(fresh.elements[:5])
+    assert 0 < CountingMatrixGroup.calls < full_cost
+    assert gl.elements == fresh.elements  # continues where the stream stopped
+    assert CountingMatrixGroup.calls == full_cost
+    assert list(gl.stream()) == list(fresh.elements)
+    assert gl.compiled.right == fresh.compiled.right
+    assert closure(gl.generators, gl.mul, gl.identity) == list(fresh.elements)
+
+
+def test_interleaved_streams_share_one_enumeration():
+    s4 = symmetric_group(4)
+    a, b = s4.stream(), s4.stream()
+    pairs = list(zip(a, b))
+    assert [x for x, _ in pairs] == [y for _, y in pairs] == list(symmetric_group(4).elements)
+
+
+def test_failed_enumeration_fails_again_on_the_next_read():
+    group = symmetric_group(4)
+    group.element_cap = 10
+    for _ in range(2):
+        with pytest.raises(ClosureOverflowError):
+            list(group.stream())
+        with pytest.raises(ClosureOverflowError):
+            group.elements

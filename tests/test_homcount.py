@@ -9,6 +9,7 @@ from genbound.homcount import (
     HomCountResult,
     HomSearchBudgetError,
     WitnessWidthError,
+    _BacktrackSearch,
     count_homs,
     count_homs_cyclic,
     count_homs_group,
@@ -30,6 +31,7 @@ from genbound.presentations import (
 from genbound.subgroups import d_min_generators
 
 from helpers import (
+    affine_group,
     alternating_group_5,
     brute_homs_group,
     cyclic_perm_group,
@@ -292,3 +294,35 @@ def test_quotient_monotonicity():
         c2 = count_homs(cyclic_presentation(2), target).count
         c6 = count_homs(cyclic_presentation(6), target).count
         assert c2 <= c6
+
+
+@pytest.mark.parametrize(
+    "pres,target",
+    [
+        (cyclic_presentation(3), symmetric_group(4)),
+        (presentation_from_words(("a", "b"), ("a^2", "b^3", "(a*b)^3")), symmetric_group(4)),
+    ],
+)
+def test_search_stops_when_visit_returns_true(pres, target):
+    full = _BacktrackSearch(pres, target, 10**6)
+    homs = []
+    assert full.run(homs.append) == len(homs) > 1
+    seen = []
+    search = _BacktrackSearch(pres, target, 10**6)
+    assert search.run(lambda images: seen.append(images) or True) == 1
+    assert seen == homs[:1]
+    assert 0 < search.nodes < full.nodes
+
+
+def test_witness_dedup_keeps_the_homs_of_the_pairwise_kernel_check():
+    target = affine_group(7, 3)
+    factors = [cyclic_presentation(2, "a"), cyclic_presentation(3, "b")]
+    full = witness_quotient(factors, target)
+    homs = [tuple(g[i] for g in full.group.generators) for i in range(full.width_used)]
+    kept = []
+    for hom in homs:
+        if not any(kernels_equal(target, hom, other) for other in kept):
+            kept.append(hom)
+    w = witness_quotient(factors, target, width_cap=64, dedup_kernels=True)
+    assert w.group.generators == tuple(zip(*kept))
+    assert w.width_used == len(kept) == 6 and w.group.order == 294

@@ -1,5 +1,6 @@
 import pytest
 
+from genbound.groups import MatrixGroup
 from genbound.linalg import block_diag, mat_identity, mat_inv, mat_mul, mat_pow
 from genbound.modules import (
     ModuleAction,
@@ -8,9 +9,15 @@ from genbound.modules import (
     general_linear_order,
     is_irreducible,
 )
-from genbound.presentations import cyclic_presentation
+from genbound.presentations import cyclic_presentation, presentation_from_words
 
-from helpers import alternating_group_5, brute_is_irreducible, symmetric_group
+from helpers import (
+    alternating_group_5,
+    brute_is_irreducible,
+    eager_find_simple_module,
+    klein_group,
+    symmetric_group,
+)
 
 C2 = cyclic_presentation(2)
 C3 = cyclic_presentation(3)
@@ -128,3 +135,43 @@ def test_find_simple_module_inconclusive_for_a5_at_small_dims():
     # a bounded search below that is inconclusive, not a disproof
     search = find_simple_module(alternating_group_5(), 2, 2)
     assert search.found is None
+
+
+# -- the streamed search against the eager one -----------------------------
+
+TWO_GENERATOR_SYM3 = presentation_from_words(("a", "b"), ("a^2", "b^3", "(a*b)^2"))
+STREAM_CORPUS = [
+    *((cyclic_presentation(n), p, 3) for p in (2, 3, 5, 7) for n in range(2, 14)),
+    (symmetric_group(3), 5, 2),
+    (klein_group(), 3, 2),
+    (TWO_GENERATOR_SYM3, 7, 2),
+    (alternating_group_5(), 2, 2),  # inconclusive
+]
+
+
+@pytest.mark.parametrize(
+    "source,p,d_max", STREAM_CORPUS, ids=lambda x: x.describe() if hasattr(x, "describe") else x
+)
+def test_streamed_search_matches_eager_search(source, p, d_max):
+    streamed = find_simple_module(source, p, d_max)
+    eager = eager_find_simple_module(source, p, d_max)
+    assert streamed.found == eager.found
+    assert streamed.searched_dims == eager.searched_dims
+    assert streamed.skipped == eager.skipped
+
+
+def test_module_search_stops_at_the_first_irreducible_action(monkeypatch):
+    # enumerating GL(3,3) and powering each element costs over 100,000
+    # products; reading it up to the first irreducible action, under 1,000
+    calls = 0
+    mul = MatrixGroup.mul
+
+    def counted(self, a, b):
+        nonlocal calls
+        calls += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(MatrixGroup, "mul", counted)
+    search = find_simple_module(cyclic_presentation(13), 3, 3)
+    assert search.found.matrices == (((1, 1, 1), (0, 1, 1), (1, 0, 1)),)
+    assert calls <= 2000

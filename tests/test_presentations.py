@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from genbound.presentations import (
+    MAX_WORD_SYLLABLES,
     Presentation,
     canonical_relator,
     cyclic_presentation,
@@ -50,6 +51,19 @@ def test_parse_errors():
         parse_word("a^0", ("a",))
     with pytest.raises(ValueError, match="bad character"):
         parse_word("a+b", ("a", "b"))
+
+
+def test_parse_bounds_the_expanded_length_before_expanding():
+    gens = ("a", "b")
+    with pytest.raises(ValueError, match=f"bound {MAX_WORD_SYLLABLES}"):
+        parse_word("(a*b)^1000000000", gens)
+    half = MAX_WORD_SYLLABLES // 2
+    with pytest.raises(ValueError, match="bound"):
+        parse_word(f"(a*b)^{half}*(a*b)^{half}*a*b", gens)
+    with pytest.raises(ValueError, match="bound"):
+        parse_word(f"((a*b)^{half // 10})^-11", gens)
+    # a power of one syllable is never expanded
+    assert parse_word("a^1000000000*(b^2)^-3", gens) == ((0, 10**9), (1, -6))
 
 
 def test_render_round_trip():
