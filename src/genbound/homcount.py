@@ -24,6 +24,7 @@ from .presentations import (
     Presentation,
     Word,
     canonical_relator,
+    cyclic_root,
     free_product,
     inverse_word,
 )
@@ -33,7 +34,18 @@ DEFAULT_WITNESS_WIDTH_CAP = 512
 
 
 class HomSearchBudgetError(RuntimeError):
-    """The backtracking search exceeded its node budget; no partial counts."""
+    """The backtracking search exceeded its node budget; no partial counts.
+
+    `nodes` is the number of nodes visited when it stopped and `depth` the
+    most generators it had assigned consistently with the relators."""
+
+    def __init__(self, budget: int, nodes: int, depth: int, generators: int):
+        super().__init__(
+            f"search exceeded {budget} nodes: visited {nodes}, deepest level "
+            f"{depth} of {generators} generators"
+        )
+        self.nodes = nodes
+        self.depth = depth
 
 
 class WitnessWidthError(RuntimeError):
@@ -88,10 +100,12 @@ class _BacktrackSearch:
 
     Generators are assigned in order of ascending candidate-set size (most
     constrained first); each relator is checked as soon as all generators it
-    mentions are assigned. Deterministic given the target's element order.
-    A single generator needs no ranking, so its candidates are drawn from
-    the target's element stream as the search goes, and a search that stops
-    early enumerates the target no further than it read.
+    mentions are assigned, as a power of its root (`cyclic_root`), so
+    "(a*b)^n" costs two products and a power. Deterministic given the
+    target's element order. A single generator needs no ranking, so its
+    candidates are drawn from the target's element stream as the search
+    goes, and a search that stops early enumerates the target no further
+    than it read.
     """
 
     def __init__(self, pres: Presentation, target: FiniteGroup, node_budget: int):
@@ -99,6 +113,7 @@ class _BacktrackSearch:
         self.target = target
         self.node_budget = node_budget
         self.nodes = 0
+        self.depth = 0  # the most generators assigned consistently so far
         k = len(pres.generators)
         self.candidates = None  # materialized only to rank two or more generators
         self.order = list(range(k))
@@ -107,14 +122,13 @@ class _BacktrackSearch:
             # stable sort: most constrained generator first
             self.order.sort(key=lambda g: (len(self.candidates[g]), g))
         position = {g: i for i, g in enumerate(self.order)}
-        self.checks: list[list[Word]] = [[] for _ in range(k)]
+        self.checks: list[list[tuple[Word, int]]] = [[] for _ in range(k)]
         for word in pres.relators:
             used = {idx for idx, _ in word}
             # single-generator relators hold for every candidate already
             if len(used) < 2:
                 continue
-            last = max(position[g] for g in used)
-            self.checks[last].append(word)
+            self.checks[max(position[g] for g in used)].append(cyclic_root(word))
 
     def _filtered(self, gen: int, elements: Iterable) -> Iterable:
         """The elements x with x^m = e, m the order bound of `gen`."""
@@ -124,33 +138,67 @@ class _BacktrackSearch:
         target, e = self.target, self.target.identity
         return (x for x in elements if target.power(x, m) == e)
 
+    def _class_sizes(self, elements: Sequence) -> dict:
+        """One representative per conjugacy class among `elements` (a union
+        of classes), the first in their order, mapped to its class size: the
+        orbits of x -> g x g^-1 over the target's generators."""
+        target = self.target
+        conjugators = [(g, target.inv(g)) for g in target.generators]
+        seen: set = set()
+        sizes = {}
+        for x in elements:
+            if x not in seen:
+                seen.add(x)
+                orbit = [x]
+                for y in orbit:
+                    for g, g_inv in conjugators:
+                        z = target.mul(target.mul(g, y), g_inv)
+                        if z not in seen:
+                            seen.add(z)
+                            orbit.append(z)
+                sizes[x] = len(orbit)
+        return sizes
+
     def run(self, visit: Callable[[tuple], object] | None) -> int:
         """Visit each homomorphism, as its tuple of generator images, in
-        order until `visit` returns a truthy value; the number visited."""
+        order until `visit` returns a truthy value; the number visited.
+
+        With no `visit` and two or more generators it only counts: the
+        first generator in `order` takes one representative x per conjugacy
+        class, and |Hom| = sum over x of |x^G| * #{homs with that image},
+        since conjugating a hom by g gives a hom, sending it to g x g^-1."""
         k = len(self.pres.generators)
+        target, e = self.target, self.target.identity
         candidates = self.candidates or [
-            self._filtered(g, self.target.stream()) for g in range(k)
+            self._filtered(g, target.stream()) for g in range(k)
         ]
+        weights = None
+        if visit is None and k > 1:
+            first = self.order[0]
+            weights = self._class_sizes(candidates[first])
+            candidates = list(candidates)
+            candidates[first] = tuple(weights)
         images: list = [None] * k
         count = 0
 
         def descend(level: int) -> bool:
             """Extend the assignment from `level` on; True to stop."""
             nonlocal count
+            if level > self.depth:
+                self.depth = level
             if level == k:
-                count += 1
+                count += weights[images[first]] if weights else 1
                 return visit is not None and bool(visit(tuple(images)))
             gen = self.order[level]
+            checks = self.checks[level]
             for x in candidates[gen]:
                 self.nodes += 1
                 if self.nodes > self.node_budget:
-                    raise HomSearchBudgetError(
-                        f"search exceeded {self.node_budget} nodes"
-                    )
+                    raise HomSearchBudgetError(self.node_budget, self.nodes, self.depth, k)
                 images[gen] = x
                 if all(
-                    evaluate_word(w, images, self.target) == self.target.identity
-                    for w in self.checks[level]
+                    target.power(evaluate_word(root, images, target), n) == e
+                    for root, n in checks
                 ) and descend(level + 1):
                     return True
             images[gen] = None
@@ -165,7 +213,8 @@ def count_homs(
     target: FiniteGroup,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> HomCountResult:
-    """Exact |Hom(P, target)| by backtracking over generator images."""
+    """Exact |Hom(P, target)| by backtracking over generator images, the
+    first generator's over conjugacy-class representatives only."""
     count = _BacktrackSearch(pres, target, node_budget).run(None)
     return HomCountResult(count, target.order)
 

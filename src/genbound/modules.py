@@ -6,13 +6,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 
 from . import linalg
 from .groups import FiniteGroup, MatrixGroup
 from .homcount import (
     DEFAULT_NODE_BUDGET,
     _BacktrackSearch,
+    _single_generator_order_bound,
     evaluate_word,
     group_presentation,
 )
@@ -133,11 +134,15 @@ def find_simple_module(
     them; the search stops at the first hit (small dimensions keep
     downstream targets small). A one-generator source reads the matrix
     group's elements only as far as that hit. Dimensions whose matrix group
-    or vector space exceeds the caps are reported as skipped. A concrete
-    source group is searched through its Schreier presentation.
+    or vector space exceeds the caps are reported as skipped. A dimension
+    where every generator has an order bound m prime to |GL(d, p)| admits
+    only the trivial hom (Lagrange), so it counts as searched without
+    building the matrix group. A concrete source group is searched through
+    its Schreier presentation.
     """
     if isinstance(source, FiniteGroup):
         source = group_presentation(source)
+    bounds = [_single_generator_order_bound(source, g) for g in range(len(source.generators))]
     searched: list[int] = []
     skipped: list[tuple[int, str]] = []
     for dim in range(1, d_max + 1):
@@ -149,6 +154,8 @@ def find_simple_module(
             skipped.append((dim, f"space size {p}^{dim} exceeds cap {space_cap}"))
             continue
         searched.append(dim)
+        if 0 not in bounds and all(gcd(m, gl_order) == 1 for m in bounds):
+            continue  # by Lagrange every image is trivial: no module here
         found = _first_irreducible(source, general_linear_group(p, dim), space_cap)
         if found is not None:
             return SimpleModuleSearch(found, tuple(searched), tuple(skipped))

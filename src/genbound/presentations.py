@@ -11,6 +11,8 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
+from .numtheory import factorize
+
 Word = tuple[tuple[int, int], ...]
 
 # Longest relator word `parse_word` expands, in syllables: "(a*b)^n" is
@@ -177,6 +179,37 @@ def _merge_pairs(pairs: Sequence[tuple[int, int]]) -> Word:
     return tuple(merged)
 
 
+def _reduce_cyclically(word: Sequence[tuple[int, int]]) -> Word:
+    """The free and cyclic reduction of a word, in O(length): the middle
+    left once matching end syllables are merged or cancelled."""
+    w = _merge_pairs(word)
+    i, j = 0, len(w) - 1
+    while i < j and w[i][0] == w[j][0]:
+        total = w[i][1] + w[j][1]
+        if total:  # merged: the next syllable in from j differs from w[i]
+            return ((w[i][0], total),) + w[i + 1 : j]
+        i, j = i + 1, j - 1
+    return w[i : j + 1]
+
+
+def cyclic_root(word: Sequence[tuple[int, int]]) -> tuple[Word, int]:
+    """The root s and exponent n with s^n the free and cyclic reduction of
+    the word, s not itself a proper power; ((), 1) when it reduces away.
+
+    A relator then holds iff s^n does, so it can be evaluated as a power
+    of s. Found in O(length * number of prime factors of the length): the
+    periods of s^n that divide its length are the multiples of |s|.
+    """
+    w = _reduce_cyclically(word)
+    if not w:
+        return (), 1
+    period = len(w)
+    for q, _ in factorize(period):
+        while period % q == 0 and w[period // q :] == w[: len(w) - period // q]:
+            period //= q
+    return w[:period], len(w) // period
+
+
 def canonical_relator(word: Sequence[tuple[int, int]]) -> Word:
     """One representative of a relator's class under free and cyclic
     reduction, rotation and inversion; () when the word reduces away.
@@ -185,15 +218,9 @@ def canonical_relator(word: Sequence[tuple[int, int]]) -> Word:
     inversion when evaluated), starts with a positive exponent, and is the
     lexicographically least such rotation.
     """
-    w = list(_merge_pairs(word))
-    while len(w) > 1 and w[0][0] == w[-1][0]:
-        idx, exp = w.pop()
-        if w[0][1] + exp:
-            w[0] = (idx, w[0][1] + exp)
-        else:
-            w.pop(0)
+    w = _reduce_cyclically(word)
     best = None
-    for form in (tuple(w), inverse_word(w)):
+    for form in (w, inverse_word(w)):
         negatives = sum(exp < 0 for _, exp in form)
         for r, (_, exp) in enumerate(form):
             if exp > 0:

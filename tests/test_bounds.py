@@ -238,3 +238,18 @@ def test_best_bound_records_budget_failures_only():
     result = best_bound(factors, [symmetric_group(3), capped], ["S3", "capped"])
     assert result.certificate.target == "S3"
     assert len(result.failures) == 1 and result.failures[0].startswith("capped:")
+
+
+def test_best_bound_records_how_far_a_budget_failure_got(monkeypatch):
+    import genbound.bounds as bounds_module
+    from genbound.homcount import count_homs
+
+    # Sym(5) exhausts a 20-node budget on <a, b | a^2, b^3>; Sym(3) does not
+    small_budget = lambda pres, target: count_homs(pres, target, node_budget=20)
+    monkeypatch.setattr(bounds_module, "count_homs", small_budget)
+    factors = [presentation_from_words(["a", "b"], ["a^2", "b^3"])]
+    result = best_bound(factors, [symmetric_group(3), symmetric_group(5)], ["S3", "S5"])
+    assert result.certificate.target == "S3"
+    assert result.failures == (
+        "S5: search exceeded 20 nodes: visited 21, deepest level 2 of 2 generators",
+    )

@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from genbound.homcount import (
 )
 from genbound.modules import general_linear_group
 from genbound.presentations import (
+    Presentation,
     cyclic_presentation,
     free_presentation,
     free_product,
@@ -109,6 +112,14 @@ def test_count_is_deterministic():
 def test_budget_exceeded_is_an_error_not_partial():
     with pytest.raises(HomSearchBudgetError):
         count_homs(free_presentation(3), symmetric_group(4), node_budget=100)
+
+
+def test_budget_error_reports_nodes_and_depth():
+    # nodes 1-3 assign the three generators one by one; node 3 trips
+    with pytest.raises(HomSearchBudgetError) as caught:
+        count_homs(free_presentation(3), symmetric_group(4), node_budget=2)
+    assert (caught.value.nodes, caught.value.depth) == (3, 2)
+    assert "visited 3, deepest level 2 of 3 generators" in str(caught.value)
 
 
 def test_result_rejects_zero_count():
@@ -326,3 +337,122 @@ def test_witness_dedup_keeps_the_homs_of_the_pairwise_kernel_check():
     w = witness_quotient(factors, target, width_cap=64, dedup_kernels=True)
     assert w.group.generators == tuple(zip(*kept))
     assert w.width_used == len(kept) == 6 and w.group.order == 294
+
+
+# -- class-representative counts and power relators ------------------------------
+
+# |Hom| of the benchmark's triangle groups, with the nodes the search may
+# visit: at most a tenth of those it visits when the first generator takes
+# every image (6,232, 19,532, 6,642 and 81,664), and into Alt(5), where the
+# identity and the 15 involutions form 2 classes, 44 of 352
+TRIANGLE_CORPUS = [
+    (("a^2", "b^3", "(a*b)^5"), lambda: symmetric_group(6), 1441, 623),
+    (("a^2", "b^4", "(a*b)^5"), lambda: symmetric_group(6), 3676, 1953),
+    (("a^3", "b^3", "(a*b)^4"), lambda: symmetric_group(6), 2241, 664),
+    (("a^2", "b^3", "(a*b)^7"), lambda: symmetric_group(7), 10081, 8166),
+    (("a^2", "b^3", "(a*b)^605"), alternating_group_5, 121, 44),
+]
+
+
+@pytest.mark.parametrize("relators,target,count,max_nodes", TRIANGLE_CORPUS, ids=lambda x: str(x))
+def test_triangle_corpus_counts(relators, target, count, max_nodes):
+    search = _BacktrackSearch(presentation_from_words(["a", "b"], relators), target(), 10**6)
+    assert search.run(None) == count
+    assert search.nodes <= max_nodes
+
+
+def test_triangle_2_3_7_into_sym8_counts_within_budget():
+    start = time.perf_counter()
+    pres = presentation_from_words(["a", "b"], ["a^2", "b^3", "(a*b)^7"])
+    search = _BacktrackSearch(pres, symmetric_group(8), 10**6)
+    assert search.run(None) == 120_961
+    assert search.nodes <= 10_000
+    assert time.perf_counter() - start < 5.0
+
+
+def test_count_weights_class_representatives_and_enumeration_does_not():
+    pres = presentation_from_words(["a", "b"], ["a^2", "b^3", "(a*b)^5"])
+    s6 = symmetric_group(6)
+    counted = _BacktrackSearch(pres, s6, 10**6)
+    listed = _BacktrackSearch(pres, s6, 10**6)
+    homs = []
+    assert counted.run(None) == listed.run(homs.append) == len(homs) == 1441
+    # the count tries 4 class representatives for a's image, the listing
+    # all 76 elements x with x^2 = e
+    assert (counted.nodes, listed.nodes) == (328, 6232)
+
+
+def test_power_relator_is_evaluated_by_its_root():
+    start = time.perf_counter()
+    pres = presentation_from_words(["a", "b"], ["a^2", "b^3", "(a*b)^60005"])
+    assert count_homs(pres, alternating_group_5()).count == 121
+    assert time.perf_counter() - start < 2.0
+
+
+def test_rotated_power_relator_is_found_and_placed_as_given():
+    a, b = 0, 1
+    rotated = presentation_from_words(["a", "b"], ["a^2", "b^3", "b^-1*(a*b)^7*b"])
+    search = _BacktrackSearch(rotated, symmetric_group(7), 10**6)
+    assert search.checks[1] == [(((b, 1), (a, 1)), 7)]
+    assert search.run(None) == 10081
+    # a*b^5*a^-1 reduces to b^5, which no order bound covers: it is still
+    # checked once both generators are assigned
+    conjugated = presentation_from_words(["a", "b"], ["a^2", "a*b^5*a^-1"])
+    search = _BacktrackSearch(conjugated, symmetric_group(5), 10**6)
+    assert search.checks[1] == [(((b, 5),), 1)]
+    s5 = symmetric_group(5)
+    involutions = sum(1 for x in s5.elements if s5.power(x, 2) == s5.identity)
+    fifth_roots = sum(1 for x in s5.elements if s5.power(x, 5) == s5.identity)
+    assert search.run(None) == involutions * fifth_roots
+
+
+def _relator(draw, k):
+    """A word mentioning at least two of the k generators, as a power of a
+    short word, conjugated by another."""
+    syllable = st.tuples(st.integers(0, k - 1), st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    base = draw(st.lists(syllable, min_size=2, max_size=4))
+    if len({idx for idx, _ in base}) < 2:
+        base.append(((base[0][0] + 1) % k, 1))
+    conjugator = draw(st.lists(syllable, max_size=2))
+    inverse = [(idx, -exp) for idx, exp in reversed(conjugator)]
+    return tuple(conjugator + base * draw(st.integers(1, 4)) + inverse)
+
+
+def _perm_groups(max_degree):
+    return st.integers(1, max_degree).flatmap(
+        lambda n: st.lists(
+            st.permutations(list(range(n))).map(tuple), min_size=1, max_size=2
+        ).map(lambda gens: PermGroup(n, gens))
+    )
+
+
+@st.composite
+def sources_and_targets(draw):
+    """Two generators into perm groups of degree <= 5, three into degree
+    <= 4 (at most 24^3 assignments), or into a power of Sym(2) or Sym(3)."""
+    k = draw(st.integers(2, 3))
+    orders = [((g, draw(st.integers(1, 6))),) for g in range(k) if draw(st.booleans())]
+    pres = Presentation(tuple("abc"[:k]), tuple(orders) + (_relator(draw, k),))
+    powers = st.sampled_from([(2, 2), (3, 2), (2, 3)]).map(
+        lambda nk: power_group(symmetric_group(nk[0]), nk[1])
+    )
+    return pres, draw(st.one_of(_perm_groups(7 - k), powers))
+
+
+@given(sources_and_targets())
+@settings(max_examples=50, deadline=None)
+def test_reduced_count_matches_enumeration(source_and_target):
+    pres, target = source_and_target
+    homs = enumerate_homs(pres, target)
+    assert count_homs(pres, target).count == len(homs)
+    # each enumerated hom satisfies every relator evaluated as written
+    for hom in homs:
+        assert all(evaluate_word(w, hom, target) == target.identity for w in pres.relators)
+    # and, on small targets, no tuple of images is missed
+    k = len(pres.generators)
+    if target.order**k <= 2000:
+        brute = sum(
+            all(evaluate_word(w, images, target) == target.identity for w in pres.relators)
+            for images in itertools.product(target.elements, repeat=k)
+        )
+        assert brute == len(homs)

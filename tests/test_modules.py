@@ -175,3 +175,31 @@ def test_module_search_stops_at_the_first_irreducible_action(monkeypatch):
     search = find_simple_module(cyclic_presentation(13), 3, 3)
     assert search.found.matrices == (((1, 1, 1), (0, 1, 1), (1, 0, 1)),)
     assert calls <= 2000
+
+
+def test_module_search_skips_matrix_groups_of_coprime_order(monkeypatch):
+    # |GL(d, 2)| is 1, 6, 168 and 20,160 for d <= 4, all prime to 13, so
+    # C13 has only the trivial action there; reading GL(4,2) alone costs
+    # over 200,000 products
+    calls = 0
+    mul = MatrixGroup.mul
+
+    def counted(self, a, b):
+        nonlocal calls
+        calls += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(MatrixGroup, "mul", counted)
+    search = find_simple_module(cyclic_presentation(13), 2, 4)
+    assert search.found is None
+    assert search.searched_dims == (1, 2, 3, 4) and search.skipped == ()
+    assert calls == 0
+    # an order bound sharing a factor with |GL(2,2)| = 6 is still searched
+    assert find_simple_module(cyclic_presentation(39), 2, 4).found.dim == 2
+    assert calls > 0
+
+
+def test_generator_without_order_bound_blocks_the_coprime_skip():
+    free_and_c13 = presentation_from_words(("a", "b"), ("a^13",))
+    search = find_simple_module(free_and_c13, 2, 2)
+    assert search.found is not None and search.found.matrices[0] == ((1, 0), (0, 1))

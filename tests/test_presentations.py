@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from genbound.presentations import (
     Presentation,
     canonical_relator,
     cyclic_presentation,
+    cyclic_root,
     free_presentation,
     free_product,
     parse_word,
@@ -131,3 +134,43 @@ def test_canonical_relator_reduces_conjugates_and_prefers_positive_syllables():
     assert canonical_relator(((a, 1), (b, 2), (a, -1))) == ((b, 2),)
     assert canonical_relator(((b, -1), (a, -1))) == ((a, 1), (b, 1))
     assert canonical_relator(((a, 1), (a, -1))) == ()
+
+
+@given(st.lists(syllables, max_size=6), st.integers(1, 5), st.lists(syllables, max_size=4))
+def test_cyclic_root_of_a_conjugated_power(root, n, conjugator):
+    """u r^n u^-1 reduces to a primitive s to the power m, s^m in the
+    cyclic class of r^n; m is n times r's own exponent unless r reduces to
+    a single syllable, which merges (a^2 is one syllable, not a^1 twice)."""
+    conjugator, root = tuple(conjugator), tuple(root)
+    word = conjugator + root * n + tuple((idx, -exp) for idx, exp in reversed(conjugator))
+    s, m = cyclic_root(word)
+    inner, k = cyclic_root(root)
+    assert canonical_relator(s * m) == canonical_relator(root * n)
+    assert cyclic_root(s) == (s, 1)
+    if len(inner) > 1:
+        assert len(s) == len(inner) and m == k * n
+
+
+def test_cyclic_root_finds_rotated_powers():
+    g = ("a", "b", "c", "d")
+    a, b = 0, 1
+    assert cyclic_root(parse_word("(a*b)^5", g)) == (((a, 1), (b, 1)), 5)
+    # rotated: the reduction reads (b*a)^7
+    assert cyclic_root(parse_word("b^-1*(a*b)^7*b", g)) == (((b, 1), (a, 1)), 7)
+    assert cyclic_root(parse_word("a*b^5*a^-1", g)) == (((b, 5),), 1)
+    assert cyclic_root(parse_word("a^6", g)) == (((a, 6),), 1)
+    # the ends merge into a^4, so the reduction is no longer a proper power
+    assert cyclic_root(parse_word("(a^2*b)^3*a^2", g)) == (((a, 4),) + ((b, 1), (a, 2)) * 2 + ((b, 1),), 1)
+    assert cyclic_root(parse_word("(a*b*a^-1*b^-1)^4", g))[1] == 4
+    assert cyclic_root(()) == ((), 1)
+
+
+def test_cyclic_root_is_linear_in_the_word_length():
+    """A power conjugated by a long word reduces without a quadratic step:
+    50,000 matching end syllables cancel in one pass."""
+    g = ("a", "b", "c", "d")
+    word = parse_word("(c*d)^25000*b^-1*(a*b)^60005*b*(c*d)^-25000", g)
+    start = time.perf_counter()
+    root, n = cyclic_root(word)
+    assert (root, n) == (((1, 1), (0, 1)), 60005)
+    assert time.perf_counter() - start < 1.0
