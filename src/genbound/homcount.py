@@ -10,13 +10,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from math import gcd, prod
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .groups import (
     DEFAULT_ELEMENT_CAP,
+    ClosureOverflowError,
     FiniteGroup,
     GeneratedGroup,
     ProductGroup,
+    _bfs,
     closure,
     power_group,
 )
@@ -334,28 +336,44 @@ class WitnessQuotient:
     deduplicated: bool
 
 
-def _image_order(target: FiniteGroup, images: Sequence) -> int:
-    return len(closure(list(images), target.mul, target.identity, target.element_cap))
-
-
-def _paired_order(target: FiniteGroup, hom_a: Sequence, hom_b: Sequence) -> int:
-    """Order of the subgroup of target x target generated by the paired images."""
-    pair_group = ProductGroup([target, target])
-    paired = list(zip(hom_a, hom_b))
-    return len(closure(paired, pair_group.mul, pair_group.identity, target.element_cap))
-
-
-def kernels_equal(
-    target: FiniteGroup, hom_a: Sequence, hom_b: Sequence
-) -> bool:
+def kernels_equal(target: FiniteGroup, hom_a: Sequence, hom_b: Sequence) -> bool:
     """Whether two homomorphisms (generator-image tuples) share a kernel.
 
     ker a = ker b iff the subgroup of target x target generated by the
     paired images is the graph of an isomorphism between the two images,
     i.e. has the same order as both images.
     """
-    order = _image_order(target, hom_a)
-    return order == _image_order(target, hom_b) == _paired_order(target, hom_a, hom_b)
+    cap, e = target.element_cap, target.identity
+    pair = ProductGroup([target, target])
+    order = len(closure(list(hom_a), target.mul, e, cap))
+    return order == len(closure(list(hom_b), target.mul, e, cap)) == len(
+        closure(list(zip(hom_a, hom_b)), pair.mul, pair.identity, cap)
+    )
+
+
+def _move(a: tuple, rows: tuple) -> tuple:
+    """The int tuple `a` moved coordinatewise, a[i] to rows[i][a[i]]."""
+    return tuple(map(list.__getitem__, rows, a))
+
+
+class _WitnessGroup(GeneratedGroup):
+    """A `GeneratedGroup` in a power of `target`, enumerated in the same
+    order on the target's ints: generator j moves coordinate i by the row
+    moves[j][i], and each tuple reached maps back through `target.elements`."""
+
+    def __init__(self, ambient, generators, target, moves, element_cap):
+        super().__init__(ambient, generators, element_cap=element_cap)
+        self._target = target
+        self._moves = moves
+
+    def _generate(self, out: list) -> Iterator:
+        self._action = [[] for _ in self._moves]
+        elems = self._target.elements
+        start = (self._target.compiled.identity,) * len(self.ambient.factors)
+        for t in _bfs(self._moves, _move, start, self.element_cap, [], self._action):
+            x = tuple(map(elems.__getitem__, t))
+            out.append(x)
+            yield x
 
 
 def witness_quotient(
@@ -377,37 +395,56 @@ def witness_quotient(
     combined = free_product(list(factors))
     per_factor = [enumerate_homs(f, target, node_budget) for f in factors]
     total = prod(len(h) for h in per_factor)
-    homs: list[tuple] = []
-    for combo in itertools.product(*per_factor):
-        homs.append(tuple(x for part in combo for x in part))
+    homs = [tuple(x for part in combo for x in part) for combo in itertools.product(*per_factor)]
+    if len(homs) > width_cap and not dedup_kernels:
+        raise WitnessWidthError(
+            f"{len(homs)} homomorphisms exceed the width cap {width_cap}; "
+            "retry with kernel deduplication (one homomorphism per kernel "
+            "suffices for the witness quotient)"
+        )
+    # the search read all of the target: work on its ints, where a
+    # product by an image is a lookup in that image's row
+    kernel = target.compiled
+    ints = [tuple(map(target.element_index, hom)) for hom in homs]
+    rows: dict[int, list] = {}
+    for x in {x for hom in ints for x in hom}:
+        row = list(range(kernel.order))
+        for j in kernel.words()[x]:
+            row = list(map(kernel.right[j].__getitem__, row))
+        rows[x] = row
     if len(homs) > width_cap:
-        if not dedup_kernels:
-            raise WitnessWidthError(
-                f"{len(homs)} homomorphisms exceed the width cap {width_cap}; "
-                "retry with kernel deduplication (one homomorphism per kernel "
-                "suffices for the witness quotient)"
-            )
-        # equal kernels have isomorphic images, so the paired images are
-        # closed (as in `kernels_equal`) only for images of equal order
-        orders = [_image_order(target, hom) for hom in homs]
+        # as in `kernels_equal`; equal kernels have isomorphic images, so
+        # only images of equal order are paired, and a paired closure that
+        # outgrows that order proves the kernels differ
+        e = kernel.identity
+        cap = target.element_cap
+        orders = [len(closure([(rows[x],) for x in hom], _move, (e,), cap)) for hom in ints]
+
+        def same_kernel(i: int, j: int) -> bool:
+            if orders[i] != orders[j]:
+                return False
+            pairs = [(rows[a], rows[b]) for a, b in zip(ints[j], ints[i])]
+            try:
+                closure(pairs, _move, (e, e), orders[i])
+            except ClosureOverflowError:
+                return False
+            return True
+
         kept: list[int] = []
-        for i, hom in enumerate(homs):
-            if not any(
-                orders[j] == orders[i] == _paired_order(target, homs[j], hom)
-                for j in kept
-            ):
+        for i in range(len(ints)):
+            if not any(same_kernel(i, j) for j in kept):
                 kept.append(i)
-        homs = [homs[i] for i in kept]
+        homs, ints = [homs[i] for i in kept], [ints[i] for i in kept]
         if len(homs) > width_cap:
             raise WitnessWidthError(
                 f"{len(homs)} distinct kernels still exceed the width cap {width_cap}"
             )
     width = len(homs)
     ambient = ProductGroup([target] * width, element_cap=element_cap)
-    gen_tuples = [
-        tuple(hom[j] for hom in homs) for j in range(len(combined.generators))
-    ]
-    group = GeneratedGroup(ambient, gen_tuples, element_cap=element_cap)
+    k = len(combined.generators)
+    gen_tuples = [tuple(hom[j] for hom in homs) for j in range(k)]
+    moves = [tuple(rows[hom[j]] for hom in ints) for j in range(k)]
+    group = _WitnessGroup(ambient, gen_tuples, target, moves, element_cap)
     group.elements  # force closure now so cap errors surface here
     return WitnessQuotient(
         group=group,

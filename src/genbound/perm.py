@@ -26,10 +26,6 @@ def identity_perm(degree: int) -> tuple[int, ...]:
     return tuple(range(degree))
 
 
-def is_identity(p: Sequence[int]) -> bool:
-    return all(i == x for i, x in enumerate(p))
-
-
 def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     """Product p∘q: apply q first, then p."""
     if len(p) != len(q):
@@ -78,6 +74,3 @@ def cycle_lengths(p: Sequence[int]) -> list[int]:
 def perm_order(p: Sequence[int]) -> int:
     return lcm(*cycle_lengths(p)) if len(p) else 1
 
-
-def moved_points(p: Sequence[int]) -> list[int]:
-    return [i for i, x in enumerate(p) if x != i]

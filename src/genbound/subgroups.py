@@ -90,19 +90,31 @@ def subgroup_from_generators(parent: FiniteGroup, generators: Sequence) -> Subgr
     return _handle(parent, closure(gens, kernel.mul, kernel.identity), gens)
 
 
-def normal_closure(parent: FiniteGroup, seeds: Sequence) -> SubgroupHandle:
-    """Smallest normal subgroup of parent containing the seeds. Conjugates
-    join the generators one at a time, each outside the closure so far."""
-    kernel = parent.compiled
-    gens = list(dict.fromkeys(parent.element_index(x) for x in seeds))
+def _normal_closure(kernel: CayleyGroup, gens: Sequence) -> tuple[list, list]:
+    """The normal closure of the kernel ints `gens` and the generators it
+    ends with: conjugates join one at a time, each outside the closure so far."""
+    gens = list(gens)
     while True:
         elems = closure(gens, kernel.mul, kernel.identity)
         members = set(elems)
         conjugates = (c[x] for x in elems for c in kernel.conjugations)
         new = next((y for y in conjugates if y not in members), None)
         if new is None:
-            return _handle(parent, elems, gens)
+            return elems, gens
         gens.append(new)
+
+
+def normal_closure(parent: FiniteGroup, seeds: Sequence) -> SubgroupHandle:
+    """Smallest normal subgroup of parent containing the seeds."""
+    gens = dict.fromkeys(parent.element_index(x) for x in seeds)
+    return _handle(parent, *_normal_closure(parent.compiled, gens))
+
+
+def _commutator_seeds(kernel: CayleyGroup) -> list:
+    """The distinct nontrivial commutators of the generators: G' is their normal closure."""
+    gens = kernel.generators
+    commutators = (kernel.commutator(a, b) for i, a in enumerate(gens) for b in gens[i + 1 :])
+    return [c for c in dict.fromkeys(commutators) if c != kernel.identity]
 
 
 def derived_subgroup(G: FiniteGroup) -> SubgroupHandle:
@@ -111,12 +123,10 @@ def derived_subgroup(G: FiniteGroup) -> SubgroupHandle:
     The quotient by the result is verified to be abelian.
     """
     kernel = G.compiled
-    gens = kernel.generators
-    commutators = (kernel.commutator(a, b) for i, a in enumerate(gens) for b in gens[i + 1 :])
-    seeds = [G.elements[c] for c in dict.fromkeys(commutators) if c != kernel.identity]
+    seeds = _commutator_seeds(kernel)
     if not seeds:
         return _handle(G, [kernel.identity])
-    handle = normal_closure(G, seeds)
+    handle = _handle(G, *_normal_closure(kernel, seeds))
     quotient, _ = quotient_group(G, handle)
     if not quotient.is_abelian():
         raise AssertionError("derived subgroup quotient is not abelian")
@@ -203,10 +213,12 @@ def d_min_generators(
     """Smallest d such that some d-tuple generates G, by ascending search.
 
     Candidate tuples are pruned by fixing the first element up to conjugacy
-    (generation is conjugation-invariant). `budget` bounds the number of
-    closures attempted; on exhaustion the best proven lower bound is
-    reported instead (a noncyclic group has no element of order |G|, so
-    d >= 2 is always available).
+    (generation is conjugation-invariant). At d = 2 a first element x whose
+    normal closure misses G' is skipped: <x, y> = G makes G/<x^G> cyclic.
+    `budget` bounds the tuples tried, a skipped x counting its pairs; on
+    exhaustion the best proven lower bound is reported instead (a
+    noncyclic group has no element of order |G|, so d >= 2 is always
+    available).
     """
     n = G.order
     if n == 1:
@@ -220,9 +232,15 @@ def d_min_generators(
     e = kernel.identity
     reps = [c[0] for c in kernel.conjugacy_classes() if c[0] != e]
     others = [x for x in range(n) if x != e]
+    derived = set(_normal_closure(kernel, _commutator_seeds(kernel))[0])
     tried = 0
     for d in range(2, max_d + 1):
         for first in reps:
+            if d == 2 and not derived <= set(_normal_closure(kernel, [first])[0]):
+                tried += len(others)
+                if tried > budget:
+                    return MinGenResult(d, None, False)
+                continue
             # later elements first: the reported witness depends on this order
             for rest in itertools.product(others[::-1], repeat=d - 1):
                 tried += 1

@@ -4,8 +4,9 @@ The oracles here deliberately avoid the library's own algorithms: conjugacy
 classes come from conjugating by every element, normal subgroups from
 conjugacy-class joins, centralizers from brute force over the full
 symmetric group, irreducibility from enumerating all subspaces, subset sums
-from explicit powerset search, and homomorphisms from a concrete group by
-extending every candidate tuple and checking it on every element.
+from explicit powerset search, homomorphisms from a concrete group by
+extending every candidate tuple and checking it on every element, and the
+minimal generator count by closing every candidate tuple.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import itertools
 
 from genbound.groups import FiniteGroup, MatrixGroup, PermGroup, closure
 from genbound.perm import compose
+from genbound.subgroups import MinGenResult, SearchBudgetError
 
 
 # -- corpus groups -----------------------------------------------------------
@@ -152,6 +154,35 @@ def brute_centralizer_order(G: PermGroup) -> int:
         if all(compose(sigma, g) == compose(g, sigma) for g in G.generators):
             count += 1
     return count
+
+
+def unpruned_d_min_generators(
+    G: FiniteGroup, max_d: int = 8, budget: int = 200_000
+) -> MinGenResult:
+    """The minimal-generator search with no pruning beyond fixing the first
+    element up to conjugacy: every tuple is closed, in the order the library
+    searches, so its result (value, witness, exactness) is the reference."""
+    n = G.order
+    if n == 1:
+        return MinGenResult(0, (), True)
+    kernel = G.compiled
+    elems = G.elements
+    for x in range(n):
+        if kernel.element_order(x) == n:
+            return MinGenResult(1, (elems[x],), True)
+    e = kernel.identity
+    reps = [c[0] for c in kernel.conjugacy_classes() if c[0] != e]
+    others = [x for x in range(n) if x != e]
+    tried = 0
+    for d in range(2, max_d + 1):
+        for first in reps:
+            for rest in itertools.product(others[::-1], repeat=d - 1):
+                tried += 1
+                if tried > budget:
+                    return MinGenResult(d, None, False)
+                if len(closure((first, *rest), kernel.mul, e, n)) == n:
+                    return MinGenResult(d, tuple(elems[x] for x in (first, *rest)), True)
+    raise SearchBudgetError(f"no generating tuple of size <= {max_d} found")
 
 
 def brute_derived_subgroup(G: FiniteGroup) -> frozenset:

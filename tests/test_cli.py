@@ -129,6 +129,39 @@ def test_dmin_and_opsub(files, capsys):
     assert json.loads(out)["order"] == "4"
 
 
+
+# The benchmark's AGL(3,2) and Sym(4) wr C2 with their generators as written
+# there, and the full reports: the witness pins the search order.
+FROZEN_DMIN = {
+    "agl-3-2": (
+        [[1, 0, 3, 2, 5, 4, 7, 6], [0, 1, 3, 2, 4, 5, 7, 6], [0, 2, 4, 6, 1, 3, 5, 7]],
+        "1344",
+        ["(0, 1, 3, 2, 4, 5, 7, 6)", "(2, 5, 7, 0, 3, 4, 6, 1)"],
+    ),
+    "sym4-wr-c2": (
+        [[1, 2, 3, 0, 4, 5, 6, 7], [1, 0, 2, 3, 4, 5, 6, 7], [4, 5, 6, 7, 0, 1, 2, 3]],
+        "1152",
+        ["(1, 2, 3, 0, 4, 5, 6, 7)", "(5, 7, 6, 4, 1, 0, 3, 2)"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_DMIN))
+def test_dmin_reports_are_frozen(name, tmp_path, capsys):
+    generators, order, witness = FROZEN_DMIN[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"type": "perm", "degree": 8, "generators": generators}))
+    status, out, _ = run(["dmin", str(path), "--json", "--reproducible"], capsys)
+    assert status == 0
+    assert json.loads(out) == {
+        "command": "dmin",
+        "d": 2,
+        "exact": True,
+        "group": "perm-group(degree=8, generators=3)",
+        "order": order,
+        "witness": witness,
+    }
+
 def test_decompose_thm3(files, capsys):
     status, out, _ = run(
         ["decompose-thm3", "--factors", files["klein.perm"], files["c3.perm"],

@@ -3,10 +3,18 @@ import math
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from genbound.groups import CayleyGroup, PermGroup, cyclic_group, power_group
+from genbound.groups import (
+    CayleyGroup,
+    ClosureOverflowError,
+    GeneratedGroup,
+    PermGroup,
+    ProductGroup,
+    cyclic_group,
+    power_group,
+)
 from genbound.homcount import (
     HomCountResult,
     HomSearchBudgetError,
@@ -337,6 +345,90 @@ def test_witness_dedup_keeps_the_homs_of_the_pairwise_kernel_check():
     w = witness_quotient(factors, target, width_cap=64, dedup_kernels=True)
     assert w.group.generators == tuple(zip(*kept))
     assert w.width_used == len(kept) == 6 and w.group.order == 294
+
+
+
+def check_witness_is_the_realization_bfs(witness, target):
+    # the int enumeration reaches the realization BFS's elements in its
+    # order and records the same generator action
+    ambient = ProductGroup([target] * witness.width_used)
+    reference = GeneratedGroup(ambient, witness.group.generators)
+    assert witness.group.elements == reference.elements
+    assert witness.group.compiled.identity == reference.compiled.identity
+    assert witness.group.compiled.right == reference.compiled.right
+
+
+C2_C3 = [cyclic_presentation(2, "a"), cyclic_presentation(3, "b")]
+
+
+@pytest.mark.parametrize(
+    "target,dedup,width",
+    [
+        (symmetric_group(4), False, 90),
+        (affine_group(7, 3), False, 120),
+        (affine_group(7, 3), True, 6),
+    ],
+    ids=["sym4", "agl-1-7", "agl-1-7-dedup"],
+)
+def test_witness_group_is_the_realization_bfs(target, dedup, width):
+    witness = witness_quotient(C2_C3, target, width_cap=64 if dedup else 512, dedup_kernels=dedup)
+    assert witness.width_used == width
+    check_witness_is_the_realization_bfs(witness, target)
+
+
+@st.composite
+def witness_cases(draw):
+    n = draw(st.integers(3, 5))
+    gens = draw(st.lists(st.permutations(list(range(n))).map(tuple), min_size=2, max_size=2))
+    orders = draw(st.lists(st.integers(2, 4), min_size=2, max_size=2))
+    factors = [cyclic_presentation(m, f"g{i}") for i, m in enumerate(orders)]
+    return factors, PermGroup(n, gens), draw(st.booleans())
+
+
+@given(witness_cases())
+@settings(max_examples=40, deadline=None)
+def test_witness_group_is_the_realization_bfs_on_random_targets(case):
+    factors, target, dedup = case
+    try:
+        witness = witness_quotient(
+            factors, target, width_cap=8 if dedup else 512, dedup_kernels=dedup, element_cap=5000
+        )
+    except (WitnessWidthError, ClosureOverflowError):
+        assume(False)
+    assume(witness.group.order * witness.width_used <= 50_000)
+    check_witness_is_the_realization_bfs(witness, target)
+
+
+def test_witness_element_cap_is_the_realization_cap():
+    # the realization BFS overflows once it holds more than `element_cap`
+    # elements; so does the int enumeration
+    with pytest.raises(ClosureOverflowError):
+        witness_quotient(C2_C3, symmetric_group(4), element_cap=287)
+    assert witness_quotient(C2_C3, symmetric_group(4), element_cap=288).group.order == 288
+
+
+two_generator_perm_groups = st.integers(3, 4).flatmap(
+    lambda n: st.lists(
+        st.permutations(list(range(n))).map(tuple), min_size=2, max_size=2
+    ).map(lambda gens: PermGroup(n, gens))
+)
+
+
+@given(two_generator_perm_groups, st.lists(st.sampled_from([2, 3, 4]), min_size=2, max_size=2))
+@settings(max_examples=30, deadline=None)
+def test_witness_dedup_keeps_the_homs_of_the_pairwise_kernel_check_on_random_targets(
+    target, orders
+):
+    factors = [cyclic_presentation(m, f"g{i}") for i, m in enumerate(orders)]
+    per_factor = [enumerate_homs(f, target) for f in factors]
+    kept = []
+    for combo in itertools.product(*per_factor):
+        hom = tuple(x for part in combo for x in part)
+        if not any(kernels_equal(target, hom, other) for other in kept):
+            kept.append(hom)
+    w = witness_quotient(factors, target, width_cap=len(kept), dedup_kernels=True)
+    assert w.width_used == len(kept)
+    assert w.group.generators == tuple(zip(*kept))
 
 
 # -- class-representative counts and power relators ------------------------------

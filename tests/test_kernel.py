@@ -166,3 +166,32 @@ def test_witness_structure_work_is_bounded_by_one_enumeration():
     assert CountingPermGroup.calls <= bound
     assert sum(len(c) for c in classes) == 288
     assert result.value == 2 and result.exact
+
+
+@pytest.mark.parametrize(
+    "degree,gens,dedup",
+    [
+        (7, [(1, 2, 3, 4, 5, 6, 0), (0, 3, 6, 2, 5, 1, 4)], False),
+        (7, [(1, 2, 3, 4, 5, 6, 0), (0, 3, 6, 2, 5, 1, 4)], True),
+        (4, [(1, 2, 3, 0), (1, 0, 2, 3)], False),
+    ],
+    ids=["agl-1-7", "agl-1-7-dedup", "sym4"],
+)
+def test_witness_quotient_works_on_the_targets_ints(degree, gens, dedup):
+    # Enumerating the target, finding the homs and filtering candidates by
+    # order are the only realization products: pairing images and
+    # enumerating, compiling and searching the witness group run on ints
+    # (the realization BFS of the witness group makes 51,960 calls on
+    # Sym(4) and over 70,000 on AGL(1,7))
+    target = CountingPermGroup(degree, gens)
+    CountingPermGroup.calls = 0
+    witness = witness_quotient(
+        [cyclic_presentation(2, "a"), cyclic_presentation(3, "b")],
+        target,
+        width_cap=64 if dedup else 512,
+        dedup_kernels=dedup,
+    )
+    witness.group.compiled
+    result = d_min_generators(witness.group)
+    assert result.value == 2 and result.exact
+    assert CountingPermGroup.calls <= 1000

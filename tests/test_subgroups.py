@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from genbound.groups import PermGroup, cyclic_group
+from genbound import subgroups
+from genbound.groups import PermGroup, closure, cyclic_group
 from genbound.subgroups import (
     SubgroupHandle,
     abelian_invariants,
@@ -27,7 +30,23 @@ from helpers import (
     quaternion_group,
     regular_perm_group,
     symmetric_group,
+    unpruned_d_min_generators,
 )
+
+
+def agl_3_2() -> PermGroup:
+    """AGL(3,2) on F_2^3, points as 3-bit integers: translation by e1, the
+    transvection e2 -> e2 + e1 and the cyclic shift of coordinates."""
+    return PermGroup(
+        8, [(1, 0, 3, 2, 5, 4, 7, 6), (0, 1, 3, 2, 4, 5, 7, 6), (0, 2, 4, 6, 1, 3, 5, 7)]
+    )
+
+
+def sym4_wr_c2() -> PermGroup:
+    """Sym(4) on each block of {0..3} | {4..7}, plus the block swap."""
+    return PermGroup(
+        8, [(1, 2, 3, 0, 4, 5, 6, 7), (1, 0, 2, 3, 4, 5, 6, 7), (4, 5, 6, 7, 0, 1, 2, 3)]
+    )
 
 
 # -- subgroup handles ---------------------------------------------------------
@@ -313,3 +332,84 @@ def test_centralizer_rejects_intransitive():
 def test_centralizer_matches_brute_force(factory):
     g = factory()
     assert centralizer_order_transitive(g) == brute_centralizer_order(g)
+
+
+# -- the d = 2 prune of the minimal-generator search ----------------------------
+
+D_MIN_BUDGETS = [1, 7, 60, 500, 200_000]
+
+perm_groups_to_degree_6 = st.integers(2, 6).flatmap(
+    lambda n: st.lists(
+        st.permutations(list(range(n))).map(tuple), min_size=2, max_size=3
+    ).map(lambda gens: PermGroup(n, gens))
+)
+
+# Sym(3), Alt(4), the dihedral group of order 8 and Sym(4)
+NONABELIAN_ON_3_OR_4_POINTS = [
+    [(1, 2, 0), (1, 0, 2)],
+    [(1, 2, 0, 3), (0, 2, 3, 1)],
+    [(1, 2, 3, 0), (3, 2, 1, 0)],
+    [(1, 2, 3, 0), (1, 0, 2, 3)],
+]
+
+
+@st.composite
+def products_led_by_a_factor(draw):
+    """A x B on disjoint points, degree <= 6, A nonabelian, with B's
+    generators first. The normal closure of an element of B lies in B and
+    misses G' = A' x B', so the search starts with classes it skips."""
+    a = draw(st.sampled_from(NONABELIAN_ON_3_OR_4_POINTS))
+    k = len(a[0])
+    m = draw(st.integers(2, 6 - k))
+    moving = st.permutations(list(range(m))).filter(lambda g: g != list(range(m)))
+    b = draw(st.lists(moving, min_size=1, max_size=2))
+    gens = [tuple(range(k)) + tuple(k + x for x in g) for g in b]
+    gens += [g + tuple(range(k, k + m)) for g in a]
+    return PermGroup(k + m, gens)
+
+
+def check_d_min_matches_the_unpruned_search(group):
+    # the same value, witness and exactness as closing every candidate
+    # tuple, at budgets that stop both searches early and late
+    for budget in D_MIN_BUDGETS:
+        expected = unpruned_d_min_generators(group, budget=budget)
+        assert d_min_generators(group, budget=budget) == expected
+
+
+@given(st.one_of(perm_groups_to_degree_6, products_led_by_a_factor()))
+@settings(max_examples=60, deadline=None)
+def test_d_min_matches_the_unpruned_search(group):
+    check_d_min_matches_the_unpruned_search(group)
+
+
+@pytest.mark.parametrize("factory", [agl_3_2, sym4_wr_c2, lambda: symmetric_group(4)])
+def test_d_min_matches_the_unpruned_search_where_the_prune_fires(factory):
+    group = factory()
+    check_d_min_matches_the_unpruned_search(group)
+    # the least budget at which the unpruned search finds a generating
+    # pair: a skipped class counts all its pairs, so the same budget holds
+    low, high = 1, D_MIN_BUDGETS[-1]
+    while low < high:
+        mid = (low + high) // 2
+        if unpruned_d_min_generators(group, budget=mid).exact:
+            high = mid
+        else:
+            low = mid + 1
+    assert d_min_generators(group, budget=low).exact
+    assert not d_min_generators(group, budget=low - 1).exact
+
+
+def test_d_min_on_agl_3_2_closes_few_tuples(monkeypatch):
+    # AGL(3,2) is perfect and its translations form its only proper
+    # nontrivial normal subgroup, so the translation class is skipped
+    # without closing its 1,343 pairs
+    calls = []
+
+    def counting_closure(*args, **kwargs):
+        calls.append(1)
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(subgroups, "closure", counting_closure)
+    result = d_min_generators(agl_3_2())
+    assert result.value == 2 and result.exact
+    assert len(calls) <= 60
