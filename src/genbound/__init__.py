@@ -61,6 +61,7 @@ from .homcount import (
     power_target_count,
     witness_quotient,
 )
+from .io import serialize_group
 from .modules import ModuleAction, SimpleModuleSearch, find_simple_module, is_irreducible
 from .presentations import (
     Presentation,
@@ -73,7 +74,6 @@ from .subgroups import (
     MinGenResult,
     SubgroupHandle,
     abelian_invariants,
-    centralizer_order_transitive,
     d_min_generators,
     derived_subgroup,
     largest_normal_p_subgroup,

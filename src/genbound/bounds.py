@@ -336,17 +336,35 @@ def _contribution_to_doc(c: Contribution) -> dict:
     return {"kind": "embedding", "degree": str(c.degree)}
 
 
-def _contribution_from_doc(doc: dict) -> Contribution:
-    kind = doc.get("kind")
-    if kind == "exact":
-        return ExactContribution(int(doc["count"]), int(doc["target_order"]))
-    if kind == "formula":
-        return FormulaContribution(
-            int(doc["p"]), int(doc["l"]), int(doc["m"]), int(doc["r"]), int(doc["weight"])
-        )
-    if kind == "embedding":
-        return EmbeddingContribution(int(doc["degree"]))
-    raise CertificateError(f"unknown contribution kind {kind!r}")
+def _field(doc, key: str, where: str, kind: type = str):
+    """doc[key], checked to be a `kind`; an int may be a decimal string. A
+    missing or mistyped field raises CertificateError naming it."""
+    if not isinstance(doc, dict):
+        raise CertificateError(f"{where} must be an object")
+    if key not in doc:
+        raise CertificateError(f"{where} lacks the field {key!r}")
+    value = doc[key]
+    if kind is int and isinstance(value, str) and value.removeprefix("-").isdecimal():
+        value = int(value)
+    if not isinstance(value, kind):
+        raise CertificateError(f"{where}.{key} must be of type {kind.__name__}")
+    return value
+
+
+# the integer fields of each contribution kind, in constructor order
+_CONTRIBUTION_FIELDS = {
+    "exact": (ExactContribution, ("count", "target_order")),
+    "formula": (FormulaContribution, ("p", "l", "m", "r", "weight")),
+    "embedding": (EmbeddingContribution, ("degree",)),
+}
+
+
+def _contribution_from_doc(doc, where: str) -> Contribution:
+    kind = _field(doc, "kind", where)
+    if kind not in _CONTRIBUTION_FIELDS:
+        raise CertificateError(f"unknown contribution kind {kind!r}")
+    build, keys = _CONTRIBUTION_FIELDS[kind]
+    return build(*(_field(doc, key, where, int) for key in keys))
 
 
 def certificate_to_doc(cert: BoundCertificate) -> dict:
@@ -370,22 +388,32 @@ def certificate_to_doc(cert: BoundCertificate) -> dict:
 
 
 def certificate_from_doc(doc: dict) -> BoundCertificate:
+    """Inverse of `certificate_to_doc`. A missing or mistyped field raises
+    CertificateError naming it."""
+    if not isinstance(doc, dict):
+        raise CertificateError("certificate must be an object")
     if doc.get("schema") != "genbound-certificate/1":
         raise CertificateError(f"unknown certificate schema {doc.get('schema')!r}")
-    comparison = Comparison(
-        int(doc["comparison"]["lhs"]),
-        int(doc["comparison"]["rhs"]),
-        doc["comparison"]["relation"],
-    )
+    factors = _field(doc, "factors", "certificate", list)
+    if not all(isinstance(name, str) for name in factors):
+        raise CertificateError("certificate.factors must hold strings")
+    comparison = _field(doc, "comparison", "certificate", dict)
+    per_factor = enumerate(_field(doc, "per_factor", "certificate", list))
     return BoundCertificate(
-        factors=tuple(doc["factors"]),
-        target=doc["target"],
-        target_order=int(doc["target_order"]),
-        contributions=tuple(_contribution_from_doc(c) for c in doc["per_factor"]),
-        comparison=comparison,
-        conclusion=int(doc["conclusion"]),
-        proof_kind=doc["proof_kind"],
-        conditional=bool(doc.get("conditional", False)),
+        factors=tuple(factors),
+        target=_field(doc, "target", "certificate"),
+        target_order=_field(doc, "target_order", "certificate", int),
+        contributions=tuple(
+            _contribution_from_doc(c, f"certificate.per_factor[{i}]") for i, c in per_factor
+        ),
+        comparison=Comparison(
+            _field(comparison, "lhs", "certificate.comparison", int),
+            _field(comparison, "rhs", "certificate.comparison", int),
+            _field(comparison, "relation", "certificate.comparison"),
+        ),
+        conclusion=_field(doc, "conclusion", "certificate", int),
+        proof_kind=_field(doc, "proof_kind", "certificate"),
+        conditional=_field({"conditional": False, **doc}, "conditional", "certificate", bool),
     )
 
 

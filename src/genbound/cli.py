@@ -44,7 +44,7 @@ from .homcount import (
     count_homs,
     witness_quotient,
 )
-from .io import FileFormatError, dump_document, parse_group_file
+from .io import FileFormatError, _load_json, dump_document, parse_group_file
 from .modules import find_simple_module
 from .presentations import Presentation
 from .subgroups import d_min_generators, largest_normal_p_subgroup
@@ -268,12 +268,11 @@ def _cmd_decompose_thm3(args) -> tuple[int, dict]:
 
 def _cmd_verify(args) -> tuple[int, dict]:
     if args.certificate:
-        doc = json.loads(Path(args.certificate).read_text())
-        if "certificate" in doc:
-            doc = doc["certificate"]
-        if "family" in doc:
-            doc = doc["family"]["certificate"]
-        cert = certificate_from_doc(doc)
+        # a certificate, a report holding one, or a construct-thm4 report
+        doc = _load_json(args.certificate)
+        if isinstance(doc.get("family"), dict):
+            doc = doc["family"]
+        cert = certificate_from_doc(doc.get("certificate", doc))
         try:
             check_certificate(cert)
         except CertificateError as exc:

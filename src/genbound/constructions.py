@@ -47,7 +47,6 @@ from .perm import perm_order
 from .presentations import cyclic_presentation
 from .subgroups import (
     abelian_invariants,
-    centralizer_order_transitive,
     d_min_generators,
     derived_subgroup,
     largest_normal_p_subgroup,
@@ -475,14 +474,24 @@ class CoprimeFamilyInstance:
     certificate: BoundCertificate
     cross_checked: bool
 
-    def factor_names(self) -> list[str]:
-        return [f"G{i + 1}(order={o})" for i, o in enumerate(self.orders)]
-
 
 def _check(flags: dict[str, bool], claim: str, ok: bool, detail: str = ""):
     flags[claim] = bool(ok)
     if not ok:
         raise VerificationFailure(claim, detail)
+
+
+def _block_centralizer_order(multiply: tuple[int, ...]) -> int:
+    """Order of the centralizer in Sym(q) of a block group
+    G = <x -> x+1, multiply> on F_q, as the number of points `multiply` fixes.
+
+    G is transitive (the block-transitive flag), and every element is
+    x -> u^s x + b, so the stabilizer of 0 is <multiply>, of order
+    |G|/q = p_i. The centralizer of a transitive group has order the number
+    of points its point stabilizer fixes (Dixon & Mortimer, Permutation
+    Groups, 1996, 4.2), and those are the points fixed by its generator.
+    """
+    return sum(1 for x, y in enumerate(multiply) if x == y)
 
 
 def coprime_family(
@@ -612,16 +621,15 @@ def coprime_family(
         for j, block in enumerate(blocks):
             translate = tuple((x + 1) % block.q for x in range(block.q))
             multiply = tuple((block.multiplier * x) % block.q for x in range(block.q))
-            block_group = PermGroup(block.q, [translate, multiply])
             _check(
                 flags,
                 f"block-transitive[{i}.{j}]",
-                len(orbits(block_group)) == 1,
+                len(orbits(PermGroup(block.q, [translate, multiply]))) == 1,
             )
             _check(
                 flags,
                 f"block-centralizer-trivial[{i}.{j}]",
-                centralizer_order_transitive(block_group) == 1,
+                _block_centralizer_order(multiply) == 1,
             )
         if model.order <= cross_check_cap:
             _check(

@@ -238,10 +238,6 @@ class FiniteGroup:
             for orbit in orbit_partition(len(elems), self.compiled.conjugations)
         ]
 
-    def to_cayley(self) -> tuple[CayleyGroup, dict]:
-        """The compiled group plus the element -> index map."""
-        return self.compiled, self._positions()
-
     def describe(self) -> str:
         return f"{type(self).__name__}(order={self.order})"
 

@@ -336,21 +336,6 @@ class WitnessQuotient:
     deduplicated: bool
 
 
-def kernels_equal(target: FiniteGroup, hom_a: Sequence, hom_b: Sequence) -> bool:
-    """Whether two homomorphisms (generator-image tuples) share a kernel.
-
-    ker a = ker b iff the subgroup of target x target generated by the
-    paired images is the graph of an isomorphism between the two images,
-    i.e. has the same order as both images.
-    """
-    cap, e = target.element_cap, target.identity
-    pair = ProductGroup([target, target])
-    order = len(closure(list(hom_a), target.mul, e, cap))
-    return order == len(closure(list(hom_b), target.mul, e, cap)) == len(
-        closure(list(zip(hom_a, hom_b)), pair.mul, pair.identity, cap)
-    )
-
-
 def _move(a: tuple, rows: tuple) -> tuple:
     """The int tuple `a` moved coordinatewise, a[i] to rows[i][a[i]]."""
     return tuple(map(list.__getitem__, rows, a))
@@ -413,9 +398,9 @@ def witness_quotient(
             row = list(map(kernel.right[j].__getitem__, row))
         rows[x] = row
     if len(homs) > width_cap:
-        # as in `kernels_equal`; equal kernels have isomorphic images, so
-        # only images of equal order are paired, and a paired closure that
-        # outgrows that order proves the kernels differ
+        # kernels are equal iff the paired images generate the graph of an
+        # isomorphism, of the order of each image: only images of equal order
+        # are paired, and a paired closure that outgrows it proves them unequal
         e = kernel.identity
         cap = target.element_cap
         orders = [len(closure([(rows[x],) for x in hom], _move, (e,), cap)) for hom in ints]

@@ -25,7 +25,6 @@ def normalize_matrix(rows: Sequence[Sequence[int]], p: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
-    dim = len(a)
     bt = tuple(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt) for row in a
@@ -62,19 +61,6 @@ def mat_inv(a: Matrix, p: int) -> Matrix:
     return tuple(tuple(row[dim:]) for row in aug)
 
 
-def mat_pow(a: Matrix, n: int, p: int) -> Matrix:
-    if n < 0:
-        return mat_pow(mat_inv(a, p), -n, p)
-    result = mat_identity(len(a))
-    base = a
-    while n:
-        if n & 1:
-            result = mat_mul(result, base, p)
-        base = mat_mul(base, base, p)
-        n >>= 1
-    return result
-
-
 def block_diag(blocks: Sequence[Matrix]) -> Matrix:
     dim = sum(len(b) for b in blocks)
     rows = []
@@ -87,37 +73,26 @@ def block_diag(blocks: Sequence[Matrix]) -> Matrix:
 
 
 class _RowReducer:
-    """Incremental row-echelon basis for a subspace of F_p^dim."""
+    """Incremental row-echelon basis for a subspace of F_p^dim, kept for
+    its rank: each pivot row is zero at the pivots added before it."""
 
-    def __init__(self, dim: int, p: int):
-        self.dim = dim
+    def __init__(self, p: int):
         self.p = p
         self.pivots: dict[int, Vector] = {}
 
-    def reduce(self, v: Vector) -> Vector:
+    def add(self, v: Vector) -> bool:
+        """Add v to the span; True if it was independent. Clearing the
+        pivots in the order they were added leaves v zero at all of them."""
         p = self.p
-        v = list(v)
         for col, row in self.pivots.items():
             if v[col]:
                 factor = v[col]
                 v = [(x - factor * y) % p for x, y in zip(v, row)]
-        return tuple(v)
-
-    def add(self, v: Vector) -> bool:
-        """Add v to the span; returns True if it was independent."""
-        v = self.reduce(v)
         lead = next((i for i, x in enumerate(v) if x), None)
         if lead is None:
             return False
-        inv_lead = pow(v[lead], -1, self.p)
-        v = tuple((x * inv_lead) % self.p for x in v)
-        for col, row in list(self.pivots.items()):
-            if row[lead]:
-                factor = row[lead]
-                self.pivots[col] = tuple(
-                    (x - factor * y) % self.p for x, y in zip(row, v)
-                )
-        self.pivots[lead] = v
+        inv_lead = pow(v[lead], -1, p)
+        self.pivots[lead] = tuple((x * inv_lead) % p for x in v)
         return True
 
     @property
@@ -128,7 +103,7 @@ class _RowReducer:
 def spin_dimension(v: Vector, matrices: Sequence[Matrix], p: int) -> int:
     """Dimension of the smallest subspace containing v invariant under matrices."""
     dim = len(v)
-    reducer = _RowReducer(dim, p)
+    reducer = _RowReducer(p)
     queue = []
     if reducer.add(v):
         queue.append(v)
@@ -151,7 +126,7 @@ def has_no_joint_fixed_vector(matrices: Sequence[Matrix], p: int) -> bool:
     if not matrices:
         return False
     dim = len(matrices[0])
-    reducer = _RowReducer(dim, p)
+    reducer = _RowReducer(p)
     for a in matrices:
         for i in range(dim):
             row = tuple((a[i][j] - (1 if i == j else 0)) % p for j in range(dim))

@@ -40,20 +40,6 @@ def inverse(p: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def perm_power(p: Sequence[int], n: int) -> tuple[int, ...]:
-    """p composed with itself n times (n may be negative)."""
-    if n < 0:
-        return perm_power(inverse(p), -n)
-    result = identity_perm(len(p))
-    base = tuple(p)
-    while n:
-        if n & 1:
-            result = compose(result, base)
-        base = compose(base, base)
-        n >>= 1
-    return result
-
-
 def cycle_lengths(p: Sequence[int]) -> list[int]:
     """Lengths of the cycles of p, including fixed points."""
     seen = [False] * len(p)

@@ -1,7 +1,7 @@
 """Subgroup computations: derived subgroups, quotients, abelian invariants,
-minimal generator search, Sylow subgroups and their normal cores, orbits and
-the transitive centralizer-order criterion. Structure work runs on the
-group's integer kernel (`FiniteGroup.compiled`); results are mapped back.
+minimal generator search, Sylow subgroups and their normal cores, and
+orbits. Structure work runs on the group's integer kernel
+(`FiniteGroup.compiled`); results are mapped back.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from math import prod
 from typing import Sequence
 
-from . import perm
 from .groups import (
     CayleyGroup,
     FiniteGroup,
@@ -102,12 +101,6 @@ def _normal_closure(kernel: CayleyGroup, gens: Sequence) -> tuple[list, list]:
         if new is None:
             return elems, gens
         gens.append(new)
-
-
-def normal_closure(parent: FiniteGroup, seeds: Sequence) -> SubgroupHandle:
-    """Smallest normal subgroup of parent containing the seeds."""
-    gens = dict.fromkeys(parent.element_index(x) for x in seeds)
-    return _handle(parent, *_normal_closure(parent.compiled, gens))
 
 
 def _commutator_seeds(kernel: CayleyGroup) -> list:
@@ -300,34 +293,3 @@ def orbits(G: PermGroup) -> list[list[int]]:
     """Orbit partition of the points under the group action."""
     return orbit_partition(G.degree, G.generators)
 
-
-def centralizer_order_transitive(G: PermGroup) -> int:
-    """Order of the centralizer of a transitive G in the full symmetric group.
-
-    For transitive G this equals the number of fixed points of a point
-    stabilizer; the stabilizer is generated by Schreier generators from an
-    orbit/transversal computation. Intransitive input is rejected.
-    """
-    if G.degree == 0:
-        raise ValueError("empty point set")
-    if len(orbits(G)) != 1:
-        raise ValueError("group is not transitive; decompose into orbits first")
-    base = 0
-    transversal = {base: perm.identity_perm(G.degree)}
-    queue = [base]
-    while queue:
-        b = queue.pop(0)
-        for g in G.generators:
-            c = g[b]
-            if c not in transversal:
-                transversal[c] = perm.compose(g, transversal[b])
-                queue.append(c)
-    fixed = set(range(G.degree))
-    for b, t_b in transversal.items():
-        for g in G.generators:
-            c = g[b]
-            schreier = perm.compose(
-                perm.inverse(transversal[c]), perm.compose(g, t_b)
-            )
-            fixed = {x for x in fixed if schreier[x] == x}
-    return len(fixed)

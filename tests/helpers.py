@@ -3,10 +3,12 @@
 The oracles here deliberately avoid the library's own algorithms: conjugacy
 classes come from conjugating by every element, normal subgroups from
 conjugacy-class joins, centralizers from brute force over the full
-symmetric group, irreducibility from enumerating all subspaces, subset sums
-from explicit powerset search, homomorphisms from a concrete group by
-extending every candidate tuple and checking it on every element, and the
-minimal generator count by closing every candidate tuple.
+symmetric group or, for transitive groups, from the Schreier generators of
+a point stabilizer, irreducibility from enumerating all subspaces, subset
+sums from explicit powerset search, homomorphisms from a concrete group by
+extending every candidate tuple and checking it on every element, equal
+kernels from closing paired images in the realization, and the minimal
+generator count by closing every candidate tuple.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ from __future__ import annotations
 import functools
 import itertools
 
-from genbound.groups import FiniteGroup, MatrixGroup, PermGroup, closure
-from genbound.perm import compose
-from genbound.subgroups import MinGenResult, SearchBudgetError
+from typing import Sequence
+
+from genbound.groups import FiniteGroup, MatrixGroup, PermGroup, ProductGroup, closure
+from genbound.perm import compose, identity_perm, inverse
+from genbound.subgroups import MinGenResult, SearchBudgetError, orbits
 
 
 # -- corpus groups -----------------------------------------------------------
@@ -154,6 +158,51 @@ def brute_centralizer_order(G: PermGroup) -> int:
         if all(compose(sigma, g) == compose(g, sigma) for g in G.generators):
             count += 1
     return count
+
+
+def centralizer_order_transitive(G: PermGroup) -> int:
+    """Order of the centralizer of a transitive G in the full symmetric group.
+
+    For transitive G this equals the number of fixed points of a point
+    stabilizer; the stabilizer is generated by Schreier generators from an
+    orbit/transversal computation. Intransitive input is rejected.
+    """
+    if G.degree == 0:
+        raise ValueError("empty point set")
+    if len(orbits(G)) != 1:
+        raise ValueError("group is not transitive; decompose into orbits first")
+    base = 0
+    transversal = {base: identity_perm(G.degree)}
+    queue = [base]
+    while queue:
+        b = queue.pop(0)
+        for g in G.generators:
+            c = g[b]
+            if c not in transversal:
+                transversal[c] = compose(g, transversal[b])
+                queue.append(c)
+    fixed = set(range(G.degree))
+    for b, t_b in transversal.items():
+        for g in G.generators:
+            c = g[b]
+            schreier = compose(inverse(transversal[c]), compose(g, t_b))
+            fixed = {x for x in fixed if schreier[x] == x}
+    return len(fixed)
+
+
+def kernels_equal(target: FiniteGroup, hom_a: Sequence, hom_b: Sequence) -> bool:
+    """Whether two homomorphisms (generator-image tuples) share a kernel.
+
+    ker a = ker b iff the subgroup of target x target generated by the
+    paired images is the graph of an isomorphism between the two images,
+    i.e. has the same order as both images.
+    """
+    cap, e = target.element_cap, target.identity
+    pair = ProductGroup([target, target])
+    order = len(closure(list(hom_a), target.mul, e, cap))
+    return order == len(closure(list(hom_b), target.mul, e, cap)) == len(
+        closure(list(zip(hom_a, hom_b)), pair.mul, pair.identity, cap)
+    )
 
 
 def unpruned_d_min_generators(

@@ -22,7 +22,6 @@ from genbound.modules import ModuleAction, is_irreducible
 from genbound.numtheory import unit_of_order
 from genbound.presentations import cyclic_presentation, presentation_from_words
 from genbound.subgroups import (
-    centralizer_order_transitive,
     derived_subgroup,
     largest_normal_p_subgroup,
 )
@@ -32,6 +31,7 @@ from helpers import (
     alternating_group_4,
     alternating_group_5,
     brute_centralizer_order,
+    centralizer_order_transitive,
     brute_is_irreducible,
     brute_largest_normal_p_subgroup,
     cyclic_perm_group,

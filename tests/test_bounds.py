@@ -127,6 +127,45 @@ def test_certify_formula_round_trip():
     assert certificate_from_doc(json.loads(json.dumps(doc))) == cert
 
 
+MISSING = object()
+
+
+MALFORMED_FIELDS = [
+    (("target",), None, "certificate.target must be of type str"),
+    (("target_order",), MISSING, "certificate lacks the field 'target_order'"),
+    (("per_factor",), {}, "certificate.per_factor must be of type list"),
+    (("per_factor", 1), 3, r"certificate.per_factor\[1\] must be an object"),
+    (("per_factor", 0, "r"), [6], r"per_factor\[0\].r must be of type int"),
+    (("per_factor", 0, "p"), "seven", r"per_factor\[0\].p must be of type int"),
+    (("per_factor", 1, "weight"), MISSING, r"per_factor\[1\] lacks the field 'weight'"),
+    (("comparison", "lhs"), None, "certificate.comparison.lhs must be of type int"),
+    (("comparison", "rhs"), "--1", "certificate.comparison.rhs must be of type int"),
+    (("comparison", "relation"), MISSING, "comparison lacks the field 'relation'"),
+    (("conditional",), "no", "certificate.conditional must be of type bool"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    MALFORMED_FIELDS,
+    ids=[".".join(map(str, path)) for path, _, _ in MALFORMED_FIELDS],
+)
+def test_certificate_from_doc_names_a_malformed_field(path, value, message):
+    doc = certificate_to_doc(
+        certify_formula(["C2", "C3"], "t", 42, [FormulaContribution(7, 1, 1, 6)] * 2)
+    )
+    *parents, key = path
+    node = doc
+    for parent in parents:
+        node = node[parent]
+    if value is MISSING:
+        del node[key]
+    else:
+        node[key] = value
+    with pytest.raises(CertificateError, match=message):
+        certificate_from_doc(doc)
+
+
 def test_formula_certificate_rejects_mixed_params():
     with pytest.raises(ValueError, match="share"):
         certify_formula(

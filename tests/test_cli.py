@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -104,6 +105,27 @@ def test_verify_detects_tampering(files, capsys, tmp_path):
     assert json.loads(out)["valid"] is False
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ('{"schema": "genbound-certificate/1", "factors": []}', "lacks the field 'comparison'"),
+        ('{"certificate": 5}', "certificate must be an object"),
+        ("[1, 2]", "top level must be an object"),
+        (None, "No such file"),
+    ],
+    ids=["missing-field", "wrong-type", "not-an-object", "missing-file"],
+)
+def test_verify_malformed_certificate_is_one_error_line(capsys, tmp_path, content, message):
+    path = tmp_path / "cert.json"
+    if content is not None:
+        path.write_text(content)
+    status, out, err = run(["verify", "--certificate", str(path)], capsys)
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_witness_subcommand(files, capsys):
     status, out, _ = run(
         ["witness", "--factors", files["c2.pres"], files["c3.pres"],
@@ -197,6 +219,31 @@ def test_construct_thm4_n1(files, capsys):
     assert doc["construction"]["orders"] == ["21"]
     assert all(doc["flags"].values())
     assert doc["certificate"]["conclusion"] == 2
+
+
+THM4_N2_FLAGS = sorted(
+    [f"{claim}[{i}]" for claim in (
+        "abelianization-cyclic-of-order-p", "block-sizes-distinct", "crt-residues",
+        "decomposition-members", "decomposition-sum", "derived-subgroup-is-translations",
+        "multiplier-order", "prime-divides-q-minus-1", "two-generated",
+    ) for i in range(2)]
+    + [f"{claim}[{i}.{j}]" for claim in ("block-centralizer-trivial", "block-transitive")
+       for i, j in [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (1, 3)]]
+    + ["orders-pairwise-coprime", "prime-sets-disjoint"]
+)
+
+
+def test_construct_thm4_n2_report_is_frozen(capsys):
+    status, out, _ = run(
+        ["construct-thm4", "--n", "2", "--json", "--reproducible"], capsys
+    )
+    assert status == 0
+    flags = json.loads(out)["family"]["flags"]
+    assert sorted(flags) == THM4_N2_FLAGS and len(flags) == 32
+    assert all(flags.values())
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "24596b88c29918e4c37d27bdb524e7bde9667a905fa3ac2d7be19d80aa9910e3"
+    )
 
 
 def test_verify_family_certificate(files, capsys, tmp_path):

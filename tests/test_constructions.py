@@ -6,6 +6,7 @@ from genbound.constructions import (
     BlockAffineGroup,
     ConstructionError,
     VerificationFailure,
+    _block_centralizer_order,
     abelianization_split,
     coprime_family,
     family_to_doc,
@@ -14,13 +15,19 @@ from genbound.constructions import (
     reduce_cyclic_orders,
     semidirect_target,
 )
+from genbound.groups import PermGroup
 from genbound.homcount import count_homs
 from genbound.modules import ModuleAction
-from genbound.numtheory import unit_of_order
+from genbound.numtheory import is_prime, unit_of_order
 from genbound.presentations import cyclic_presentation
 from genbound.subgroups import d_min_generators, derived_subgroup, orbits
 
-from helpers import alternating_group_5, cyclic_perm_group, klein_group
+from helpers import (
+    alternating_group_5,
+    centralizer_order_transitive,
+    cyclic_perm_group,
+    klein_group,
+)
 
 
 def dim1_module(p, order):
@@ -285,6 +292,21 @@ def test_family_n1_group_structure():
     assert orbits(g) == [[0, 1, 2, 3, 4, 5, 6]]
     assert derived_subgroup(g).order == 7
     assert d_min_generators(g).value == 2
+
+
+def test_block_centralizer_order_matches_the_stabilizer_oracle():
+    # every block <x+1, ux> on F_q for q <= 61 prime, u = 1 (C_q, its own
+    # centralizer) included
+    cases = 0
+    for q in filter(is_prime, range(62)):
+        translate = tuple((x + 1) % q for x in range(q))
+        for u in range(1, q):
+            multiply = tuple((u * x) % q for x in range(q))
+            expected = centralizer_order_transitive(PermGroup(q, [translate, multiply]))
+            assert _block_centralizer_order(multiply) == expected
+            assert expected == (q if u == 1 else 1)
+            cases += 1
+    assert cases == 483
 
 
 def test_family_n2_reproduces_the_frozen_k():

@@ -156,13 +156,13 @@ def test_generated_group_never_enumerates_ambient():
     assert sub.order == 2
 
 
-def test_to_cayley_preserves_structure():
+def test_compiled_preserves_structure():
     s3 = symmetric_group(3)
-    table, index = s3.to_cayley()
+    table, index = s3.compiled, s3.element_index
     assert table.order == 6
     for a in s3.elements:
         for b in s3.elements:
-            assert table.mul(index[a], index[b]) == index[s3.mul(a, b)]
+            assert table.mul(index(a), index(b)) == index(s3.mul(a, b))
 
 
 def test_conjugacy_classes_partition():

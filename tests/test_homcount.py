@@ -27,7 +27,6 @@ from genbound.homcount import (
     evaluate_word,
     free_product_count,
     group_presentation,
-    kernels_equal,
     power_target_count,
     witness_quotient,
 )
@@ -47,6 +46,7 @@ from helpers import (
     brute_homs_group,
     cyclic_perm_group,
     dihedral_group,
+    kernels_equal,
     klein_group,
     quaternion_group,
     symmetric_group,

@@ -18,6 +18,7 @@ from genbound.groups import (
 from genbound.homcount import witness_quotient
 from genbound.modules import general_linear_group
 from genbound.numtheory import factorize
+from genbound.perm import compose, inverse
 from genbound.presentations import cyclic_presentation
 from genbound.subgroups import (
     d_min_generators,
@@ -28,16 +29,47 @@ from genbound.subgroups import (
 )
 
 from helpers import (
+    affine_group,
+    alternating_group_5,
     brute_conjugacy_classes,
     brute_derived_subgroup,
     brute_largest_normal_p_subgroup,
+    dihedral_group,
+    quaternion_group,
+    regular_perm_group,
     symmetric_group,
 )
 
-small_perm_groups = st.integers(1, 5).flatmap(
-    lambda n: st.lists(
-        st.permutations(list(range(n))).map(tuple), min_size=1, max_size=3
-    ).map(lambda gens: PermGroup(n, gens))
+NONABELIAN_CORPUS = [
+    symmetric_group(4),
+    alternating_group_5(),
+    affine_group(7, 3),
+    dihedral_group(12),
+    dihedral_group(5),
+    regular_perm_group(quaternion_group()),
+]
+
+
+def relabelled(group: PermGroup, sigma: tuple) -> PermGroup:
+    """The conjugate of `group` by sigma: the same group on relabelled points."""
+    return PermGroup(
+        group.degree, [compose(sigma, compose(g, inverse(sigma))) for g in group.generators]
+    )
+
+
+# random generators on up to five points mostly give small abelian groups,
+# so nonabelian corpus groups on shuffled points are drawn alongside
+small_perm_groups = st.one_of(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.permutations(list(range(n))).map(tuple), min_size=1, max_size=3
+        ).map(lambda gens: PermGroup(n, gens))
+    ),
+    st.sampled_from(NONABELIAN_CORPUS).flatmap(
+        lambda group: st.permutations(list(range(group.degree))).map(
+            lambda sigma: relabelled(group, tuple(sigma))
+        )
+    ),
 )
 
 

@@ -1,7 +1,19 @@
+import itertools
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from genbound.groups import MatrixGroup
-from genbound.linalg import block_diag, mat_identity, mat_inv, mat_mul, mat_pow
+from genbound.linalg import (
+    block_diag,
+    has_no_joint_fixed_vector,
+    mat_identity,
+    mat_inv,
+    mat_mul,
+    mat_vec,
+    spin_dimension,
+)
 from genbound.modules import (
     ModuleAction,
     find_simple_module,
@@ -27,9 +39,46 @@ C5 = cyclic_presentation(5)
 
 def test_linalg_inverse_and_power():
     a = ((1, 1), (0, 1))
+    group = MatrixGroup(5, 2, [a])
     assert mat_mul(a, mat_inv(a, 5), 5) == mat_identity(2)
-    assert mat_pow(a, 5, 5) == mat_identity(2)
-    assert mat_pow(a, -1, 5) == mat_inv(a, 5)
+    assert group.power(a, 5) == mat_identity(2)
+    assert group.power(a, -1) == mat_inv(a, 5)
+
+
+# (p, vector, matrices): one to three dim x dim matrices over F_p, dim <= 3
+small_spaces = st.tuples(st.sampled_from([2, 3, 5]), st.integers(1, 3)).flatmap(
+    lambda pd: st.tuples(
+        st.just(pd[0]),
+        st.tuples(*[st.integers(0, pd[0] - 1)] * pd[1]),
+        st.lists(
+            st.tuples(*[st.tuples(*[st.integers(0, pd[0] - 1)] * pd[1])] * pd[1]),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+)
+
+
+@given(small_spaces)
+def test_row_reduction_ranks_match_enumerated_subspaces(case):
+    p, v, matrices = case
+    dim = len(v)
+    # the spin of v, grown as a set: each vector joins with all its
+    # multiples added to the span so far, and queues its images
+    span, queue = {(0,) * dim}, [v]
+    while queue:
+        w = queue.pop()
+        if w not in span:
+            span = {
+                tuple((a + c * b) % p for a, b in zip(s, w)) for s in span for c in range(p)
+            }
+            queue.extend(mat_vec(m, w, p) for m in matrices)
+    assert p ** spin_dimension(v, matrices, p) == len(span)
+    fixed = [
+        u for u in itertools.product(range(p), repeat=dim)
+        if any(u) and all(mat_vec(m, u, p) == u for m in matrices)
+    ]
+    assert has_no_joint_fixed_vector(matrices, p) == (not fixed)
 
 
 def test_module_action_validation():

@@ -2,13 +2,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from genbound.groups import PermGroup
 from genbound.perm import (
     compose,
     cycle_lengths,
     identity_perm,
     inverse,
     perm_order,
-    perm_power,
     validate_perm,
 )
 
@@ -63,10 +63,11 @@ def test_inverse_is_two_sided(p):
 
 @given(perms)
 def test_order_matches_iterated_powers(p):
+    group = PermGroup(len(p), [p])
     n = perm_order(p)
-    assert perm_power(p, n) == identity_perm(len(p))
+    assert group.power(p, n) == identity_perm(len(p))
     for k in range(1, n):
-        assert perm_power(p, k) != identity_perm(len(p))
+        assert group.power(p, k) != identity_perm(len(p))
 
 
 def test_cycle_lengths():
@@ -76,5 +77,6 @@ def test_cycle_lengths():
 
 def test_negative_power():
     p = (1, 2, 3, 0)
-    assert perm_power(p, -1) == inverse(p)
-    assert perm_power(p, -3) == perm_power(inverse(p), 3)
+    group = PermGroup(4, [p])
+    assert group.power(p, -1) == inverse(p)
+    assert group.power(p, -3) == group.power(inverse(p), 3)

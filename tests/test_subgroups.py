@@ -7,7 +7,6 @@ from genbound.groups import PermGroup, closure, cyclic_group
 from genbound.subgroups import (
     SubgroupHandle,
     abelian_invariants,
-    centralizer_order_transitive,
     d_min_generators,
     derived_subgroup,
     largest_normal_p_subgroup,
@@ -22,6 +21,7 @@ from helpers import (
     alternating_group_4,
     alternating_group_5,
     brute_centralizer_order,
+    centralizer_order_transitive,
     brute_derived_subgroup,
     brute_largest_normal_p_subgroup,
     cyclic_perm_group,
