@@ -33,7 +33,6 @@ from .constructions import (
     coprime_family,
     family_to_doc,
     metabelian_target,
-    min_m_for_conclusion,
     reduce_cyclic_orders,
     semidirect_target,
 )
@@ -46,6 +45,7 @@ from .homcount import (
 )
 from .io import FileFormatError, _load_json, dump_document, parse_group_file
 from .modules import find_simple_module
+from .numtheory import SearchCapError
 from .presentations import Presentation
 from .subgroups import d_min_generators, largest_normal_p_subgroup
 
@@ -73,6 +73,11 @@ def _require_group(path, role: str) -> FiniteGroup:
     if isinstance(obj, Presentation):
         raise JobError(f"{role} {path} must be a realized group, not a presentation")
     return obj
+
+
+def _construction_doc(target) -> dict:
+    """The report's `construction` block: the target's p, l, m and r."""
+    return {key: str(getattr(target, key)) for key in ("p", "l", "m", "r")}
 
 
 def _parse_primes(text: str) -> list[int]:
@@ -174,12 +179,7 @@ def _cmd_construct_solsol(args) -> tuple[int, dict]:
         "dirichlet_prime": str(result.p),
         "target": result.target.describe(),
         "target_order": str(result.target.order),
-        "construction": {
-            "p": str(result.target.p),
-            "l": str(result.target.l),
-            "m": str(result.target.m),
-            "r": str(result.target.r),
-        },
+        "construction": _construction_doc(result.target),
         "metabelian": result.metabelian,
         "certificate": certificate_to_doc(result.certificate),
     }
@@ -204,11 +204,7 @@ def _cmd_construct_thm1(args) -> tuple[int, dict]:
                 + (f" ({skipped})" if skipped else "")
             )
         modules.append(search.found)
-    m = args.m
-    if m is None:
-        probe, _ = semidirect_target(modules, 1)
-        m = min_m_for_conclusion(len(factors), probe.p, probe.l, probe.r)
-    target, contributions = semidirect_target(modules, m)
+    target, contributions = semidirect_target(modules, args.m)
     cert = certify_formula(
         [f.describe() for f in factors],
         target.describe(),
@@ -220,10 +216,7 @@ def _cmd_construct_thm1(args) -> tuple[int, dict]:
         "target": target.describe(),
         "target_order": str(target.order),
         "construction": {
-            "p": str(target.p),
-            "l": str(target.l),
-            "m": str(target.m),
-            "r": str(target.r),
+            **_construction_doc(target),
             "module_dims": list(target.module_dims),
         },
         "certificate": certificate_to_doc(cert),
@@ -255,12 +248,7 @@ def _cmd_decompose_thm3(args) -> tuple[int, dict]:
         return EXIT_VERIFICATION, report
     report["m"] = str(split.m)
     report["target_order"] = str(split.target.order)
-    report["construction"] = {
-        "p": str(split.target.p),
-        "l": str(split.target.l),
-        "m": str(split.target.m),
-        "r": str(split.target.r),
-    }
+    report["construction"] = _construction_doc(split.target)
     report["certificate"] = certificate_to_doc(split.certificate)
     check_certificate(split.certificate)
     return EXIT_OK, report
@@ -460,6 +448,7 @@ def main(argv=None) -> int:
         ClosureOverflowError,
         HomSearchBudgetError,
         WitnessWidthError,
+        SearchCapError,
         CertificateError,
         ValueError,
     ) as exc:

@@ -96,8 +96,10 @@ def _block_embed(matrix: linalg.Matrix, copies: int) -> linalg.Matrix:
 
 def semidirect_target(
     modules: Sequence[ModuleAction],
-    m: int,
+    m: int | None = None,
     factor_groups: Sequence[FiniteGroup] | None = None,
+    p: int | None = None,
+    residual_rank: int = 0,
 ) -> tuple[SemidirectTarget, list[FormulaContribution]]:
     """Build the target V^m : R from one irreducible module per factor.
 
@@ -105,22 +107,29 @@ def semidirect_target(
     factor's action is block-embedded into dimension l = lcm of the module
     dimensions (a direct sum of copies of its module), R is the matrix group
     generated by all embedded actions, and the group is the semidirect
-    product of m copies of V with R acting diagonally.
+    product of m copies of V with R acting diagonally. With no modules the
+    prime p must be given; then l = 1 and R is trivial.
 
     Per factor the conjugates of the embedding give the formula bound
     h >= lm*log(p) / (lm*log(p) + log r); the embedded action having no
     nonzero fixed vector is what pushes the centralizer into R, and is
     checked here. When the factor groups are supplied and enumerable, the
-    absence of a nontrivial normal p-subgroup is checked too.
+    absence of a nontrivial normal p-subgroup is checked too. A residual
+    elementary abelian p-group of rank `residual_rank` adds one
+    contribution of that weight.
+
+    R is enumerated once. With m None the least m certifying the
+    conclusion (one per module plus `residual_rank`) is chosen from its
+    order r.
     """
-    if not modules:
-        raise ValueError("need at least one module")
-    if m < 1:
+    if p is None:
+        if not modules:
+            raise ValueError("need at least one module or the prime")
+        p = modules[0].p
+    if m is not None and m < 1:
         raise ValueError("m must be >= 1")
-    primes = {mod.p for mod in modules}
-    if len(primes) != 1:
+    if any(mod.p != p for mod in modules):
         raise ValueError("modules must share one prime")
-    p = primes.pop()
     for mod in modules:
         if not is_irreducible(mod):
             raise ValueError("module is not irreducible")
@@ -140,11 +149,15 @@ def semidirect_target(
         embedded_gens.extend(mats)
     point_group = MatrixGroup(p, l, embedded_gens)
     r = point_group.order
+    if m is None:
+        m = min_m_for_conclusion(len(modules) + residual_rank, p, l, r)
     group = AffineSemidirect(
         p, l * m, point_group, action=lambda a: _block_embed(a, m)
     )
     target = SemidirectTarget(p, l, m, r, point_group, group, tuple(mod.dim for mod in modules))
     contributions = [FormulaContribution(p, l, m, r) for _ in modules]
+    if residual_rank:
+        contributions.append(FormulaContribution(p, l, m, r, weight=residual_rank))
     return target, contributions
 
 
@@ -188,12 +201,11 @@ def reduce_cyclic_orders(orders: Sequence[int]) -> list[int]:
     return primes
 
 
-def metabelian_target(
-    primes: Sequence[int],
-    m: int | None = None,
-    dirichlet_cap: int = 10**6,
-    metabelian_check_cap: int = 5000,
-) -> MetabelianTarget:
+# targets up to this order have their second derived subgroup computed
+METABELIAN_CHECK_CAP = 5000
+
+
+def metabelian_target(primes: Sequence[int], m: int | None = None) -> MetabelianTarget:
     """Target for cyclic factors of distinct prime orders.
 
     With k the product of the orders, the least prime p = 1 (mod k) makes
@@ -211,13 +223,11 @@ def metabelian_target(
         if not is_prime(q):
             raise ValueError(f"{q} is not prime")
     k = prod(primes)
-    p = dirichlet_prime(1, k, dirichlet_cap)
+    p = dirichlet_prime(1, k)
     modules = [
         ModuleAction(p, 1, (((unit_of_order(p, q),),),), cyclic_presentation(q))
         for q in primes
     ]
-    if m is None:
-        m = min_m_for_conclusion(len(primes), p, 1, k)
     target, contributions = semidirect_target(modules, m)
     if target.r != k:
         raise AssertionError(f"unit subgroup has order {target.r}, expected {k}")
@@ -228,7 +238,7 @@ def metabelian_target(
         contributions,
     )
     metabelian: bool | None = None
-    if target.order <= metabelian_check_cap:
+    if target.order <= METABELIAN_CHECK_CAP:
         first = derived_subgroup(target.group)
         second = derived_subgroup(first.as_group())
         metabelian = second.order == 1
@@ -254,7 +264,6 @@ class SplitBound:
     p: int
     t: int
     n: int
-    m: int | None
     reduced_names: tuple[str, ...]
     residual_rank: int
     modules: tuple[ModuleAction, ...]
@@ -262,6 +271,10 @@ class SplitBound:
     certificate: BoundCertificate | None
     conditional: bool
     missing: tuple[str, ...]
+
+    @property
+    def m(self) -> int | None:
+        return None if self.target is None else self.target.m
 
 
 def abelianization_split(
@@ -329,29 +342,15 @@ def abelianization_split(
     all_names = reduced_names + [residual_name]
     if missing:
         return SplitBound(
-            s_prime, p, t, n, None, tuple(all_names), residual_rank,
+            s_prime, p, t, n, tuple(all_names), residual_rank,
             tuple(modules), None, None, True, tuple(missing),
         )
-    weight_total = s_prime + n - 1
-    if t == 0:
-        l, r = 1, 1
-        chosen_m = m if m is not None else min_m_for_conclusion(weight_total, p, l, r)
-        point_group = MatrixGroup(p, 1, [((1,),)])
-        group = AffineSemidirect(p, chosen_m, point_group, action=lambda a: _block_embed(a, chosen_m))
-        target = SemidirectTarget(p, l, chosen_m, r, point_group, group, ())
-        contributions = []
-    else:
-        l = lcm(*(mod.dim for mod in modules))
-        probe, _ = semidirect_target(modules, 1)
-        r = probe.r
-        chosen_m = m if m is not None else min_m_for_conclusion(weight_total, p, l, r)
-        target, contributions = semidirect_target(modules, chosen_m)
-    contributions = list(contributions) + [
-        FormulaContribution(p, target.l, target.m, target.r, weight=residual_rank)
-    ]
+    target, contributions = semidirect_target(
+        modules, m, p=p, residual_rank=residual_rank
+    )
     certificate = certify_formula(all_names, target.describe(), target.order, contributions)
     return SplitBound(
-        s_prime, p, t, n, chosen_m, tuple(all_names), residual_rank,
+        s_prime, p, t, n, tuple(all_names), residual_rank,
         tuple(modules), target, certificate, False, (),
     )
 
@@ -494,11 +493,12 @@ def _block_centralizer_order(multiply: tuple[int, ...]) -> int:
     return sum(1 for x, y in enumerate(multiply) if x == y)
 
 
+# family groups up to this order are also checked by enumeration
+CROSS_CHECK_CAP = 5000
+
+
 def coprime_family(
-    n: int,
-    sieve_bound: int = 2000,
-    sum_cap: int = 10**4,
-    cross_check_cap: int = 5000,
+    n: int, sieve_bound: int = 2000, sum_cap: int = 10**4
 ) -> CoprimeFamilyInstance:
     """Construct and verify the full coprime witness family for n factors.
 
@@ -631,7 +631,7 @@ def coprime_family(
                 f"block-centralizer-trivial[{i}.{j}]",
                 _block_centralizer_order(multiply) == 1,
             )
-        if model.order <= cross_check_cap:
+        if model.order <= CROSS_CHECK_CAP:
             _check(
                 flags,
                 f"exhaustive-cross-check[{i}]",

@@ -20,7 +20,7 @@ from .homcount import (
 from .numtheory import is_prime, least_primitive_root
 from .presentations import Presentation
 
-DEFAULT_SPACE_CAP = 10**5
+SPACE_CAP = 10**5
 DEFAULT_GL_ORDER_CAP = 25_000
 
 
@@ -53,7 +53,7 @@ class ModuleAction:
             raise ValueError("action is trivial")
 
 
-def is_irreducible(action: ModuleAction, space_cap: int = DEFAULT_SPACE_CAP) -> bool:
+def is_irreducible(action: ModuleAction) -> bool:
     """True iff every nonzero vector spins up to the full space.
 
     A proper invariant subspace contains some nonzero vector whose spin
@@ -63,8 +63,8 @@ def is_irreducible(action: ModuleAction, space_cap: int = DEFAULT_SPACE_CAP) -> 
     p, dim = action.p, action.dim
     if dim == 1:
         return True
-    if p**dim > space_cap:
-        raise ValueError(f"space size {p}^{dim} exceeds cap {space_cap}")
+    if p**dim > SPACE_CAP:
+        raise ValueError(f"space size {p}^{dim} exceeds cap {SPACE_CAP}")
     for v in itertools.product(range(p), repeat=dim):
         first = next((x for x in v if x), None)
         if first != 1:  # one representative per projective point
@@ -102,8 +102,8 @@ def general_linear_order(p: int, dim: int) -> int:
     return prod(q - p**i for i in range(dim))
 
 
-def general_linear_group(p: int, dim: int, element_cap: int = 10**6) -> MatrixGroup:
-    return MatrixGroup(p, dim, general_linear_generators(p, dim), element_cap=element_cap)
+def general_linear_group(p: int, dim: int) -> MatrixGroup:
+    return MatrixGroup(p, dim, general_linear_generators(p, dim))
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,6 @@ def find_simple_module(
     p: int,
     d_max: int,
     gl_order_cap: int = DEFAULT_GL_ORDER_CAP,
-    space_cap: int = DEFAULT_SPACE_CAP,
 ) -> SimpleModuleSearch:
     """Search dimensions 1..d_max for a nontrivial irreducible action of the
     source over F_p.
@@ -150,21 +149,19 @@ def find_simple_module(
         if gl_order > gl_order_cap:
             skipped.append((dim, f"matrix group order {gl_order} exceeds cap {gl_order_cap}"))
             continue
-        if p**dim > space_cap:
-            skipped.append((dim, f"space size {p}^{dim} exceeds cap {space_cap}"))
+        if p**dim > SPACE_CAP:
+            skipped.append((dim, f"space size {p}^{dim} exceeds cap {SPACE_CAP}"))
             continue
         searched.append(dim)
         if 0 not in bounds and all(gcd(m, gl_order) == 1 for m in bounds):
             continue  # by Lagrange every image is trivial: no module here
-        found = _first_irreducible(source, general_linear_group(p, dim), space_cap)
+        found = _first_irreducible(source, general_linear_group(p, dim))
         if found is not None:
             return SimpleModuleSearch(found, tuple(searched), tuple(skipped))
     return SimpleModuleSearch(None, tuple(searched), tuple(skipped))
 
 
-def _first_irreducible(
-    source: Presentation, gl: MatrixGroup, space_cap: int
-) -> ModuleAction | None:
+def _first_irreducible(source: Presentation, gl: MatrixGroup) -> ModuleAction | None:
     """The first nontrivial irreducible action among the homomorphisms into
     `gl`, in search order; the search stops there."""
     identity, found = gl.identity, None
@@ -176,7 +173,7 @@ def _first_irreducible(
                 action = ModuleAction(gl.p, gl.dim, images, source)
             except ValueError:
                 return False
-            if is_irreducible(action, space_cap):
+            if is_irreducible(action):
                 found = action
         return found is not None
 

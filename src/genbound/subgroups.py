@@ -22,10 +22,6 @@ from .groups import (
 from .numtheory import factorize, is_prime
 
 
-class SearchBudgetError(RuntimeError):
-    """A bounded search ran out of budget before reaching a conclusion."""
-
-
 @dataclass(frozen=True)
 class SubgroupHandle:
     """A subgroup of `parent` held as an explicit element tuple, sorted for
@@ -200,9 +196,7 @@ class MinGenResult:
     exact: bool
 
 
-def d_min_generators(
-    G: FiniteGroup, max_d: int = 8, budget: int = 200_000
-) -> MinGenResult:
+def d_min_generators(G: FiniteGroup, budget: int = 200_000) -> MinGenResult:
     """Smallest d such that some d-tuple generates G, by ascending search.
 
     Candidate tuples are pruned by fixing the first element up to conjugacy
@@ -211,7 +205,8 @@ def d_min_generators(
     `budget` bounds the tuples tried, a skipped x counting its pairs; on
     exhaustion the best proven lower bound is reported instead (a
     noncyclic group has no element of order |G|, so d >= 2 is always
-    available).
+    available). The search ends: d(G) <= log2 |G|, as each element outside
+    a proper subgroup at least doubles it.
     """
     n = G.order
     if n == 1:
@@ -227,7 +222,7 @@ def d_min_generators(
     others = [x for x in range(n) if x != e]
     derived = set(_normal_closure(kernel, _commutator_seeds(kernel))[0])
     tried = 0
-    for d in range(2, max_d + 1):
+    for d in itertools.count(2):
         for first in reps:
             if d == 2 and not derived <= set(_normal_closure(kernel, [first])[0]):
                 tried += len(others)
@@ -241,7 +236,6 @@ def d_min_generators(
                     return MinGenResult(d, None, False)
                 if len(closure((first, *rest), kernel.mul, e, n)) == n:
                     return MinGenResult(d, tuple(elems[x] for x in (first, *rest)), True)
-    raise SearchBudgetError(f"no generating tuple of size <= {max_d} found")
 
 
 def sylow_subgroup(G: FiniteGroup, p: int) -> SubgroupHandle:

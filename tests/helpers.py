@@ -20,7 +20,7 @@ from typing import Sequence
 
 from genbound.groups import FiniteGroup, MatrixGroup, PermGroup, ProductGroup, closure
 from genbound.perm import compose, identity_perm, inverse
-from genbound.subgroups import MinGenResult, SearchBudgetError, orbits
+from genbound.subgroups import MinGenResult, orbits
 
 
 # -- corpus groups -----------------------------------------------------------
@@ -205,6 +205,10 @@ def kernels_equal(target: FiniteGroup, hom_a: Sequence, hom_b: Sequence) -> bool
     )
 
 
+class SearchBudgetError(RuntimeError):
+    """The unpruned search found no generating tuple of size <= max_d."""
+
+
 def unpruned_d_min_generators(
     G: FiniteGroup, max_d: int = 8, budget: int = 200_000
 ) -> MinGenResult:
@@ -246,12 +250,17 @@ def all_normal_subgroups(G: FiniteGroup) -> set[frozenset]:
 
     A normal subgroup is the join of the normal closures of its elements,
     and joins of normal closures are normal, so closing the atoms under
-    pairwise joins yields the complete set.
+    pairwise joins yields the complete set. Conjugate elements share a
+    normal closure, so there is one atom per conjugacy class.
     """
     elems = G.elements
     atoms = set()
+    seen = set()
     for x in elems:
+        if x in seen:
+            continue
         conj_class = {G.conjugate(x, g) for g in elems}
+        seen |= conj_class
         atoms.add(frozenset(closure(sorted(conj_class), G.mul, G.identity, G.element_cap)))
     lattice = {frozenset([G.identity])} | atoms
     changed = True
@@ -269,15 +278,20 @@ def all_normal_subgroups(G: FiniteGroup) -> set[frozenset]:
     return lattice
 
 
-def brute_largest_normal_p_subgroup(G: FiniteGroup, p: int) -> frozenset:
-    """O_p via the normal-subgroup lattice: the unique maximal p-power one."""
-    p_normals = [
-        n for n in all_normal_subgroups(G) if _is_p_power(len(n), p)
-    ]
-    best = max(p_normals, key=len)
-    for n in p_normals:
-        assert n <= best, "normal p-subgroups do not have a unique maximum"
-    return best
+def brute_largest_normal_p_subgroups(G: FiniteGroup) -> dict[int, frozenset]:
+    """O_p for every prime p dividing |G|, from one normal-subgroup lattice:
+    the unique maximal normal subgroup of p-power order."""
+    normals = all_normal_subgroups(G)
+    order = G.order
+    primes = [q for q in range(2, order + 1) if order % q == 0 and all(q % d for d in range(2, q))]
+    cores = {}
+    for p in primes:
+        p_normals = [n for n in normals if _is_p_power(len(n), p)]
+        best = max(p_normals, key=len)
+        for n in p_normals:
+            assert n <= best, "normal p-subgroups do not have a unique maximum"
+        cores[p] = best
+    return cores
 
 
 def _is_p_power(n: int, p: int) -> bool:
@@ -361,7 +375,7 @@ def eager_find_simple_module(source, p: int, d_max: int):
     from genbound.homcount import enumerate_homs, group_presentation
     from genbound.modules import (
         DEFAULT_GL_ORDER_CAP,
-        DEFAULT_SPACE_CAP,
+        SPACE_CAP,
         ModuleAction,
         SimpleModuleSearch,
         general_linear_order,
@@ -378,8 +392,8 @@ def eager_find_simple_module(source, p: int, d_max: int):
                 (dim, f"matrix group order {gl_order} exceeds cap {DEFAULT_GL_ORDER_CAP}")
             )
             continue
-        if p**dim > DEFAULT_SPACE_CAP:
-            skipped.append((dim, f"space size {p}^{dim} exceeds cap {DEFAULT_SPACE_CAP}"))
+        if p**dim > SPACE_CAP:
+            skipped.append((dim, f"space size {p}^{dim} exceeds cap {SPACE_CAP}"))
             continue
         gl = enumerated_general_linear_group(p, dim)
         searched.append(dim)

@@ -334,3 +334,23 @@ def test_construct_thm1_searches_repeated_factors_once(files, capsys, monkeypatc
     assert status == 0
     assert [f.name for f in calls] == ["C3", "C2"]
     assert json.loads(out)["construction"]["module_dims"] == [1, 1, 1]
+
+
+def test_construct_thm1_builds_r_once(files, capsys, r_builds):
+    status, out, _ = run(
+        ["construct-thm1", "--factors", files["c2.pres"], files["c3.pres"],
+         "--prime", "7", "--json", "--reproducible"],
+        capsys,
+    )
+    assert status == 0
+    assert json.loads(out)["construction"]["m"] == "1"
+    assert len(r_builds) == 1
+
+
+def test_search_cap_is_one_error_line(capsys):
+    # the least prime = 1 (mod 2*3*...*19 = 9699690) lies past the scan's cap
+    status, out, err = run(["construct-solsol", "--primes", "2,3,5,7,11,13,17,19"], capsys)
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: no prime = 1 (mod 9699690)")
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -1,6 +1,6 @@
 import pytest
 
-from genbound.bounds import check_certificate
+from genbound.bounds import certify_formula, check_certificate
 from genbound.constructions import (
     AffineBlock,
     BlockAffineGroup,
@@ -90,6 +90,31 @@ def test_o_p_precondition_checked_when_factors_enumerable():
         semidirect_target([module], 1, factor_groups=[cyclic_perm_group(3)])
     # a clean factor passes
     semidirect_target([module], 1, factor_groups=[cyclic_perm_group(2)])
+
+
+def test_default_m_certifies_one_per_module_plus_the_residual_rank():
+    modules = [dim1_module(7, 2), dim1_module(7, 3)]
+    target, contribs = semidirect_target(modules)
+    assert (target.m, [c.weight for c in contribs]) == (1, [1, 1])  # 7 > 6
+    target, contribs = semidirect_target(modules, residual_rank=1)
+    assert (target.m, [c.weight for c in contribs]) == (2, [1, 1, 1])  # 7^2 > 6^2
+    assert certify_formula(["C2", "C3", "C7"], target.describe(), target.order, contribs).conclusion == 3
+
+
+def test_target_without_modules_needs_the_prime():
+    target, contribs = semidirect_target([], p=2, residual_rank=3)
+    assert (target.p, target.l, target.m, target.r, target.order) == (2, 1, 1, 1, 2)
+    assert [(c.r, c.weight) for c in contribs] == [(1, 3)]
+    with pytest.raises(ValueError, match="prime"):
+        semidirect_target([])
+    with pytest.raises(ValueError, match="share"):
+        semidirect_target([dim1_module(3, 2)], p=7)
+
+
+def test_split_builds_r_once(r_builds):
+    split = abelianization_split([klein_group(), cyclic_perm_group(3)])
+    assert split.t == 1 and split.m == 2
+    assert len(r_builds) == 1
 
 
 def test_min_m_for_conclusion():

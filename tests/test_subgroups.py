@@ -23,7 +23,7 @@ from helpers import (
     brute_centralizer_order,
     centralizer_order_transitive,
     brute_derived_subgroup,
-    brute_largest_normal_p_subgroup,
+    brute_largest_normal_p_subgroups,
     cyclic_perm_group,
     dihedral_group,
     klein_group,
@@ -263,16 +263,8 @@ def test_largest_normal_p_subgroup_rejects_composite():
 )
 def test_normal_core_matches_lattice_oracle(factory):
     g = factory()
-    primes = sorted({p for p, _ in _factorize(g.order)})
-    for p in primes:
-        computed = set(largest_normal_p_subgroup(g, p).elements)
-        assert computed == set(brute_largest_normal_p_subgroup(g, p))
-
-
-def _factorize(n):
-    from genbound.numtheory import factorize
-
-    return factorize(n)
+    for p, oracle in brute_largest_normal_p_subgroups(g).items():
+        assert set(largest_normal_p_subgroup(g, p).elements) == oracle
 
 
 # -- orbits and centralizers --------------------------------------------------
