@@ -43,7 +43,6 @@ from .groups import (
     PermGroup,
     ProductGroup,
     closure,
-    cyclic_group,
     power_group,
 )
 from .homcount import (
@@ -53,12 +52,10 @@ from .homcount import (
     WitnessWidthError,
     count_homs,
     count_homs_cyclic,
-    count_homs_group,
     enumerate_homs,
     evaluate_word,
     free_product_count,
     group_presentation,
-    power_target_count,
     witness_quotient,
 )
 from .io import serialize_group
@@ -66,7 +63,6 @@ from .modules import ModuleAction, SimpleModuleSearch, find_simple_module, is_ir
 from .presentations import (
     Presentation,
     cyclic_presentation,
-    free_presentation,
     free_product,
     presentation_from_words,
 )
@@ -79,7 +75,6 @@ from .subgroups import (
     largest_normal_p_subgroup,
     orbits,
     quotient_group,
-    subgroup_from_generators,
     sylow_subgroup,
 )
 

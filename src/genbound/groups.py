@@ -75,16 +75,18 @@ def _bfs(generators, mul, identity, cap, out: list, action: list) -> Iterator:
 
 def orbit_partition(n: int, maps: Sequence[Sequence[int]]) -> list[list[int]]:
     """Orbits of 0..n-1 under the maps, each sorted, listed by least point."""
-    seen: set[int] = set()
+    seen = [False] * n
     out = []
     for start in range(n):
-        if start not in seen:
+        if not seen[start]:
             orbit = [start]
-            seen.add(start)
+            seen[start] = True
             for x in orbit:
-                for y in {m[x] for m in maps} - seen:
-                    seen.add(y)
-                    orbit.append(y)
+                for m in maps:
+                    y = m[x]
+                    if not seen[y]:
+                        seen[y] = True
+                        orbit.append(y)
             out.append(sorted(orbit))
     return out
 
@@ -231,7 +233,8 @@ class FiniteGroup:
     def conjugacy_classes(self) -> list[tuple]:
         """Conjugacy classes as tuples, each in element enumeration order and
         listed by first element: the orbits of x -> g x g^-1 over the
-        generators g, found on the kernel in O(|G| * #generators)."""
+        generators g, walked on the kernel in O(|G| * #generators) once
+        `CayleyGroup.conjugations` has built each map in as much."""
         elems = self.elements
         return [
             tuple(elems[i] for i in orbit)
@@ -377,7 +380,11 @@ class CayleyGroup(FiniteGroup):
             return self._inv[a]
         return self.power(a, self.element_order(a) - 1)
 
-    def _compile(self) -> CayleyGroup:
+    @property
+    def compiled(self) -> CayleyGroup:
+        """The kernel itself, once its generators are known to generate it.
+        It is not stored on itself: a self-reference would leave every
+        kernel to the cyclic garbage collector."""
         self.words()
         return self
 
@@ -403,23 +410,33 @@ class CayleyGroup(FiniteGroup):
 
     @property
     def conjugations(self) -> tuple:
-        """conjugations[j][i] is g i g^-1 for g = generators[j]."""
+        """conjugations[j][i] is g i g^-1 for g = generators[j]. A BFS of the
+        right action from the identity gives left[i] = g i, as left[i h] is
+        left[i] h for each generator h; then g i g^-1 is left[i] g^-1, read
+        through the inverse of g's row. Each map costs O(|G| * #generators)."""
         if self._conjugations is None:
-            self.words()
-            self._conjugations = tuple(
-                [self.mul(g, x) for x in sorted(self._elements, key=row.__getitem__)]
-                for g, row in zip(self._generators, self.right)
-            )
+            self.words()  # raises if the generators miss an element
+            right, e = self.right, self._identity
+            maps = []
+            for g, row in zip(self._generators, right):
+                left = [None] * self.order
+                left[e] = g
+                queue = [e]
+                for x in queue:
+                    lx = left[x]
+                    for r in right:
+                        if left[y := r[x]] is None:
+                            left[y] = r[lx]
+                            queue.append(y)
+                back = [0] * self.order
+                for i, y in enumerate(row):
+                    back[y] = i
+                maps.append([back[z] for z in left])
+            self._conjugations = tuple(maps)
         return self._conjugations
 
     def describe(self) -> str:
         return f"cayley-group(order={self.order})"
-
-
-def cyclic_group(n: int) -> CayleyGroup:
-    """Cyclic group of order n as a Cayley table (identity is 0)."""
-    table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    return CayleyGroup(table, generators=(1 % n,), check=False)
 
 
 class MatrixGroup(FiniteGroup):

@@ -20,7 +20,6 @@ from .groups import (
     ProductGroup,
     _bfs,
     closure,
-    power_group,
 )
 from .presentations import (
     Presentation,
@@ -253,34 +252,6 @@ def free_product_count(
     return HomCountResult(prod(counts), target.order)
 
 
-def power_target_count(
-    pres: Presentation,
-    target: FiniteGroup,
-    n: int,
-    verify_explicit: bool = False,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> HomCountResult:
-    """Count into the n-th direct power of the target.
-
-    Coordinatewise, homs into target^n are n-tuples of homs into target, so
-    the count is count(target)^n at target order |target|^n. With
-    verify_explicit the power group is built and counted directly and the
-    two results are required to agree.
-    """
-    if n < 1:
-        raise ValueError("power must be >= 1")
-    base = count_homs(pres, target, node_budget)
-    analytic = HomCountResult(base.count**n, target.order**n)
-    if verify_explicit:
-        explicit = count_homs(pres, power_group(target, n), node_budget)
-        if explicit.count != analytic.count:
-            raise AssertionError(
-                f"explicit power count {explicit.count} != {analytic.count}"
-            )
-        return explicit
-    return analytic
-
-
 # -- concrete source groups --------------------------------------------------
 
 
@@ -310,11 +281,6 @@ def group_presentation(G: FiniteGroup) -> Presentation:
     names = tuple(f"g{i + 1}" for i in range(len(G.generators)))
     ordered = tuple(sorted(relators, key=lambda w: (len(w), w)))
     return Presentation(names, ordered, name=G.describe())
-
-
-def count_homs_group(source: FiniteGroup, target: FiniteGroup) -> HomCountResult:
-    """Exact |Hom(source, target)| for a concrete source group."""
-    return count_homs(group_presentation(source), target)
 
 
 # -- witness quotients ------------------------------------------------------

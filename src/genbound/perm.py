@@ -11,6 +11,7 @@ i.e. q acts first.
 from __future__ import annotations
 
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 
@@ -30,7 +31,9 @@ def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     """Product p∘q: apply q first, then p."""
     if len(p) != len(q):
         raise ValueError(f"degree mismatch: {len(p)} vs {len(q)}")
-    return tuple(p[x] for x in q)
+    if len(q) < 2:  # itemgetter of one index returns a scalar, of none raises
+        return tuple(p[x] for x in q)
+    return itemgetter(*q)(p)
 
 
 def inverse(p: Sequence[int]) -> tuple[int, ...]:

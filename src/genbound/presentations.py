@@ -50,11 +50,6 @@ def cyclic_presentation(m: int, gen: str = "g", name: str = "") -> Presentation:
     return Presentation((gen,), (((0, m),),), name=name or f"C{m}")
 
 
-def free_presentation(rank: int, prefix: str = "x") -> Presentation:
-    names = tuple(f"{prefix}{i + 1}" for i in range(rank))
-    return Presentation(names, (), name=f"F{rank}")
-
-
 def free_product(factors: Sequence[Presentation]) -> Presentation:
     """Disjoint union of presentations; generator names are qualified on clash."""
     if not factors:

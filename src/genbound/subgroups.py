@@ -79,12 +79,6 @@ def _handle(parent: FiniteGroup, indices, generators=()) -> SubgroupHandle:
     return SubgroupHandle(parent, members, tuple(elems[i] for i in generators))
 
 
-def subgroup_from_generators(parent: FiniteGroup, generators: Sequence) -> SubgroupHandle:
-    kernel = parent.compiled
-    gens = [parent.element_index(g) for g in generators]
-    return _handle(parent, closure(gens, kernel.mul, kernel.identity), gens)
-
-
 def _normal_closure(kernel: CayleyGroup, gens: Sequence) -> tuple[list, list]:
     """The normal closure of the kernel ints `gens` and the generators it
     ends with: conjugates join one at a time, each outside the closure so far."""
@@ -213,12 +207,14 @@ def d_min_generators(G: FiniteGroup, budget: int = 200_000) -> MinGenResult:
         return MinGenResult(0, (), True)
     kernel = G.compiled
     elems = G.elements
-    for x in range(n):
+    # element order is a class function and each class leads with its least int
+    leaders = [c[0] for c in kernel.conjugacy_classes()]
+    for x in leaders:
         if kernel.element_order(x) == n:
             return MinGenResult(1, (elems[x],), True)
     # d = 1 is exhausted: no element has order |G|
     e = kernel.identity
-    reps = [c[0] for c in kernel.conjugacy_classes() if c[0] != e]
+    reps = [x for x in leaders if x != e]
     others = [x for x in range(n) if x != e]
     derived = set(_normal_closure(kernel, _commutator_seeds(kernel))[0])
     tried = 0
@@ -248,7 +244,12 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> SubgroupHandle:
     target = 1
     while n % (target * p) == 0:
         target *= p
-    p_elements = [x for x in range(n) if _p_log(kernel.element_order(x), p) is not None]
+    p_elements = sorted(
+        x
+        for c in kernel.conjugacy_classes()
+        if _p_log(kernel.element_order(c[0]), p) is not None
+        for x in c
+    )
     gens: list[int] = []
     members = {e}
     while len(members) < target:

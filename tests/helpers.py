@@ -1,14 +1,16 @@
-"""Shared corpus groups and independent oracles for the test suite.
+"""Shared corpus groups, small builders and counts that only the tests use,
+and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own algorithms: conjugacy
-classes come from conjugating by every element, normal subgroups from
-conjugacy-class joins, centralizers from brute force over the full
-symmetric group or, for transitive groups, from the Schreier generators of
-a point stabilizer, irreducibility from enumerating all subspaces, subset
-sums from explicit powerset search, homomorphisms from a concrete group by
-extending every candidate tuple and checking it on every element, equal
-kernels from closing paired images in the realization, and the minimal
-generator count by closing every candidate tuple.
+classes come from conjugating by every element, conjugation maps from
+multiplying along element words, orbits from set differences, normal
+subgroups from conjugacy-class joins, centralizers from brute force over
+the full symmetric group or, for transitive groups, from the Schreier
+generators of a point stabilizer, irreducibility from enumerating all
+subspaces, subset sums from explicit powerset search, homomorphisms from a
+concrete group by extending every candidate tuple and checking it on every
+element, equal kernels from closing paired images in the realization, and
+the minimal generator count by closing every candidate tuple.
 """
 
 from __future__ import annotations
@@ -18,9 +20,19 @@ import itertools
 
 from typing import Sequence
 
-from genbound.groups import FiniteGroup, MatrixGroup, PermGroup, ProductGroup, closure
+from genbound.groups import (
+    CayleyGroup,
+    FiniteGroup,
+    MatrixGroup,
+    PermGroup,
+    ProductGroup,
+    closure,
+    power_group,
+)
+from genbound.homcount import HomCountResult, count_homs, group_presentation
 from genbound.perm import compose, identity_perm, inverse
-from genbound.subgroups import MinGenResult, orbits
+from genbound.presentations import Presentation
+from genbound.subgroups import MinGenResult, SubgroupHandle, orbits
 
 
 # -- corpus groups -----------------------------------------------------------
@@ -78,7 +90,82 @@ def regular_perm_group(G: FiniteGroup) -> PermGroup:
     return PermGroup(len(elems), gens)
 
 
+def cyclic_group(n: int) -> CayleyGroup:
+    """Cyclic group of order n as a Cayley table (identity is 0)."""
+    table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    return CayleyGroup(table, generators=(1 % n,), check=False)
+
+
+def free_presentation(rank: int, prefix: str = "x") -> Presentation:
+    names = tuple(f"{prefix}{i + 1}" for i in range(rank))
+    return Presentation(names, (), name=f"F{rank}")
+
+
+def subgroup_from_generators(parent: FiniteGroup, generators: Sequence) -> SubgroupHandle:
+    kernel = parent.compiled
+    members = closure([parent.element_index(g) for g in generators], kernel.mul, kernel.identity)
+    return SubgroupHandle(parent, tuple(parent.elements[i] for i in members), tuple(generators))
+
+
+# -- counts ------------------------------------------------------------------
+
+
+def count_homs_group(source: FiniteGroup, target: FiniteGroup) -> HomCountResult:
+    """Exact |Hom(source, target)| for a concrete source group."""
+    return count_homs(group_presentation(source), target)
+
+
+def power_target_count(
+    pres: Presentation, target: FiniteGroup, n: int, verify_explicit: bool = False
+) -> HomCountResult:
+    """Count into the n-th direct power of the target.
+
+    Coordinatewise, homs into target^n are n-tuples of homs into target, so
+    the count is count(target)^n at target order |target|^n. With
+    verify_explicit the power group is built and counted directly and the
+    two results are required to agree.
+    """
+    if n < 1:
+        raise ValueError("power must be >= 1")
+    base = count_homs(pres, target)
+    analytic = HomCountResult(base.count**n, target.order**n)
+    if verify_explicit:
+        explicit = count_homs(pres, power_group(target, n))
+        if explicit.count != analytic.count:
+            raise AssertionError(
+                f"explicit power count {explicit.count} != {analytic.count}"
+            )
+        return explicit
+    return analytic
+
+
 # -- oracles -----------------------------------------------------------------
+
+
+def brute_conjugations(kernel: CayleyGroup) -> tuple:
+    """conjugations[j][i] = g i g^-1 for g = generators[j], each found by
+    multiplying g by i g^-1 (the element that g's right action sends to i)."""
+    return tuple(
+        [kernel.mul(g, x) for x in sorted(kernel.elements, key=row.__getitem__)]
+        for g, row in zip(kernel.generators, kernel.right)
+    )
+
+
+def set_orbit_partition(n: int, maps: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Orbits of 0..n-1 under the maps, grown by set differences, each
+    sorted and listed by least point."""
+    seen: set[int] = set()
+    out = []
+    for start in range(n):
+        if start not in seen:
+            orbit = [start]
+            seen.add(start)
+            for x in orbit:
+                for y in {m[x] for m in maps} - seen:
+                    seen.add(y)
+                    orbit.append(y)
+            out.append(sorted(orbit))
+    return out
 
 
 def sym_elements(n: int) -> list[tuple[int, ...]]:

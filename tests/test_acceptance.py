@@ -17,7 +17,7 @@ from genbound.constructions import (
     semidirect_target,
 )
 from genbound.groups import power_group
-from genbound.homcount import count_homs, count_homs_cyclic, power_target_count
+from genbound.homcount import count_homs, count_homs_cyclic
 from genbound.modules import ModuleAction, is_irreducible
 from genbound.numtheory import unit_of_order
 from genbound.presentations import cyclic_presentation, presentation_from_words
@@ -37,6 +37,7 @@ from helpers import (
     cyclic_perm_group,
     dihedral_group,
     klein_group,
+    power_target_count,
     quaternion_group,
     regular_perm_group,
     symmetric_group,

@@ -21,10 +21,9 @@ from genbound.bounds import (
     power_conclusion,
     weak_bound,
 )
-from genbound.groups import cyclic_group
 from genbound.presentations import cyclic_presentation, presentation_from_words
 
-from helpers import alternating_group_5, symmetric_group
+from helpers import alternating_group_5, cyclic_group, free_presentation, symmetric_group
 
 
 def a5_presentation():
@@ -85,7 +84,6 @@ def test_conclusion_respects_generator_sum_ceiling():
 
 
 def test_exact_integer_h_for_free_groups():
-    from genbound.presentations import free_presentation
 
     target = symmetric_group(3)
     cert = lower_bound_explicit([free_presentation(2)], target)

@@ -13,12 +13,12 @@ from genbound.groups import (
     PermGroup,
     ProductGroup,
     closure,
-    cyclic_group,
     power_group,
 )
 from genbound.modules import general_linear_generators
 from helpers import (
     alternating_group_5,
+    cyclic_group,
     perm_parity,
     quaternion_group,
     sym_elements,

@@ -12,7 +12,6 @@ from genbound.groups import (
     GeneratedGroup,
     PermGroup,
     ProductGroup,
-    cyclic_group,
     power_group,
 )
 from genbound.homcount import (
@@ -22,19 +21,16 @@ from genbound.homcount import (
     _BacktrackSearch,
     count_homs,
     count_homs_cyclic,
-    count_homs_group,
     enumerate_homs,
     evaluate_word,
     free_product_count,
     group_presentation,
-    power_target_count,
     witness_quotient,
 )
 from genbound.modules import general_linear_group
 from genbound.presentations import (
     Presentation,
     cyclic_presentation,
-    free_presentation,
     free_product,
     presentation_from_words,
 )
@@ -44,10 +40,14 @@ from helpers import (
     affine_group,
     alternating_group_5,
     brute_homs_group,
+    count_homs_group,
+    cyclic_group,
     cyclic_perm_group,
     dihedral_group,
+    free_presentation,
     kernels_equal,
     klein_group,
+    power_target_count,
     quaternion_group,
     symmetric_group,
 )

@@ -2,7 +2,9 @@
 it is compiled from, and the structure algorithms that run on it against
 the brute-force oracles in `helpers`."""
 
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from genbound.groups import (
     PermGroup,
     ProductGroup,
     closure,
+    orbit_partition,
 )
 from genbound.homcount import witness_quotient
 from genbound.modules import general_linear_group
@@ -24,19 +27,24 @@ from genbound.subgroups import (
     derived_subgroup,
     largest_normal_p_subgroup,
     quotient_group,
-    subgroup_from_generators,
 )
 
 from helpers import (
     affine_group,
     alternating_group_5,
     brute_conjugacy_classes,
+    brute_conjugations,
     brute_derived_subgroup,
     brute_largest_normal_p_subgroups,
+    cyclic_group,
+    cyclic_perm_group,
     dihedral_group,
     quaternion_group,
     regular_perm_group,
+    set_orbit_partition,
+    subgroup_from_generators,
     symmetric_group,
+    unpruned_d_min_generators,
 )
 
 NONABELIAN_CORPUS = [
@@ -84,6 +92,27 @@ def check_kernel_matches_realization(group):
             assert elems[kernel.mul(i, j)] == group.mul(a, b)
 
 
+def check_conjugation_maps_and_orbits(group):
+    kernel = group.compiled
+    conjugations = kernel.conjugations
+    assert conjugations == brute_conjugations(kernel)
+    assert orbit_partition(kernel.order, conjugations) == set_orbit_partition(
+        kernel.order, conjugations
+    )
+    if isinstance(group, PermGroup):
+        assert orbit_partition(group.degree, group.generators) == set_orbit_partition(
+            group.degree, group.generators
+        )
+
+
+def check_class_wise_structure(group):
+    # d_min's d = 1 check and the Sylow p-elements read element orders once
+    # per class; the unpruned search and the lattice read every element
+    assert d_min_generators(group) == unpruned_d_min_generators(group)
+    for p, oracle in brute_largest_normal_p_subgroups(group).items():
+        assert set(largest_normal_p_subgroup(group, p).elements) == oracle
+
+
 def check_d_min_is_minimal(group):
     result = d_min_generators(group)
     assert result.exact
@@ -98,10 +127,10 @@ def check_d_min_is_minimal(group):
 @settings(max_examples=40, deadline=None)
 def test_kernel_and_classes_match_realization_on_random_perm_groups(group):
     check_kernel_matches_realization(group)
+    check_conjugation_maps_and_orbits(group)
     assert group.conjugacy_classes() == brute_conjugacy_classes(group)
     assert set(derived_subgroup(group).elements) == brute_derived_subgroup(group)
-    for p, oracle in brute_largest_normal_p_subgroups(group).items():
-        assert set(largest_normal_p_subgroup(group, p).elements) == oracle
+    check_class_wise_structure(group)
     check_d_min_is_minimal(group)
 
 
@@ -109,10 +138,10 @@ def test_kernel_and_classes_match_realization_on_gl_2_3():
     gl = general_linear_group(3, 2)
     assert gl.order == 48
     check_kernel_matches_realization(gl)
+    check_conjugation_maps_and_orbits(gl)
     assert gl.conjugacy_classes() == brute_conjugacy_classes(gl)
     assert set(derived_subgroup(gl).elements) == brute_derived_subgroup(gl)
-    for p, oracle in brute_largest_normal_p_subgroups(gl).items():
-        assert set(largest_normal_p_subgroup(gl, p).elements) == oracle
+    check_class_wise_structure(gl)
     check_d_min_is_minimal(gl)
 
 
@@ -127,6 +156,8 @@ def test_table_group_with_identity_away_from_zero():
     group = CayleyGroup(table)
     assert group.identity == 4
     check_kernel_matches_realization(group)
+    check_conjugation_maps_and_orbits(group)
+    check_class_wise_structure(group)
     assert group.conjugacy_classes() == brute_conjugacy_classes(group)
     derived = derived_subgroup(group)
     assert set(derived.elements) == brute_derived_subgroup(group)
@@ -135,6 +166,30 @@ def test_table_group_with_identity_away_from_zero():
     assert largest_normal_p_subgroup(group, 3).order == 3
     assert largest_normal_p_subgroup(group, 2).order == 1
     assert d_min_generators(group).value == 2
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [
+        lambda: cyclic_perm_group(12),
+        lambda: cyclic_group(9),
+        lambda: ProductGroup([cyclic_group(4), cyclic_group(3), cyclic_group(5)]),
+        lambda: PermGroup(5, [(1, 0, 3, 4, 2)]),
+        lambda: PermGroup(7, [(1, 0, 2, 3, 4, 5, 6), (0, 1, 3, 4, 5, 6, 2)]),
+    ],
+    ids=["c12-perm", "c9-table", "c4xc3xc5", "c6-one-generator", "c10-two-generators"],
+)
+def test_d_min_finds_the_first_element_of_full_order_on_cyclic_groups(factory):
+    # in an abelian group every element leads its class, so the class-wise
+    # d = 1 check reports the same least int of order |G| as a full scan
+    group = factory()
+    n = group.order
+    kernel = group.compiled
+    first = next(x for x in range(n) if kernel.element_order(x) == n)
+    result = d_min_generators(group)
+    assert result == unpruned_d_min_generators(group)
+    assert result.witness == (group.elements[first],)
+    check_conjugation_maps_and_orbits(group)
 
 
 def test_non_generating_cayley_group_is_rejected():
@@ -149,6 +204,22 @@ def test_non_generating_cayley_group_is_rejected():
     # <t> is not normal in Sym(3): no quotient of order 3 is built
     with pytest.raises(ValueError, match="do not generate"):
         quotient_group(only_t, subgroup_from_generators(only_t, [t]))
+
+
+def test_a_kernel_is_freed_without_the_cycle_collector():
+    # classes, d_min and Sylow read `kernel.compiled`; a kernel holding
+    # itself there would live until the cyclic garbage collector ran
+    kernel = symmetric_group(4).compiled
+    assert kernel.compiled is kernel
+    d_min_generators(kernel)
+    largest_normal_p_subgroup(kernel, 2)
+    ref = weakref.ref(kernel)
+    gc.disable()
+    try:
+        del kernel
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_from_action_checks_generation():

@@ -46,6 +46,20 @@ def test_compose_degree_mismatch():
         compose((1, 0), (1, 2, 0))
 
 
+@given(st.integers(0, 9).flatmap(lambda n: st.permutations(list(range(n)))), st.data())
+def test_compose_matches_the_image_table_at_every_degree(p, data):
+    # degrees 0 and 1 included: compose returns a tuple there too
+    n = len(p)
+    q = data.draw(st.permutations(list(range(n))))
+    for a, b in [(tuple(p), tuple(q)), (p, q)]:
+        product = compose(a, b)
+        assert type(product) is tuple
+        assert product == tuple(a[x] for x in b)
+    m = data.draw(st.integers(0, 9).filter(lambda m: m != n))
+    with pytest.raises(ValueError, match="degree mismatch"):
+        compose(tuple(p), tuple(range(m)))
+
+
 @given(perms, st.data())
 def test_compose_associative(p, data):
     n = len(p)

@@ -10,12 +10,13 @@ from genbound.presentations import (
     canonical_relator,
     cyclic_presentation,
     cyclic_root,
-    free_presentation,
     free_product,
     parse_word,
     presentation_from_words,
     render_word,
 )
+
+from helpers import free_presentation
 
 
 def test_parse_simple_power():

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genbound import subgroups
-from genbound.groups import PermGroup, closure, cyclic_group
+from genbound.groups import PermGroup, closure
 from genbound.subgroups import (
     SubgroupHandle,
     abelian_invariants,
@@ -12,7 +12,6 @@ from genbound.subgroups import (
     largest_normal_p_subgroup,
     orbits,
     quotient_group,
-    subgroup_from_generators,
     sylow_subgroup,
 )
 
@@ -24,11 +23,13 @@ from helpers import (
     centralizer_order_transitive,
     brute_derived_subgroup,
     brute_largest_normal_p_subgroups,
+    cyclic_group,
     cyclic_perm_group,
     dihedral_group,
     klein_group,
     quaternion_group,
     regular_perm_group,
+    subgroup_from_generators,
     symmetric_group,
     unpruned_d_min_generators,
 )
