@@ -30,7 +30,7 @@ from .bounds import (
     certify_formula,
 )
 from .groups import AffineSemidirect, FiniteGroup, MatrixGroup, PermGroup
-from .modules import ModuleAction, find_simple_module, is_irreducible
+from .modules import ModuleAction, cyclic_modules, find_simple_module, is_irreducible
 from .numtheory import (
     common_subset_sum,
     crt_solve,
@@ -100,27 +100,28 @@ def semidirect_target(
     factor_groups: Sequence[FiniteGroup] | None = None,
     p: int | None = None,
     residual_rank: int = 0,
+    module_dims: Sequence[int] | None = None,
+    r: int | None = None,
 ) -> tuple[SemidirectTarget, list[FormulaContribution]]:
-    """Build the target V^m : R from one irreducible module per factor.
+    """Build the target V^m : R from one module action per factor.
 
-    All modules must share the prime and be nontrivial and irreducible. Each
-    factor's action is block-embedded into dimension l = lcm of the module
-    dimensions (a direct sum of copies of its module), R is the matrix group
-    generated by all embedded actions, and the group is the semidirect
-    product of m copies of V with R acting diagonally. With no modules the
-    prime p must be given; then l = 1 and R is trivial.
+    All actions share the prime and are nontrivial. V = F_p^l with l the
+    lcm of the simple module dimensions, R is the matrix group the actions
+    on V generate, and the group is the semidirect product of m copies of V
+    with R acting diagonally. On the search path (r None) each module must
+    be irreducible, is block-embedded into V as a direct sum of copies, and
+    R is enumerated once for r. The closed form (`cyclic_modules`) passes
+    actions already on V, the dimensions of their simple summands and r.
+    With no modules the prime p must be given; then l = 1 and R is trivial.
 
     Per factor the conjugates of the embedding give the formula bound
-    h >= lm*log(p) / (lm*log(p) + log r); the embedded action having no
-    nonzero fixed vector is what pushes the centralizer into R, and is
-    checked here. When the factor groups are supplied and enumerable, the
-    absence of a nontrivial normal p-subgroup is checked too. A residual
-    elementary abelian p-group of rank `residual_rank` adds one
-    contribution of that weight.
-
-    R is enumerated once. With m None the least m certifying the
-    conclusion (one per module plus `residual_rank`) is chosen from its
-    order r.
+    h >= lm*log(p) / (lm*log(p) + log r); the action on V having no nonzero
+    fixed vector is what pushes the centralizer into R, and is checked
+    here. When the factor groups are supplied and enumerable, the absence
+    of a nontrivial normal p-subgroup is checked too. A residual elementary
+    abelian p-group of rank `residual_rank` adds one contribution of that
+    weight. With m None the least m certifying the conclusion (one per
+    module plus `residual_rank`) is chosen from r.
     """
     if p is None:
         if not modules:
@@ -130,31 +131,33 @@ def semidirect_target(
         raise ValueError("m must be >= 1")
     if any(mod.p != p for mod in modules):
         raise ValueError("modules must share one prime")
-    for mod in modules:
-        if not is_irreducible(mod):
-            raise ValueError("module is not irreducible")
+    if r is None:
+        for mod in modules:
+            if not is_irreducible(mod):
+                raise ValueError("module is not irreducible")
+        module_dims = [mod.dim for mod in modules]
     if factor_groups is not None:
         for g in factor_groups:
             if largest_normal_p_subgroup(g, p).order != 1:
                 raise ValueError(
                     f"factor {g.describe()} has a nontrivial normal {p}-subgroup"
                 )
-    l = lcm(*(mod.dim for mod in modules))
+    l = lcm(*module_dims)
     embedded_gens: list[linalg.Matrix] = []
     for mod in modules:
-        copies = l // mod.dim
-        mats = [_block_embed(a, copies) for a in mod.matrices]
+        mats = [_block_embed(a, l // mod.dim) for a in mod.matrices]
         if not linalg.has_no_joint_fixed_vector(mats, p):
             raise ValueError("embedded action has a nonzero fixed vector")
         embedded_gens.extend(mats)
     point_group = MatrixGroup(p, l, embedded_gens)
-    r = point_group.order
+    if r is None:
+        r = point_group.order
     if m is None:
         m = min_m_for_conclusion(len(modules) + residual_rank, p, l, r)
     group = AffineSemidirect(
         p, l * m, point_group, action=lambda a: _block_embed(a, m)
     )
-    target = SemidirectTarget(p, l, m, r, point_group, group, tuple(mod.dim for mod in modules))
+    target = SemidirectTarget(p, l, m, r, point_group, group, tuple(module_dims))
     contributions = [FormulaContribution(p, l, m, r) for _ in modules]
     if residual_rank:
         contributions.append(FormulaContribution(p, l, m, r, weight=residual_rank))
@@ -209,8 +212,9 @@ def metabelian_target(primes: Sequence[int], m: int | None = None) -> Metabelian
     """Target for cyclic factors of distinct prime orders.
 
     With k the product of the orders, the least prime p = 1 (mod k) makes
-    every factor embed in the units of F_p as a one-dimensional module; the
-    resulting target is an extension of an elementary abelian group by an
+    every factor embed in the units of F_p as a one-dimensional module: the
+    closed form of `cyclic_modules` with l = 1 and r = k. The resulting
+    target is an extension of an elementary abelian group by an
     abelian one, hence metabelian (checked explicitly for small orders).
     The certificate concludes n once p^m > r^(n-1).
     """
@@ -222,15 +226,9 @@ def metabelian_target(primes: Sequence[int], m: int | None = None) -> Metabelian
     for q in primes:
         if not is_prime(q):
             raise ValueError(f"{q} is not prime")
-    k = prod(primes)
-    p = dirichlet_prime(1, k)
-    modules = [
-        ModuleAction(p, 1, (((unit_of_order(p, q),),),), cyclic_presentation(q))
-        for q in primes
-    ]
-    target, contributions = semidirect_target(modules, m)
-    if target.r != k:
-        raise AssertionError(f"unit subgroup has order {target.r}, expected {k}")
+    p = dirichlet_prime(1, prod(primes))
+    modules, dims, r = cyclic_modules([cyclic_presentation(q) for q in primes], p)
+    target, contributions = semidirect_target(modules, m, module_dims=dims, r=r)
     certificate = certify_formula(
         [f"C{q}" for q in primes],
         target.describe(),
@@ -330,23 +328,26 @@ def abelianization_split(
             raise AssertionError("reduced factor order does not divide the original")
         reduced.append(h_i)
         reduced_names.append(f"{names[i]}/O_{p}")
-    modules: list[ModuleAction] = []
-    missing: list[str] = []
-    for name, h_i in zip(reduced_names, reduced):
-        search = find_simple_module(h_i, p, d_max)
-        if search.found is None:
-            missing.append(name)
-        else:
-            modules.append(search.found)
     residual_name = f"C{p}^{residual_rank}"
     all_names = reduced_names + [residual_name]
-    if missing:
-        return SplitBound(
-            s_prime, p, t, n, tuple(all_names), residual_rank,
-            tuple(modules), None, None, True, tuple(missing),
-        )
+    closed = cyclic_modules(reduced, p)
+    if closed is None:
+        modules, missing = [], []
+        for name, h_i in zip(reduced_names, reduced):
+            search = find_simple_module(h_i, p, d_max)
+            if search.found is None:
+                missing.append(name)
+            else:
+                modules.append(search.found)
+        if missing:
+            return SplitBound(
+                s_prime, p, t, n, tuple(all_names), residual_rank,
+                tuple(modules), None, None, True, tuple(missing),
+            )
+        closed = modules, None, None
+    modules, dims, r = closed
     target, contributions = semidirect_target(
-        modules, m, p=p, residual_rank=residual_rank
+        modules, m, p=p, residual_rank=residual_rank, module_dims=dims, r=r
     )
     certificate = certify_formula(all_names, target.describe(), target.order, contributions)
     return SplitBound(

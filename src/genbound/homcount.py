@@ -205,7 +205,10 @@ class _BacktrackSearch:
             images[gen] = None
             return False
 
-        descend(0)
+        try:
+            descend(0)
+        finally:
+            del descend  # it holds itself: free it, and the target, now
         return count
 
 

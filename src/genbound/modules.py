@@ -1,12 +1,14 @@
-"""Module actions over prime fields: irreducibility by spinning, and bounded
-search for nontrivial irreducible actions of a given finite source.
+"""Module actions over prime fields: irreducibility by spinning, bounded
+search for nontrivial irreducible actions of a given finite source, and
+closed-form actions of cyclic sources by roots of unity in F_(p^l).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd, lcm, prod
+from typing import Sequence
 
 from . import linalg
 from .groups import FiniteGroup, MatrixGroup
@@ -17,10 +19,19 @@ from .homcount import (
     evaluate_word,
     group_presentation,
 )
-from .numtheory import is_prime, least_primitive_root
+from .numtheory import (
+    factorize,
+    irreducible_polynomial,
+    is_prime,
+    least_primitive_root,
+    multiplicative_order,
+    poly_mulmod,
+    root_of_unity,
+)
 from .presentations import Presentation
 
 SPACE_CAP = 10**5
+CLOSED_FORM_DEGREE_CAP = 64  # l for cyclic_modules: l x l matrices, fields of p^l
 DEFAULT_GL_ORDER_CAP = 25_000
 
 
@@ -179,3 +190,51 @@ def _first_irreducible(source: Presentation, gl: MatrixGroup) -> ModuleAction | 
 
     _BacktrackSearch(source, gl, DEFAULT_NODE_BUDGET).run(irreducible)
     return found
+
+
+def cyclic_modules(
+    sources: Sequence[Presentation | FiniteGroup], p: int
+) -> tuple[list[ModuleAction], list[int], int] | None:
+    """Closed-form actions of cyclic sources over F_p: (the actions on
+    V = F_p^l, the dimensions of their simple summands, r = |R|), or None
+    unless every source has one generator and a finite order m_i.
+
+    Source i acts through e_i, the prime q | m_i, q != p, least in
+    (ord_q(p), q); if m_i is a power of p there is none, an error. With
+    E = lcm(e_i) and l = ord_E(p), V = F_p[x]/(f) = F_(p^l) for the first f
+    passing Rabin's test, and source i acts as multiplication by a root of
+    unity zeta_i of order e_i. Its simple summand F_p[zeta_i] has the
+    degree of zeta_i's minimal polynomial, ord_(e_i)(p) (Lidl and
+    Niederreiter, Finite Fields, 2.47), the least dimension of a nontrivial
+    irreducible action of C_(m_i); the action on V is reducible when that
+    is below l. R = <zeta_i> is cyclic of order E: nothing is searched or
+    enumerated. Each distinct source is built once.
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if not sources or any(len(s.generators) != 1 for s in sources):
+        return None
+    sources = [group_presentation(s) if isinstance(s, FiniteGroup) else s for s in sources]
+    exponents: dict[Presentation, int] = {}
+    for pres in sources:
+        if pres not in exponents:
+            if not (m := _single_generator_order_bound(pres, 0)):
+                return None
+            if not (primes := [q for q, _ in factorize(m) if q != p]):
+                raise ValueError(
+                    f"{pres.describe()} has no nontrivial irreducible action over "
+                    f"F_{p}: its order {m} is a power of {p}"
+                )
+            exponents[pres] = min(primes, key=lambda q: (multiplicative_order(p, q), q))
+    r = lcm(*exponents.values())
+    l = multiplicative_order(p, r)
+    if l > CLOSED_FORM_DEGREE_CAP:
+        raise ValueError(f"field degree {l} = ord_{r}({p}) exceeds cap {CLOSED_FORM_DEGREE_CAP}")
+    f = irreducible_polynomial(p, l)
+    actions = {}
+    for pres, e in exponents.items():
+        zeta = root_of_unity(f, p, e)
+        columns = [poly_mulmod(zeta, [0] * j + [1], f, p) for j in range(l)]
+        actions[pres] = ModuleAction(p, l, (tuple(zip(*columns)),), pres)
+    dims = [multiplicative_order(p, exponents[pres]) for pres in sources]
+    return [actions[pres] for pres in sources], dims, r

@@ -1,6 +1,6 @@
 """Desk-scale number theory: trial-division primality, primes in arithmetic
-progressions, CRT, primitive roots, and common subset sums with
-decomposition recovery.
+progressions, CRT, primitive roots, common subset sums with decomposition
+recovery, and the finite fields F_p[x]/(f) with f found by Rabin's test.
 """
 
 from __future__ import annotations
@@ -63,11 +63,11 @@ def first_odd_primes(n: int) -> list[int]:
 def multiplicative_order(a: int, modulus: int) -> int:
     if gcd(a, modulus) != 1:
         raise ValueError(f"{a} is not a unit mod {modulus}")
-    order = 1
-    x = a % modulus
-    while x != 1:
-        x = (x * a) % modulus
-        order += 1
+    # the order divides phi(modulus): drop each prime while the power stays 1
+    order = prod((q - 1) * q ** (e - 1) for q, e in factorize(modulus))
+    for q, _ in factorize(order):
+        while order % q == 0 and pow(a, order // q, modulus) == 1:
+            order //= q
     return order
 
 
@@ -95,21 +95,27 @@ def unit_of_order(p: int, order: int) -> int:
     return u
 
 
-def dirichlet_prime(a: int, modulus: int, cap: int = 10**6) -> int:
-    """Least prime congruent to a mod modulus, scanning up to cap."""
+# candidates a + j*modulus that `dirichlet_prime` tests before giving up
+DIRICHLET_CANDIDATE_CAP = 10**4
+
+
+def dirichlet_prime(a: int, modulus: int, cap: int | None = None) -> int:
+    """Least prime congruent to a mod modulus among the first `cap`
+    candidates of the progression (default DIRICHLET_CANDIDATE_CAP)."""
     if modulus < 1:
         raise ValueError("modulus must be positive")
     if gcd(a, modulus) != 1:
         raise ValueError(f"gcd({a}, {modulus}) != 1: progression holds no primes")
+    cap = DIRICHLET_CANDIDATE_CAP if cap is None else cap
     x = a % modulus
     while x < 2:
         x += modulus
-    while x <= cap:
+    for _ in range(cap):
         if is_prime(x):
             return x
         x += modulus
     raise SearchCapError(
-        f"no prime = {a} (mod {modulus}) found up to {cap}"
+        f"no prime = {a} (mod {modulus}) among the first {cap} candidates"
     )
 
 
@@ -208,3 +214,86 @@ def common_subset_sum(
         for values, prefixes in zip(ordered, all_prefixes)
     ]
     return k, decomps
+
+
+# -- F_p[x]/(f): polynomials as coefficient lists, constant term first -------
+
+
+def _digits(t: int, p: int, n: int) -> list[int]:
+    return [t // p**i % p for i in range(n)]
+
+
+def poly_mulmod(a: Sequence[int], b: Sequence[int], f: Sequence[int], p: int) -> list[int]:
+    """a*b modulo the monic f of degree n, as n coefficients."""
+    n = len(f) - 1
+    out = [0] * (len(a) + len(b) + n)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    for k in range(len(out) - 1, n - 1, -1):
+        if c := out[k] % p:
+            for j in range(n):
+                out[k - n + j] -= c * f[j]
+    return [x % p for x in out[:n]]
+
+
+def _poly_powmod(a: list[int], e: int, f: Sequence[int], p: int) -> list[int]:
+    result = _digits(1, p, len(f) - 1)
+    for bit in bin(e)[2:]:
+        result = poly_mulmod(result, result, f, p)
+        if bit == "1":
+            result = poly_mulmod(result, a, f, p)
+    return result
+
+
+def _poly_gcd_degree(a: Sequence[int], b: Sequence[int], p: int) -> int:
+    """Degree of gcd(a, b) over F_p by Euclid's algorithm (b nonzero)."""
+    a, b = list(a), list(b)
+    while any(b):
+        while not b[-1]:
+            b.pop()
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):  # a := a mod b, one top coefficient a round
+            c = a.pop() * inv % p
+            for j, y in enumerate(b[:-1], len(a) - len(b) + 1):
+                a[j] = (a[j] - c * y) % p
+        a, b = b, a
+    return len(a) - 1
+
+
+def is_irreducible_poly(f: Sequence[int], p: int) -> bool:
+    """Rabin's test (Probabilistic algorithms in finite fields, 1980): the
+    monic f of degree n >= 1 is irreducible over F_p iff x^(p^n) = x mod f
+    and gcd(x^(p^(n/q)) - x, f) = 1 for every prime q | n. The gcd is taken
+    at every k <= n/2, covering each n/q, so a factor of small degree d
+    (which divides x^(p^d) - x) rejects f after d steps."""
+    n = len(f) - 1
+    x = y = poly_mulmod([0, 1], [1], f, p)
+    for k in range(1, n + 1):
+        y = _poly_powmod(y, p, f, p)  # x^(p^k) mod f
+        if 2 * k <= n and _poly_gcd_degree([(a - b) % p for a, b in zip(y, x)], f, p):
+            return False
+    return y == x
+
+
+def irreducible_polynomial(p: int, n: int) -> list[int]:
+    """The first monic degree-n polynomial over F_p that passes Rabin's
+    test, its lower coefficients the base-p digits of 0, 1, 2, ..."""
+    return next(f for t in range(p**n) if is_irreducible_poly(f := _digits(t, p, n) + [1], p))
+
+
+def root_of_unity(f: Sequence[int], p: int, e: int) -> list[int]:
+    """The first zeta = gamma^((p^n - 1)/e) of exact order e in the field
+    F_p[x]/(f), f irreducible of degree n, for gamma the base-p digits of
+    1, 2, ...: zeta^e = 1 holds in the field, and zeta^(e/q) != 1 is
+    checked for each prime q | e."""
+    n, size = len(f) - 1, p ** (len(f) - 1)
+    if (size - 1) % e:
+        raise ValueError(f"{e} does not divide {p}^{n} - 1")
+    one, prime_divisors = _digits(1, p, n), [q for q, _ in factorize(e)]
+    for t in range(1, size):
+        zeta = _poly_powmod(_digits(t, p, n), (size - 1) // e, f, p)
+        if all(_poly_powmod(zeta, e // q, f, p) != one for q in prime_divisors):
+            return zeta
+    raise AssertionError("the unit group of a finite field is cyclic")

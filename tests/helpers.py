@@ -429,6 +429,21 @@ def brute_is_irreducible(p: int, dim: int, matrices) -> bool:
     return True
 
 
+def brute_reducible_polynomials(p: int, n: int) -> set[tuple[int, ...]]:
+    """Every monic degree-n polynomial over F_p (coefficients constant term
+    first) that is the product of two monic ones of positive degree."""
+    out = set()
+    for d in range(1, n // 2 + 1):
+        for g in itertools.product(range(p), repeat=d):
+            for h in itertools.product(range(p), repeat=n - d):
+                product = [0] * (n + 1)
+                for i, x in enumerate(g + (1,)):
+                    for j, y in enumerate(h + (1,)):
+                        product[i + j] = (product[i + j] + x * y) % p
+                out.add(tuple(product))
+    return out
+
+
 def brute_common_subset_sum(sets, cap):
     """Minimal common sum of distinct elements, by explicit powerset search."""
     achievable = []

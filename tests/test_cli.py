@@ -316,23 +316,33 @@ def test_presentation_where_group_expected(files, capsys):
 
 
 def test_construct_thm1_searches_repeated_factors_once(files, capsys, monkeypatch):
+    # cyclic factors take the closed form, which builds each distinct
+    # factor's action once
     import genbound.cli as cli
+    import genbound.modules as modules
 
-    calls = []
-    search = cli.find_simple_module
+    entries, built = [], []
+    closed_form = cli.cyclic_modules
+    post_init = modules.ModuleAction.__post_init__
 
-    def counted(factor, *args):
-        calls.append(factor)
-        return search(factor, *args)
+    def counted_entry(factors, p):
+        entries.append([f.name for f in factors])
+        return closed_form(factors, p)
 
-    monkeypatch.setattr(cli, "find_simple_module", counted)
+    def counted_build(action):
+        built.append(action.source.name)
+        post_init(action)
+
+    monkeypatch.setattr(cli, "cyclic_modules", counted_entry)
+    monkeypatch.setattr(modules.ModuleAction, "__post_init__", counted_build)
     status, out, _ = run(
         ["construct-thm1", "--factors", files["c3.pres"], files["c2.pres"], files["c3.pres"],
          "--prime", "7", "--json", "--reproducible"],
         capsys,
     )
     assert status == 0
-    assert [f.name for f in calls] == ["C3", "C2"]
+    assert entries == [["C3", "C2", "C3"]]
+    assert built == ["C3", "C2"]
     assert json.loads(out)["construction"]["module_dims"] == [1, 1, 1]
 
 
@@ -347,10 +357,86 @@ def test_construct_thm1_builds_r_once(files, capsys, r_builds):
     assert len(r_builds) == 1
 
 
-def test_search_cap_is_one_error_line(capsys):
-    # the least prime = 1 (mod 2*3*...*19 = 9699690) lies past the scan's cap
+def test_search_cap_is_one_error_line(capsys, monkeypatch):
+    # the least prime = 1 (mod 2*3*...*19 = 9699690) is the 11th candidate
+    # of its progression, past a cap of 10 candidates
+    import genbound.numtheory as numtheory
+
+    monkeypatch.setattr(numtheory, "DIRICHLET_CANDIDATE_CAP", 10)
     status, out, err = run(["construct-solsol", "--primes", "2,3,5,7,11,13,17,19"], capsys)
     assert status == 1
     assert out == ""
     assert err.startswith("error: no prime = 1 (mod 9699690)")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# -- paper-scale cyclic factors: closed-form modules, R never enumerated -------
+
+
+@pytest.fixture
+def r_unenumerated(monkeypatch):
+    """Fails any enumeration of a point group R that `genbound.constructions` builds."""
+    import genbound.constructions as constructions
+
+    class Unenumerated(constructions.MatrixGroup):
+        def _generate(self, out):
+            raise AssertionError("R was enumerated")
+
+    monkeypatch.setattr(constructions, "MatrixGroup", Unenumerated)
+
+
+def _cyclic_files(tmp_path, *orders):
+    paths = []
+    for m in orders:
+        path = tmp_path / f"c{m}.json"
+        path.write_text(json.dumps(
+            {"type": "presentation", "generators": ["a"], "relators": [f"a^{m}"], "name": f"C{m}"}
+        ))
+        paths.append(str(path))
+    return paths
+
+
+def test_construct_thm1_c5_c7_over_f2(capsys, tmp_path, r_unenumerated):
+    report = tmp_path / "thm1.json"
+    status, _, _ = run(
+        ["construct-thm1", "--factors", *_cyclic_files(tmp_path, 5, 7), "--prime", "2",
+         "--json", "--reproducible", "--output", str(report)],
+        capsys,
+    )
+    assert status == 0
+    doc = json.loads(report.read_text())
+    assert doc["construction"] == {"p": "2", "l": "12", "m": "1", "r": "35", "module_dims": [4, 3]}
+    assert doc["target_order"] == "143360"  # 2^12 * 35
+    status, out, _ = run(["verify", "--certificate", str(report), "--json", "--reproducible"], capsys)
+    assert status == 0
+    assert json.loads(out) == {"command": "verify", "valid": True, "conclusion": 2}
+
+
+def test_construct_thm1_c11_c31_over_f2(capsys, tmp_path, r_unenumerated):
+    status, out, _ = run(
+        ["construct-thm1", "--factors", *_cyclic_files(tmp_path, 11, 31), "--prime", "2",
+         "--json", "--reproducible"],
+        capsys,
+    )
+    assert status == 0
+    construction = json.loads(out)["construction"]
+    assert construction == {"p": "2", "l": "10", "m": "1", "r": "341", "module_dims": [10, 5]}
+
+
+def test_construct_thm1_p_power_factor_is_one_error_line(capsys, tmp_path):
+    status, out, err = run(
+        ["construct-thm1", "--factors", *_cyclic_files(tmp_path, 8, 7), "--prime", "2"], capsys
+    )
+    assert status == 1 and out == ""
+    assert err == "error: C8 has no nontrivial irreducible action over F_2: its order 8 is a power of 2\n"
+
+
+def test_construct_solsol_eight_primes(capsys, r_unenumerated):
+    status, out, _ = run(
+        ["construct-solsol", "--primes", "2,3,5,7,11,13,17,19", "--json", "--reproducible"], capsys
+    )
+    assert status == 0
+    doc = json.loads(out)
+    assert doc["dirichlet_prime"] == "106696591"
+    assert doc["construction"] == {"p": "106696591", "l": "1", "m": "7", "r": "9699690"}
+    assert doc["certificate"]["conclusion"] == 8

@@ -548,3 +548,26 @@ def test_reduced_count_matches_enumeration(source_and_target):
             for images in itertools.product(target.elements, repeat=k)
         )
         assert brute == len(homs)
+
+
+@pytest.mark.parametrize(
+    "generators,relators", [(["a"], ["a^2"]), (["a", "b"], ["a^2", "b^3", "(a*b)^4"])]
+)
+def test_search_frees_the_target_without_the_cycle_collector(generators, relators):
+    # the recursive search closure must not keep the target alive in a cycle
+    import gc
+    import weakref
+
+    pres = presentation_from_words(generators, relators)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for search in (count_homs, enumerate_homs):
+            target = PermGroup(4, [(1, 2, 3, 0), (1, 0, 2, 3)])
+            alive = weakref.ref(target)
+            search(pres, target)
+            del target
+            assert alive() is None, search.__name__
+    finally:
+        if enabled:
+            gc.enable()

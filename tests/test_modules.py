@@ -1,4 +1,5 @@
 import itertools
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -16,16 +17,25 @@ from genbound.linalg import (
 )
 from genbound.modules import (
     ModuleAction,
+    cyclic_modules,
     find_simple_module,
     general_linear_group,
     general_linear_order,
     is_irreducible,
+)
+from genbound.numtheory import (
+    irreducible_polynomial,
+    is_irreducible_poly,
+    poly_mulmod,
+    root_of_unity,
 )
 from genbound.presentations import cyclic_presentation, presentation_from_words
 
 from helpers import (
     alternating_group_5,
     brute_is_irreducible,
+    cyclic_perm_group,
+    brute_reducible_polynomials,
     eager_find_simple_module,
     klein_group,
     symmetric_group,
@@ -252,3 +262,92 @@ def test_generator_without_order_bound_blocks_the_coprime_skip():
     free_and_c13 = presentation_from_words(("a", "b"), ("a^13",))
     search = find_simple_module(free_and_c13, 2, 2)
     assert search.found is not None and search.found.matrices[0] == ((1, 0), (0, 1))
+
+
+# -- closed-form modules of cyclic sources ------------------------------------
+
+
+def _powers(p: int, bound: int) -> set[int]:
+    return {p**a for a in range(bound.bit_length()) if p**a <= bound}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_closed_form_matches_the_module_search(p):
+    # where the GL(d, p) search finds a module of C_m in dimension <= 3, the
+    # closed-form summand has that dimension and is irreducible; where it
+    # finds none, the closed form's dimension is one it did not search
+    for m in sorted(set(range(2, 61)) - _powers(p, 60)):
+        p_free = m // max(q for q in _powers(p, m) if m % q == 0)
+        if all(gcd(p_free, general_linear_order(p, d)) == 1 for d in (1, 2, 3)):
+            # every image is a p-element, and a cyclic p-group fixes a
+            # nonzero vector: the search, which would read all of each
+            # GL(d, p) that shares a factor with m, can find no module
+            continue
+        search = find_simple_module(cyclic_presentation(m), p, 3)
+        (action,), (dim,), r = cyclic_modules([cyclic_presentation(m)], p)
+        assert action.dim == dim and m % r == 0, m  # one factor: l is its own dimension
+        if search.found is None:
+            assert dim not in search.searched_dims, m
+        else:
+            assert dim == search.found.dim, m
+            assert is_irreducible(action), m
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_closed_form_rejects_orders_that_are_powers_of_p(p):
+    for m in sorted(_powers(p, 60)):
+        with pytest.raises(ValueError, match=f"its order {m} is a power of {p}"):
+            cyclic_modules([cyclic_presentation(m)], p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rabin_test_matches_brute_force_factorisation(p):
+    for n in range(1, 5):
+        reducible = brute_reducible_polynomials(p, n)
+        for lower in itertools.product(range(p), repeat=n):
+            f = lower + (1,)
+            assert is_irreducible_poly(f, p) == (f not in reducible), f
+        first = irreducible_polynomial(p, n)
+        assert tuple(first) not in reducible
+
+
+def test_roots_of_unity_have_exact_order():
+    f = irreducible_polynomial(2, 12)  # F_4096: its units have order 4095 = 3^2 * 5 * 7 * 13
+    one = [1] + [0] * 11
+    for e in (3, 5, 7, 9, 13, 35, 4095):
+        zeta = root_of_unity(f, 2, e)
+        powers = [one]
+        for _ in range(e):
+            powers.append(poly_mulmod(powers[-1], zeta, f, 2))
+        assert powers[e] == one and one not in powers[1:e]
+    with pytest.raises(ValueError, match="divide"):
+        root_of_unity(f, 2, 11)
+
+
+def test_closed_form_for_several_factors_shares_one_field():
+    sources = [cyclic_presentation(5), cyclic_presentation(7), cyclic_presentation(5)]
+    actions, dims, r = cyclic_modules(sources, 2)
+    assert dims == [4, 3, 4] and r == 35
+    assert all(action.dim == 12 for action in actions)  # l = ord_35(2)
+    assert actions[0] is actions[2]
+    # the action on F_2^12 is a sum of simple summands, not itself simple
+    assert not is_irreducible(actions[0])
+
+
+def test_closed_form_needs_cyclic_sources():
+    assert cyclic_modules([], 2) is None
+    assert cyclic_modules([symmetric_group(3)], 5) is None
+    assert cyclic_modules([presentation_from_words(("a",), ())], 5) is None  # infinite cyclic
+    _, dims, r = cyclic_modules([cyclic_perm_group(3)], 2)
+    assert dims == [2] and r == 3
+    with pytest.raises(ValueError, match="not prime"):
+        cyclic_modules([C3], 4)
+
+
+def test_closed_form_caps_the_field_degree():
+    # ord_131(2) = 130: a field of degree 130 is refused before it is built
+    with pytest.raises(ValueError, match="field degree 130 = ord_131"):
+        cyclic_modules([cyclic_presentation(131)], 2)
+    # a prime order near 10^9 is refused as fast
+    with pytest.raises(ValueError, match="exceeds cap"):
+        cyclic_modules([cyclic_presentation(1_000_000_007)], 2)

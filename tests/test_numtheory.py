@@ -46,8 +46,10 @@ def test_dirichlet_prime_examples():
 
 
 def test_dirichlet_prime_cap_and_gcd():
-    with pytest.raises(SearchCapError):
-        dirichlet_prime(1, 6, cap=6)
+    # the cap counts candidates: 16 is composite, 31 the second candidate
+    with pytest.raises(SearchCapError, match="first 1 candidates"):
+        dirichlet_prime(1, 15, cap=1)
+    assert dirichlet_prime(1, 15, cap=2) == 31
     with pytest.raises(ValueError, match="gcd"):
         dirichlet_prime(3, 6)
 
@@ -104,6 +106,17 @@ def test_primitive_roots():
     assert least_primitive_root(7) == 3
     assert least_primitive_root(31) == 3
     assert multiplicative_order(3, 7) == 6
+
+
+def test_multiplicative_order_matches_repeated_multiplication():
+    for modulus in range(1, 120):
+        for a in range(1, modulus + 1):
+            if gcd(a, modulus) != 1:
+                continue
+            order, x = 1, a % modulus
+            while x != 1 % modulus:
+                x, order = x * a % modulus, order + 1
+            assert multiplicative_order(a, modulus) == order, (a, modulus)
     assert unit_of_order(7, 2) == 6
     assert unit_of_order(7, 3) == 2
     with pytest.raises(ValueError):
