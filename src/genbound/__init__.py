@@ -10,7 +10,6 @@ from .bounds import (
     EmbeddingContribution,
     ExactContribution,
     FormulaContribution,
-    best_bound,
     certificate_from_doc,
     certificate_to_doc,
     check_certificate,
@@ -43,7 +42,6 @@ from .groups import (
     PermGroup,
     ProductGroup,
     closure,
-    power_group,
 )
 from .homcount import (
     HomCountResult,
@@ -51,10 +49,8 @@ from .homcount import (
     WitnessQuotient,
     WitnessWidthError,
     count_homs,
-    count_homs_cyclic,
     enumerate_homs,
     evaluate_word,
-    free_product_count,
     group_presentation,
     witness_quotient,
 )

@@ -11,12 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from math import factorial, prod
 from typing import Sequence
 
-from .groups import ClosureOverflowError, FiniteGroup
-from .homcount import HomCountResult, HomSearchBudgetError, count_homs
+from .groups import FiniteGroup
+from .homcount import HomCountResult, count_homs
 from .presentations import Presentation
 
 PROOF_EXACT = "exact-count"
@@ -176,32 +175,19 @@ def certify_exact_counts(
 
 
 def lower_bound_explicit(
-    factors: Sequence[Presentation],
-    target: FiniteGroup,
-    target_name: str = "",
-    factor_d_values: Sequence[int] | None = None,
+    factors: Sequence[Presentation], target: FiniteGroup
 ) -> BoundCertificate:
     """Certificate from exact per-factor homomorphism counts.
 
     The conclusion c is certified by the big-integer inequality
-    (product of counts) > |target|^(c-1). When the factors' own minimal
-    generator numbers are supplied, the conclusion is checked against
-    their sum (it can never exceed it).
+    (product of counts) > |target|^(c-1).
     """
     if not factors:
         raise ValueError("need at least one factor")
     results = [count_homs(f, target) for f in factors]
-    cert = certify_exact_counts(
-        [f.describe() for f in factors],
-        target_name or target.describe(),
-        results,
+    return certify_exact_counts(
+        [f.describe() for f in factors], target.describe(), results
     )
-    if factor_d_values is not None and cert.conclusion > sum(factor_d_values):
-        raise CertificateError(
-            f"conclusion {cert.conclusion} exceeds the generator-sum ceiling "
-            f"{sum(factor_d_values)}"
-        )
-    return cert
 
 
 def power_conclusion(
@@ -414,65 +400,4 @@ def certificate_from_doc(doc: dict) -> BoundCertificate:
         conclusion=_field(doc, "conclusion", "certificate", int),
         proof_kind=_field(doc, "proof_kind", "certificate"),
         conditional=_field({"conditional": False, **doc}, "conditional", "certificate", bool),
-    )
-
-
-# -- target sweeps -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BestBoundResult:
-    certificate: BoundCertificate
-    candidates: tuple[BoundCertificate, ...]
-    failures: tuple[str, ...] = ()
-
-
-def _margin_cmp(a: BoundCertificate, b: BoundCertificate) -> int:
-    """Exact comparison of certified margins lhs/rhs (cross-multiplied)."""
-    left = a.comparison.lhs * max(b.comparison.rhs, 1)
-    right = b.comparison.lhs * max(a.comparison.rhs, 1)
-    return (left > right) - (left < right)
-
-
-def best_bound(
-    factors: Sequence[Presentation],
-    target_library: Sequence[FiniteGroup],
-    target_names: Sequence[str] | None = None,
-) -> BestBoundResult:
-    """Sweep a target library and keep the best certificate.
-
-    Ranked by conclusion, ties broken by the larger exact certified margin
-    and then by library position. Targets must be nontrivial. All candidate
-    certificates are recorded, and so are targets whose search ran out of
-    budget (node budget or element cap); any other error propagates.
-    """
-    if not target_library:
-        raise ValueError("target library is empty")
-    if any(t.order < 2 for t in target_library):
-        raise ValueError("library targets must be nontrivial")
-    names = list(target_names) if target_names else [t.describe() for t in target_library]
-    candidates: list[BoundCertificate] = []
-    failures: list[str] = []
-    for name, target in zip(names, target_library):
-        try:
-            candidates.append(lower_bound_explicit(factors, target, target_name=name))
-        except (HomSearchBudgetError, ClosureOverflowError) as exc:
-            failures.append(f"{name}: {exc}")
-    if not candidates:
-        raise RuntimeError("all candidate targets failed: " + "; ".join(failures))
-    ranked = sorted(
-        range(len(candidates)),
-        key=cmp_to_key(
-            lambda i, j: (
-                (candidates[i].conclusion - candidates[j].conclusion)
-                or _margin_cmp(candidates[i], candidates[j])
-                or (j - i)
-            )
-        ),
-        reverse=True,
-    )
-    return BestBoundResult(
-        certificate=candidates[ranked[0]],
-        candidates=tuple(candidates),
-        failures=tuple(failures),
     )

@@ -97,7 +97,6 @@ def _block_embed(matrix: linalg.Matrix, copies: int) -> linalg.Matrix:
 def semidirect_target(
     modules: Sequence[ModuleAction],
     m: int | None = None,
-    factor_groups: Sequence[FiniteGroup] | None = None,
     p: int | None = None,
     residual_rank: int = 0,
     module_dims: Sequence[int] | None = None,
@@ -117,8 +116,8 @@ def semidirect_target(
     Per factor the conjugates of the embedding give the formula bound
     h >= lm*log(p) / (lm*log(p) + log r); the action on V having no nonzero
     fixed vector is what pushes the centralizer into R, and is checked
-    here. When the factor groups are supplied and enumerable, the absence
-    of a nontrivial normal p-subgroup is checked too. A residual elementary
+    here; the absence of a nontrivial normal p-subgroup in each factor is
+    the caller's to check (`abelianization_split` does). A residual elementary
     abelian p-group of rank `residual_rank` adds one contribution of that
     weight. With m None the least m certifying the conclusion (one per
     module plus `residual_rank`) is chosen from r.
@@ -136,12 +135,6 @@ def semidirect_target(
             if not is_irreducible(mod):
                 raise ValueError("module is not irreducible")
         module_dims = [mod.dim for mod in modules]
-    if factor_groups is not None:
-        for g in factor_groups:
-            if largest_normal_p_subgroup(g, p).order != 1:
-                raise ValueError(
-                    f"factor {g.describe()} has a nontrivial normal {p}-subgroup"
-                )
     l = lcm(*module_dims)
     embedded_gens: list[linalg.Matrix] = []
     for mod in modules:
@@ -276,7 +269,7 @@ class SplitBound:
 
 
 def abelianization_split(
-    factor_groups: Sequence[FiniteGroup],
+    factors: Sequence[FiniteGroup],
     factor_names: Sequence[str] | None = None,
     d_max: int = 4,
     m: int | None = None,
@@ -290,7 +283,7 @@ def abelianization_split(
     rest (replaced by one elementary abelian p-group of rank s'+n-t-1).
     The conclusion s'+n-1 is certified by p^(lm) > r^(s'+n-2).
     """
-    groups = list(factor_groups)
+    groups = list(factors)
     if not groups:
         raise ValueError("need at least one factor")
     names = list(factor_names) if factor_names else [g.describe() for g in groups]

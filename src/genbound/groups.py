@@ -289,7 +289,7 @@ class CayleyGroup(FiniteGroup):
     """The integer kernel: a group on 0..n-1 held as the right action of its
     generators (right[j][i] is i * generators[j]). A BFS over the action
     gives every element a word; a * b walks b's word from a. Built from a
-    multiplication table, kept with its inverses for lookups, or by
+    multiplication table, validated and kept with its inverses for lookups, or by
     `from_action`.
     """
 
@@ -301,7 +301,6 @@ class CayleyGroup(FiniteGroup):
         self,
         table: Sequence[Sequence[int]],
         generators: Sequence[int] | None = None,
-        check: bool = True,
     ):
         n = len(table)
         table = tuple(tuple(row) for row in table)
@@ -316,15 +315,14 @@ class CayleyGroup(FiniteGroup):
         for a, b in enumerate(inv):
             if b is None or table[b][a] != e:
                 raise ValueError(f"element {a} has no two-sided inverse")
-        if check:
-            for a in range(n):
-                col = sorted(table[x][a] for x in range(n))
-                if sorted(table[a]) != list(range(n)) or col != list(range(n)):
-                    raise ValueError(f"row/column of {a} is not a bijection")
-            small = range(n if n <= self.FULL_ASSOCIATIVITY_LIMIT else min(n, 16))
-            for a, b, c in itertools.product(small, range(n), small):
-                if table[table[a][b]][c] != table[a][table[b][c]]:
-                    raise ValueError(f"table is not associative at ({a},{b},{c})")
+        for a in range(n):
+            col = sorted(table[x][a] for x in range(n))
+            if sorted(table[a]) != list(range(n)) or col != list(range(n)):
+                raise ValueError(f"row/column of {a} is not a bijection")
+        small = range(n if n <= self.FULL_ASSOCIATIVITY_LIMIT else min(n, 16))
+        for a, b, c in itertools.product(small, range(n), small):
+            if table[table[a][b]][c] != table[a][table[b][c]]:
+                raise ValueError(f"table is not associative at ({a},{b},{c})")
         self._table = table
         self._inv = tuple(inv)
         self._identity = e
@@ -602,10 +600,6 @@ class ProductGroup(FiniteGroup):
 
     def describe(self) -> str:
         return "product(" + ", ".join(f.describe() for f in self.factors) + ")"
-
-
-def power_group(base: FiniteGroup, n: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> ProductGroup:
-    return ProductGroup([base] * n, element_cap=element_cap)
 
 
 class GeneratedGroup(FiniteGroup):

@@ -223,36 +223,11 @@ def count_homs(
     return HomCountResult(count, target.order)
 
 
-def enumerate_homs(
-    pres: Presentation,
-    target: FiniteGroup,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> list[tuple]:
+def enumerate_homs(pres: Presentation, target: FiniteGroup) -> list[tuple]:
     """All homomorphisms as generator-image tuples, in deterministic order."""
     found: list[tuple] = []
-    _BacktrackSearch(pres, target, node_budget).run(found.append)
+    _BacktrackSearch(pres, target, DEFAULT_NODE_BUDGET).run(found.append)
     return found
-
-
-def count_homs_cyclic(m: int, target: FiniteGroup) -> HomCountResult:
-    """|Hom(C_m, target)| by a single pass counting solutions of x^m = e."""
-    if m < 1:
-        raise ValueError("order must be >= 1")
-    e = target.identity
-    count = sum(1 for x in target.elements if target.power(x, m) == e)
-    return HomCountResult(count, target.order)
-
-
-def free_product_count(
-    factors: Sequence[Presentation],
-    target: FiniteGroup,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> HomCountResult:
-    """Count for a free product: the product of the per-factor counts."""
-    if not factors:
-        raise ValueError("need at least one factor")
-    counts = [count_homs(f, target, node_budget).count for f in factors]
-    return HomCountResult(prod(counts), target.order)
 
 
 # -- concrete source groups --------------------------------------------------
@@ -335,7 +310,6 @@ def witness_quotient(
     target: FiniteGroup,
     width_cap: int = DEFAULT_WITNESS_WIDTH_CAP,
     dedup_kernels: bool = False,
-    node_budget: int = DEFAULT_NODE_BUDGET,
     element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> WitnessQuotient:
     """Witness quotient of a free product with respect to a finite target.
@@ -347,7 +321,7 @@ def witness_quotient(
     bounds d of the profinite completion from below.
     """
     combined = free_product(list(factors))
-    per_factor = [enumerate_homs(f, target, node_budget) for f in factors]
+    per_factor = [enumerate_homs(f, target) for f in factors]
     total = prod(len(h) for h in per_factor)
     homs = [tuple(x for part in combo for x in part) for combo in itertools.product(*per_factor)]
     if len(homs) > width_cap and not dedup_kernels:

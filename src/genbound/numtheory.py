@@ -99,14 +99,14 @@ def unit_of_order(p: int, order: int) -> int:
 DIRICHLET_CANDIDATE_CAP = 10**4
 
 
-def dirichlet_prime(a: int, modulus: int, cap: int | None = None) -> int:
-    """Least prime congruent to a mod modulus among the first `cap`
-    candidates of the progression (default DIRICHLET_CANDIDATE_CAP)."""
+def dirichlet_prime(a: int, modulus: int) -> int:
+    """Least prime congruent to a mod modulus among the first
+    DIRICHLET_CANDIDATE_CAP candidates of the progression."""
     if modulus < 1:
         raise ValueError("modulus must be positive")
     if gcd(a, modulus) != 1:
         raise ValueError(f"gcd({a}, {modulus}) != 1: progression holds no primes")
-    cap = DIRICHLET_CANDIDATE_CAP if cap is None else cap
+    cap = DIRICHLET_CANDIDATE_CAP
     x = a % modulus
     while x < 2:
         x += modulus

@@ -43,11 +43,11 @@ class Presentation:
         return f"<{', '.join(self.generators)} | {rels}>"
 
 
-def cyclic_presentation(m: int, gen: str = "g", name: str = "") -> Presentation:
+def cyclic_presentation(m: int, gen: str = "g") -> Presentation:
     """The cyclic group of order m as a one-relator presentation."""
     if m < 1:
         raise ValueError("order must be >= 1")
-    return Presentation((gen,), (((0, m),),), name=name or f"C{m}")
+    return Presentation((gen,), (((0, m),),), name=f"C{m}")
 
 
 def free_product(factors: Sequence[Presentation]) -> Presentation:

@@ -4,7 +4,8 @@ and independent oracles for the test suite.
 The oracles here deliberately avoid the library's own algorithms: conjugacy
 classes come from conjugating by every element, conjugation maps from
 multiplying along element words, orbits from set differences, normal
-subgroups from conjugacy-class joins, centralizers from brute force over
+subgroups from conjugacy-class joins, cyclic hom counts from solving
+x^m = e element by element, centralizers from brute force over
 the full symmetric group or, for transitive groups, from the Schreier
 generators of a point stabilizer, irreducibility from enumerating all
 subspaces, subset sums from explicit powerset search, homomorphisms from a
@@ -27,7 +28,6 @@ from genbound.groups import (
     PermGroup,
     ProductGroup,
     closure,
-    power_group,
 )
 from genbound.homcount import HomCountResult, count_homs, group_presentation
 from genbound.perm import compose, identity_perm, inverse
@@ -93,7 +93,7 @@ def regular_perm_group(G: FiniteGroup) -> PermGroup:
 def cyclic_group(n: int) -> CayleyGroup:
     """Cyclic group of order n as a Cayley table (identity is 0)."""
     table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    return CayleyGroup(table, generators=(1 % n,), check=False)
+    return CayleyGroup(table, generators=(1 % n,))
 
 
 def free_presentation(rank: int, prefix: str = "x") -> Presentation:
@@ -130,7 +130,7 @@ def power_target_count(
     base = count_homs(pres, target)
     analytic = HomCountResult(base.count**n, target.order**n)
     if verify_explicit:
-        explicit = count_homs(pres, power_group(target, n))
+        explicit = count_homs(pres, ProductGroup([target] * n))
         if explicit.count != analytic.count:
             raise AssertionError(
                 f"explicit power count {explicit.count} != {analytic.count}"
@@ -140,6 +140,12 @@ def power_target_count(
 
 
 # -- oracles -----------------------------------------------------------------
+
+
+def oracle_power_count(group: FiniteGroup, m: int) -> int:
+    """|Hom(C_m, group)|: the solutions of x^m = e, by scanning every element."""
+    e = group.identity
+    return sum(1 for x in group.elements if group.power(x, m) == e)
 
 
 def brute_conjugations(kernel: CayleyGroup) -> tuple:

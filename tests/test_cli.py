@@ -299,12 +299,12 @@ def test_unknown_flag_rejected(files):
               "--no-such-flag"])
 
 
-def test_builtin_verify_suite(capsys):
-    status, out, _ = run(["verify", "--json", "--reproducible"], capsys)
-    assert status == 0
-    doc = json.loads(out)
-    assert doc["failed"] == []
-    assert all(c["ok"] for c in doc["checks"])
+def test_verify_requires_a_certificate(capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(["verify", "--json", "--reproducible"])
+    assert caught.value.code == 2
+    err = capsys.readouterr().err
+    assert "required" in err and "--certificate" in err
 
 
 def test_presentation_where_group_expected(files, capsys):

@@ -84,14 +84,6 @@ def test_module_with_fixed_vector_rejected():
         semidirect_target([bad], 1)
 
 
-def test_o_p_precondition_checked_when_factors_enumerable():
-    module = dim1_module(3, 2)
-    with pytest.raises(ValueError, match="normal 3-subgroup"):
-        semidirect_target([module], 1, factor_groups=[cyclic_perm_group(3)])
-    # a clean factor passes
-    semidirect_target([module], 1, factor_groups=[cyclic_perm_group(2)])
-
-
 def test_default_m_certifies_one_per_module_plus_the_residual_rank():
     modules = [dim1_module(7, 2), dim1_module(7, 3)]
     target, contribs = semidirect_target(modules)

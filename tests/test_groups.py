@@ -13,7 +13,6 @@ from genbound.groups import (
     PermGroup,
     ProductGroup,
     closure,
-    power_group,
 )
 from genbound.modules import general_linear_generators
 from helpers import (
@@ -139,7 +138,7 @@ def test_affine_semidirect_respects_element_cap():
 
 def test_product_group_and_power():
     s3 = symmetric_group(3)
-    sq = power_group(s3, 2)
+    sq = ProductGroup([s3] * 2)
     assert sq.order == 36
     assert len(sq.elements) == 36
     a = (s3.generators[0], s3.identity)

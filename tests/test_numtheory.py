@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genbound import numtheory
 from genbound.numtheory import (
     SearchCapError,
     common_subset_sum,
@@ -45,11 +46,13 @@ def test_dirichlet_prime_examples():
     assert dirichlet_prime(1, 15) == 31  # 16 is composite
 
 
-def test_dirichlet_prime_cap_and_gcd():
+def test_dirichlet_prime_cap_and_gcd(monkeypatch):
     # the cap counts candidates: 16 is composite, 31 the second candidate
+    monkeypatch.setattr(numtheory, "DIRICHLET_CANDIDATE_CAP", 1)
     with pytest.raises(SearchCapError, match="first 1 candidates"):
-        dirichlet_prime(1, 15, cap=1)
-    assert dirichlet_prime(1, 15, cap=2) == 31
+        dirichlet_prime(1, 15)
+    monkeypatch.setattr(numtheory, "DIRICHLET_CANDIDATE_CAP", 2)
+    assert dirichlet_prime(1, 15) == 31
     with pytest.raises(ValueError, match="gcd"):
         dirichlet_prime(3, 6)
 
@@ -58,7 +61,7 @@ def test_dirichlet_prime_cap_and_gcd():
 def test_dirichlet_prime_is_least_in_progression(modulus, a):
     if gcd(a, modulus) != 1:
         return
-    p = dirichlet_prime(a, modulus, cap=10**5)
+    p = dirichlet_prime(a, modulus)  # within the default 10^4 candidates
     assert is_prime(p) and p % modulus == a % modulus
     assert not any(
         is_prime(x) for x in range(2, p) if x % modulus == a % modulus
