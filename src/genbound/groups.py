@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from math import prod
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import linalg, perm
@@ -41,20 +42,27 @@ def closure(
     the identity first. Exceeding `cap` raises ClosureOverflowError;
     results are never silently truncated.
     """
-    out: list = []
-    for _ in _bfs(generators, mul, identity, cap, out, [[] for _ in generators]):
-        pass
+    out = [identity]
+    seen = {identity}
+    for a in out:
+        for g in generators:
+            b = mul(a, g)
+            if b not in seen:
+                seen.add(b)
+                out.append(b)
+                if len(out) > cap:
+                    raise ClosureOverflowError(cap)
     return out
 
 
 def _bfs(generators, mul, identity, cap, out: list, action: list) -> Iterator:
-    """The enumeration BFS behind `closure` and `FiniteGroup.elements`.
+    """The enumeration BFS behind `FiniteGroup.elements`: `closure`, but
+    recording the generators' right action it walks.
 
     Appends each element to `out` as it is reached, identity first, and
-    yields it, so a reader may stop part way and resume later. It also
-    records the generators' right action it walked: action[j][i] is the
-    position of out[i] * generators[j], filled for every element it has
-    moved past."""
+    yields it, so a reader may stop part way and resume later.
+    action[j][i] is the position of out[i] * generators[j], filled for
+    every element it has moved past."""
     position = {identity: 0}
     out.append(identity)
     yield identity
@@ -89,6 +97,11 @@ def orbit_partition(n: int, maps: Sequence[Sequence[int]]) -> list[list[int]]:
                         orbit.append(y)
             out.append(sorted(orbit))
     return out
+
+
+def _apply(x, step: Callable):
+    """step(x): a product x * g for a `step` that forms it."""
+    return step(x)
 
 
 class FiniteGroup:
@@ -281,6 +294,16 @@ class PermGroup(FiniteGroup):
     def element_order(self, a) -> int:
         return perm.perm_order(a)
 
+    def _generate(self, out: list) -> Iterator:
+        """The closure BFS, with x * g formed by g's own itemgetter: the
+        product `perm.compose` forms, without a call to it. Below degree 2,
+        where an itemgetter returns no tuple, the generic BFS."""
+        if self.degree < 2:
+            return super()._generate(out)
+        self._action = [[] for _ in self._generators]
+        getters = [itemgetter(*g) for g in self._generators]
+        return _bfs(getters, _apply, self.identity, self.element_cap, out, self._action)
+
     def describe(self) -> str:
         return f"perm-group(degree={self.degree}, generators={len(self._generators)})"
 
@@ -295,7 +318,7 @@ class CayleyGroup(FiniteGroup):
 
     # Full associativity is cubic in the order; above this it is spot-checked.
     FULL_ASSOCIATIVITY_LIMIT = 64
-    _table = _inv = _right = _words = _conjugations = None
+    _table = _inv = _right = _words = _back = _conjugations = None
 
     def __init__(
         self,
@@ -374,9 +397,15 @@ class CayleyGroup(FiniteGroup):
         return a
 
     def inv(self, a):
+        """a^-1: if a = g_1 ... g_k along its word, e g_k^-1 ... g_1^-1,
+        read through the inverse rows in O(k)."""
         if self._inv is not None:
             return self._inv[a]
-        return self.power(a, self.element_order(a) - 1)
+        back = self.back
+        x = self._identity
+        for j in reversed(self._words[a]):
+            x = back[j][x]
+        return x
 
     @property
     def compiled(self) -> CayleyGroup:
@@ -407,16 +436,24 @@ class CayleyGroup(FiniteGroup):
         return self._words
 
     @property
+    def back(self) -> tuple:
+        """back[j][i] is i * generators[j]^-1: the inverse of right[j],
+        built once in O(|G|) a generator."""
+        if self._back is None:
+            self._back = tuple(perm.inverse(row) for row in self.right)
+        return self._back
+
+    @property
     def conjugations(self) -> tuple:
         """conjugations[j][i] is g i g^-1 for g = generators[j]. A BFS of the
         right action from the identity gives left[i] = g i, as left[i h] is
         left[i] h for each generator h; then g i g^-1 is left[i] g^-1, read
-        through the inverse of g's row. Each map costs O(|G| * #generators)."""
+        through `back`. Each map costs O(|G| * #generators)."""
         if self._conjugations is None:
             self.words()  # raises if the generators miss an element
             right, e = self.right, self._identity
             maps = []
-            for g, row in zip(self._generators, right):
+            for g, back in zip(self._generators, self.back):
                 left = [None] * self.order
                 left[e] = g
                 queue = [e]
@@ -426,9 +463,6 @@ class CayleyGroup(FiniteGroup):
                         if left[y := r[x]] is None:
                             left[y] = r[lx]
                             queue.append(y)
-                back = [0] * self.order
-                for i, y in enumerate(row):
-                    back[y] = i
                 maps.append([back[z] for z in left])
             self._conjugations = tuple(maps)
         return self._conjugations

@@ -14,12 +14,10 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .groups import (
     DEFAULT_ELEMENT_CAP,
-    ClosureOverflowError,
     FiniteGroup,
     GeneratedGroup,
     ProductGroup,
     _bfs,
-    closure,
 )
 from .presentations import (
     Presentation,
@@ -285,6 +283,28 @@ def _move(a: tuple, rows: tuple) -> tuple:
     return tuple(map(list.__getitem__, rows, a))
 
 
+def _partner_walk(identity: int, steps: Sequence[list], partner_steps: Sequence[list]) -> int:
+    """The order of the subgroup of a kernel that the right-multiplication
+    rows `steps` generate, walked from the identity; each element reached
+    carries the partner the same word gives along `partner_steps`. Returns
+    0 at the first element reached with two different partners: the map
+    from one image to the other is then not well defined."""
+    pairs = list(zip(steps, partner_steps))
+    partner = {identity: identity}
+    reached = [identity]
+    for x in reached:
+        px = partner[x]
+        for row, partner_row in pairs:
+            y, py = row[x], partner_row[px]
+            q = partner.get(y)
+            if q is None:
+                partner[y] = py
+                reached.append(y)
+            elif q != py:
+                return 0
+    return len(reached)
+
+
 class _WitnessGroup(GeneratedGroup):
     """A `GeneratedGroup` in a power of `target`, enumerated in the same
     order on the target's ints: generator j moves coordinate i by the row
@@ -341,22 +361,16 @@ def witness_quotient(
             row = list(map(kernel.right[j].__getitem__, row))
         rows[x] = row
     if len(homs) > width_cap:
-        # kernels are equal iff the paired images generate the graph of an
-        # isomorphism, of the order of each image: only images of equal order
-        # are paired, and a paired closure that outgrows it proves them unequal
         e = kernel.identity
-        cap = target.element_cap
-        orders = [len(closure([(rows[x],) for x in hom], _move, (e,), cap)) for hom in ints]
+        images = [[rows[x] for x in hom] for hom in ints]
+        orders = [_partner_walk(e, steps, steps) for steps in images]
 
         def same_kernel(i: int, j: int) -> bool:
-            if orders[i] != orders[j]:
-                return False
-            pairs = [(rows[a], rows[b]) for a, b in zip(ints[j], ints[i])]
-            try:
-                closure(pairs, _move, (e, e), orders[i])
-            except ClosureOverflowError:
-                return False
-            return True
+            """Whether ker phi_i = ker phi_j. The partner walk proves
+            phi_j(w) -> phi_i(w) well defined, that is ker phi_j <= ker phi_i,
+            or stops at the first word that shows it is not; with images
+            of equal order the inclusion is an equality."""
+            return orders[i] == orders[j] and _partner_walk(e, images[j], images[i]) > 0
 
         kept: list[int] = []
         for i in range(len(ints)):

@@ -9,10 +9,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import prod
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .groups import (
     CayleyGroup,
+    ClosureOverflowError,
     FiniteGroup,
     GeneratedGroup,
     PermGroup,
@@ -27,6 +28,7 @@ class SubgroupHandle:
     """A subgroup of `parent` held as an explicit element tuple, sorted for
     determinism; `indices` holds their positions in the parent's kernel.
     Construction verifies the identity, Lagrange and closure under products.
+    With no `generators` given, it keeps the ones its closure check found.
     """
 
     parent: FiniteGroup
@@ -49,13 +51,16 @@ class SubgroupHandle:
         # closed iff some of its elements generate exactly it; each element
         # added at least doubles the closure
         kernel = parent.compiled
-        gens, reached = [], {kernel.identity}
-        for x in sorted(indices - reached):
-            if x not in reached:
-                gens.append(x)
-                reached = set(closure(gens, kernel.mul, kernel.identity))
-                if not reached <= indices:
+        gens, reached = [], [kernel.identity]
+        seen = set(reached)
+        for x in sorted(indices):
+            if x not in seen:
+                start = len(reached)
+                _extend(kernel, gens, x, reached, seen)
+                if not indices.issuperset(reached[start:]):
                     raise ValueError("subgroup is not closed under products")
+        if not self.generators:
+            object.__setattr__(self, "generators", tuple(parent.elements[i] for i in gens))
 
     @property
     def order(self) -> int:
@@ -67,9 +72,7 @@ class SubgroupHandle:
         return all(c[x] in members for c in self.parent.compiled.conjugations for x in members)
 
     def as_group(self) -> GeneratedGroup:
-        gens = self.generators or self.elements
-        g = GeneratedGroup(self.parent, gens, element_cap=self.parent.element_cap)
-        return g
+        return GeneratedGroup(self.parent, self.generators, element_cap=self.parent.element_cap)
 
 
 def _handle(parent: FiniteGroup, indices, generators=()) -> SubgroupHandle:
@@ -79,18 +82,53 @@ def _handle(parent: FiniteGroup, indices, generators=()) -> SubgroupHandle:
     return SubgroupHandle(parent, members, tuple(elems[i] for i in generators))
 
 
-def _normal_closure(kernel: CayleyGroup, gens: Sequence) -> tuple[list, list]:
-    """The normal closure of the kernel ints `gens` and the generators it
-    ends with: conjugates join one at a time, each outside the closure so far."""
-    gens = list(gens)
-    while True:
-        elems = closure(gens, kernel.mul, kernel.identity)
-        members = set(elems)
-        conjugates = (c[x] for x in elems for c in kernel.conjugations)
-        new = next((y for y in conjugates if y not in members), None)
-        if new is None:
-            return elems, gens
-        gens.append(new)
+def _extend(kernel: CayleyGroup, gens: list, g: int, members: list, seen: set):
+    """Grow `members`, the subgroup the kernel ints `gens` generate, to
+    <gens, g>, appending g to `gens`: g meets each old member once, and
+    each new member meets every generator once. The old members are
+    closed under the old generators, so the result is closed under all."""
+    mul = kernel.mul
+    old = len(members)
+    gens.append(g)
+    for x in members[:old]:
+        if (y := mul(x, g)) not in seen:
+            seen.add(y)
+            members.append(y)
+    for x in itertools.islice(members, old, None):  # the list iterator sees appends
+        for h in gens:
+            if (y := mul(x, h)) not in seen:
+                seen.add(y)
+                members.append(y)
+
+
+def _normal_closure(kernel: CayleyGroup, seeds: Sequence) -> Iterator[int]:
+    """<S^G> for the kernel ints S = `seeds`, yielded as it is walked from
+    the identity along x -> x s for each seed s and x -> g x g^-1 for each
+    generator g (`CayleyGroup.conjugations`), each element meeting each
+    seed and each map once. The set reached is closed under conjugation,
+    so under x -> x (h s h^-1) = h ((h^-1 x h) s) h^-1 too: it is the
+    subgroup the conjugates of the seeds generate. A reader may stop part
+    way."""
+    mul = kernel.mul
+    maps = kernel.conjugations
+    members = [kernel.identity]
+    seen = set(members)
+    for x in members:
+        yield x
+        for y in [mul(x, s) for s in seeds] + [c[x] for c in maps]:
+            if y not in seen:
+                seen.add(y)
+                members.append(y)
+
+
+def _reaches_all(walk: Iterator, wanted) -> bool:
+    """Whether `walk` yields every element of `wanted`, read only until it has."""
+    missing = set(wanted)
+    for x in walk:
+        missing.discard(x)
+        if not missing:
+            return True
+    return False
 
 
 def _commutator_seeds(kernel: CayleyGroup) -> list:
@@ -107,11 +145,8 @@ def derived_subgroup(G: FiniteGroup) -> SubgroupHandle:
     """
     kernel = G.compiled
     seeds = _commutator_seeds(kernel)
-    if not seeds:
-        return _handle(G, [kernel.identity])
-    handle = _handle(G, *_normal_closure(kernel, seeds))
-    quotient, _ = quotient_group(G, handle)
-    if not quotient.is_abelian():
+    handle = _handle(G, list(_normal_closure(kernel, seeds)))
+    if seeds and not quotient_group(G, handle)[0].is_abelian():
         raise AssertionError("derived subgroup quotient is not abelian")
     return handle
 
@@ -196,6 +231,11 @@ def d_min_generators(G: FiniteGroup, budget: int = 200_000) -> MinGenResult:
     Candidate tuples are pruned by fixing the first element up to conjugacy
     (generation is conjugation-invariant). At d = 2 a first element x whose
     normal closure misses G' is skipped: <x, y> = G makes G/<x^G> cyclic.
+    As <x^G> is normal, it contains G' exactly when it contains the
+    generators' commutators, whose normal closure G' is; its walk
+    (`_normal_closure`) stops once it has met them all. A tuple's closure
+    stops once it passes |G|/2 elements: by Lagrange a proper subgroup has
+    at most |G|/2, so the tuple generates G.
     `budget` bounds the tuples tried, a skipped x counting its pairs; on
     exhaustion the best proven lower bound is reported instead (a
     noncyclic group has no element of order |G|, so d >= 2 is always
@@ -216,11 +256,11 @@ def d_min_generators(G: FiniteGroup, budget: int = 200_000) -> MinGenResult:
     e = kernel.identity
     reps = [x for x in leaders if x != e]
     others = [x for x in range(n) if x != e]
-    derived = set(_normal_closure(kernel, _commutator_seeds(kernel))[0])
+    commutators = _commutator_seeds(kernel)
     tried = 0
     for d in itertools.count(2):
         for first in reps:
-            if d == 2 and not derived <= set(_normal_closure(kernel, [first])[0]):
+            if d == 2 and not _reaches_all(_normal_closure(kernel, [first]), commutators):
                 tried += len(others)
                 if tried > budget:
                     return MinGenResult(d, None, False)
@@ -230,7 +270,9 @@ def d_min_generators(G: FiniteGroup, budget: int = 200_000) -> MinGenResult:
                 tried += 1
                 if tried > budget:
                     return MinGenResult(d, None, False)
-                if len(closure((first, *rest), kernel.mul, e, n)) == n:
+                try:
+                    closure((first, *rest), kernel.mul, e, n // 2)
+                except ClosureOverflowError:
                     return MinGenResult(d, tuple(elems[x] for x in (first, *rest)), True)
 
 
@@ -240,7 +282,6 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> SubgroupHandle:
     exists in N_S(P) for a Sylow S > P) extends it to <P, y>."""
     n = G.order
     kernel = G.compiled
-    e = kernel.identity
     target = 1
     while n % (target * p) == 0:
         target *= p
@@ -251,15 +292,15 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> SubgroupHandle:
         for x in c
     )
     gens: list[int] = []
-    members = {e}
+    members = [kernel.identity]
+    seen = set(members)
     while len(members) < target:
         y = next(
             y
             for y in p_elements
-            if y not in members and all(kernel.conjugate(a, y) in members for a in gens)
+            if y not in seen and all(kernel.conjugate(a, y) in seen for a in gens)
         )
-        gens.append(y)
-        members = set(closure(gens, kernel.mul, e))
+        _extend(kernel, gens, y, members, seen)
     return _handle(G, members, gens)
 
 

@@ -18,19 +18,23 @@ from genbound.groups import (
     closure,
     orbit_partition,
 )
-from genbound.homcount import witness_quotient
+from genbound.homcount import _partner_walk, enumerate_homs, witness_quotient
 from genbound.modules import general_linear_group
 from genbound.perm import compose, inverse
 from genbound.presentations import cyclic_presentation
 from genbound.subgroups import (
+    SubgroupHandle,
+    _normal_closure,
     d_min_generators,
     derived_subgroup,
     largest_normal_p_subgroup,
     quotient_group,
+    sylow_subgroup,
 )
 
 from helpers import (
     affine_group,
+    all_normal_subgroups,
     alternating_group_5,
     brute_conjugacy_classes,
     brute_conjugations,
@@ -39,6 +43,7 @@ from helpers import (
     cyclic_group,
     cyclic_perm_group,
     dihedral_group,
+    kernels_equal,
     quaternion_group,
     regular_perm_group,
     set_orbit_partition,
@@ -295,3 +300,123 @@ def test_witness_quotient_works_on_the_targets_ints(degree, gens, dedup):
     result = d_min_generators(witness.group)
     assert result.value == 2 and result.exact
     assert CountingPermGroup.calls <= 1000
+
+
+# -- fast paths against their slow paths ---------------------------------------
+
+# Sym(4) wr C2 (order 1152) and AGL(3, 2) (order 1344), as in the benchmark
+SYM4_WR_C2 = PermGroup(
+    8, [(1, 2, 3, 0, 4, 5, 6, 7), (1, 0, 2, 3, 4, 5, 6, 7), (4, 5, 6, 7, 0, 1, 2, 3)]
+)
+AGL_3_2 = PermGroup(
+    8, [(1, 0, 3, 2, 5, 4, 7, 6), (0, 1, 3, 2, 4, 5, 7, 6), (0, 2, 4, 6, 1, 3, 5, 7)]
+)
+
+
+@pytest.mark.parametrize("group", NONABELIAN_CORPUS, ids=lambda g: f"order-{g.order}")
+def test_walked_normal_closure_matches_the_normal_subgroup_lattice(group):
+    kernel = group.compiled
+    elems = group.elements
+    normals = all_normal_subgroups(group)
+    seeds = [[x] for x in range(kernel.order)] + [[1, kernel.order - 1], [], [kernel.identity]]
+    for ints in seeds:
+        members = {elems[x] for x in ints}
+        smallest = frozenset.intersection(*(n for n in normals if members <= n))
+        walked = list(_normal_closure(kernel, ints))
+        assert len(walked) == len(set(walked))
+        assert {elems[x] for x in walked} == smallest
+    derived = derived_subgroup(group)
+    assert set(derived.elements) == brute_derived_subgroup(group)
+    # the handle keeps generators its closure check found, and they generate it
+    assert set(derived.as_group().elements) == set(derived.elements)
+
+
+@pytest.mark.parametrize(
+    "degree,gens",
+    [
+        (4, [(1, 2, 3, 0), (1, 0, 2, 3)]),
+        (7, [(1, 2, 3, 4, 5, 6, 0), (0, 3, 6, 2, 5, 1, 4)]),
+    ],
+    ids=["sym4", "agl-1-7"],
+)
+def test_partner_walk_decides_kernel_equality_on_every_hom_pair(degree, gens):
+    target = PermGroup(degree, gens)
+    kernel = target.compiled
+    e = kernel.identity
+    homs = [
+        a + b
+        for a in enumerate_homs(cyclic_presentation(2, "a"), target)
+        for b in enumerate_homs(cyclic_presentation(3, "b"), target)
+    ]
+    # right-multiplication rows read off the kernel's own product
+    rows = {x: [kernel.mul(y, x) for y in range(kernel.order)] for x in range(kernel.order)}
+    images = [[rows[target.element_index(x)] for x in hom] for hom in homs]
+    orders = [_partner_walk(e, steps, steps) for steps in images]
+    for hom, order in zip(homs, orders):
+        assert order == len(closure(list(hom), target.mul, target.identity))
+    # the oracle closes the images in the target's multiplication table
+    table = CayleyGroup(kernel.table)
+    ints = [[target.element_index(x) for x in hom] for hom in homs]
+    for i, j in itertools.combinations_with_replacement(range(len(homs)), 2):
+        equal = kernels_equal(table, ints[i], ints[j])
+        for a, b in ((i, j), (j, i)):
+            assert (orders[a] == orders[b] and _partner_walk(e, images[b], images[a]) > 0) == equal
+
+
+@pytest.mark.parametrize(
+    "group", NONABELIAN_CORPUS + [SYM4_WR_C2, AGL_3_2], ids=lambda g: f"order-{g.order}"
+)
+def test_word_inverse_is_a_two_sided_inverse(group):
+    kernel = group.compiled
+    e = kernel.identity
+    assert kernel._inv is None  # compiled from the action: no table of inverses
+    for x in range(kernel.order):
+        y = kernel.inv(x)
+        assert kernel.mul(x, y) == e == kernel.mul(y, x)
+
+
+@pytest.mark.parametrize(
+    "group",
+    NONABELIAN_CORPUS + [symmetric_group(5), SYM4_WR_C2, AGL_3_2],
+    ids=lambda g: f"order-{g.order}",
+)
+def test_lagrange_stop_keeps_d_min_value_and_witness(group):
+    assert d_min_generators(group) == unpruned_d_min_generators(group)
+
+
+@given(
+    st.one_of(
+        small_perm_groups,
+        st.sampled_from([PermGroup(1, [(0,)]), PermGroup(2, [(1, 0)]), PermGroup(2, [(0, 1)])]),
+    )
+)
+@settings(max_examples=40, deadline=None)
+def test_itemgetter_enumeration_matches_closure_over_compose(group):
+    gens = list(group.generators)
+    expected = closure(gens, compose, group.identity)
+    assert list(group.elements) == expected
+    index = {x: i for i, x in enumerate(expected)}
+    right = [[index[compose(x, g)] for x in expected] for g in gens]
+    assert [list(row) for row in group.compiled.right] == right
+
+
+@pytest.mark.parametrize("group", NONABELIAN_CORPUS + [SYM4_WR_C2], ids=lambda g: f"order-{g.order}")
+def test_extended_closures_match_closures_from_the_identity(group):
+    kernel = group.compiled
+    elems = group.elements
+    order = group.order
+    for p in (2, 3, 5, 7):
+        if order % p == 0:
+            sylow = sylow_subgroup(group, p)
+            gens = [group.element_index(g) for g in sylow.generators]
+            assert set(sylow.indices) == set(closure(gens, kernel.mul, kernel.identity))
+    # a handle given no generators keeps those its closure check found: the
+    # least int outside the closure of the ones before, closed afresh here
+    members = closure([1, order - 1], kernel.mul, kernel.identity)
+    handle = SubgroupHandle(group, tuple(elems[i] for i in members))
+    greedy: list = []
+    for x in sorted(members):
+        if x not in closure(greedy, kernel.mul, kernel.identity):
+            greedy.append(x)
+    assert handle.generators == tuple(elems[i] for i in greedy)
+    assert set(handle.as_group().elements) == set(handle.elements)
