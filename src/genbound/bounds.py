@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .groups import FiniteGroup
 from .homcount import HomCountResult, count_homs
@@ -36,11 +36,8 @@ class Comparison:
     relation: str = ">"
 
     def holds(self) -> bool:
-        if self.relation == ">":
-            return self.lhs > self.rhs
-        if self.relation == ">=":
-            return self.lhs >= self.rhs
-        raise CertificateError(f"unknown relation {self.relation!r}")
+        # every derivation concludes from a strict inequality
+        return self.relation == ">" and self.lhs > self.rhs
 
 
 @dataclass(frozen=True)
@@ -109,8 +106,8 @@ Contribution = ExactContribution | FormulaContribution | EmbeddingContribution
 class BoundCertificate:
     """Machine-checkable record of an integer lower bound on d.
 
-    The conclusion is re-derivable from the stored exact comparison alone;
-    `total_h` is display-only.
+    The target order, the comparison and the conclusion are re-derivable
+    from the contributions alone; `total_h` is display-only.
     """
 
     factors: tuple[str, ...]
@@ -134,62 +131,6 @@ def weak_bound(orders: Sequence[int]) -> Fraction:
     return Fraction(len(orders)) - sum(Fraction(1, o) for o in orders)
 
 
-def _exact_conclusion(product_of_counts: int, target_order: int) -> tuple[int, Comparison]:
-    """Largest c with product > target_order^(c-1), plus the comparison.
-
-    c = 0 is vacuous (any d >= 0) and is recorded with rhs 0.
-    """
-    if target_order < 2:
-        # only the trivial hom exists into a trivial target
-        return 0, Comparison(product_of_counts, 0)
-    c = 0
-    while product_of_counts > target_order**c:
-        c += 1
-    if c == 0:
-        return 0, Comparison(product_of_counts, 0)
-    return c, Comparison(product_of_counts, target_order ** (c - 1))
-
-
-def certify_exact_counts(
-    factor_names: Sequence[str],
-    target_name: str,
-    results: Sequence[HomCountResult],
-) -> BoundCertificate:
-    orders = {r.target_order for r in results}
-    if len(orders) != 1:
-        raise ValueError("all factors must be counted into the same target")
-    target_order = orders.pop()
-    product_of_counts = prod(r.count for r in results)
-    conclusion, comparison = _exact_conclusion(product_of_counts, target_order)
-    return BoundCertificate(
-        factors=tuple(factor_names),
-        target=target_name,
-        target_order=target_order,
-        contributions=tuple(
-            ExactContribution(r.count, r.target_order) for r in results
-        ),
-        comparison=comparison,
-        conclusion=conclusion,
-        proof_kind=PROOF_EXACT,
-    )
-
-
-def lower_bound_explicit(
-    factors: Sequence[Presentation], target: FiniteGroup
-) -> BoundCertificate:
-    """Certificate from exact per-factor homomorphism counts.
-
-    The conclusion c is certified by the big-integer inequality
-    (product of counts) > |target|^(c-1).
-    """
-    if not factors:
-        raise ValueError("need at least one factor")
-    results = [count_homs(f, target) for f in factors]
-    return certify_exact_counts(
-        [f.describe() for f in factors], target.describe(), results
-    )
-
-
 def power_conclusion(
     p: int, l: int, m: int, r: int, weight_total: int
 ) -> tuple[int, Comparison]:
@@ -207,53 +148,117 @@ def power_conclusion(
     return 0, Comparison(1, 0)
 
 
-def certify_formula(
-    factor_names: Sequence[str],
-    target_name: str,
-    target_order: int,
-    contributions: Sequence[FormulaContribution],
-) -> BoundCertificate:
-    params = {(c.p, c.l, c.m, c.r) for c in contributions}
-    if len(params) != 1:
-        raise ValueError("formula contributions must share p, l, m, r")
-    p, l, m, r = params.pop()
-    weight_total = sum(c.weight for c in contributions)
-    conclusion, comparison = power_conclusion(p, l, m, r, weight_total)
+def _shared(values, what: str):
+    """The one value every contribution gives for `what`."""
+    values = set(values)
+    if len(values) != 1:
+        raise CertificateError(f"contributions must share {what}")
+    return values.pop()
+
+
+# Each derivation maps a proof kind's contributions to the target order, the
+# conclusion and the comparison they imply; certifying stores that triple and
+# checking re-derives it.
+
+
+def _derive_exact(parts: Sequence[ExactContribution]) -> tuple[int, int, Comparison]:
+    """The largest c with (product of counts) > |target|^(c-1). c = 0 is
+    vacuous (any d >= 0), recorded with rhs 0, and the only conclusion a
+    trivial target gives, since only the trivial hom reaches it."""
+    target_order = _shared((part.target_order for part in parts), "one target order")
+    lhs, c = prod(part.count for part in parts), 0
+    while target_order > 1 and lhs > target_order**c:
+        c += 1
+    return target_order, c, Comparison(lhs, target_order ** (c - 1) if c else 0)
+
+
+def _derive_power(parts: Sequence[FormulaContribution]) -> tuple[int, int, Comparison]:
+    p, l, m, r = _shared(((c.p, c.l, c.m, c.r) for c in parts), "p, l, m, r")
+    return p ** (l * m) * r, *power_conclusion(p, l, m, r, sum(c.weight for c in parts))
+
+
+def _derive_symbolic(parts: Sequence[EmbeddingContribution]) -> tuple[int, int, Comparison]:
+    kfact = factorial(_shared((c.degree for c in parts), "one embedding degree"))
+    return kfact, len(parts) + 1, Comparison(kfact + 1, kfact)
+
+
+@dataclass(frozen=True)
+class _Proof:
+    """One proof kind: the contributions it takes, how a document writes
+    them, and the derivation its certificates rest on."""
+
+    contribution_kind: str
+    contribution_type: type
+    # integer fields in constructor order, each with its document form: a
+    # decimal string, or a JSON int for the small `weight`
+    fields: dict[str, type]
+    derive: Callable[[Sequence[Contribution]], tuple[int, int, Comparison]]
+
+
+PROOFS = {
+    PROOF_EXACT: _Proof(
+        "exact", ExactContribution, {"count": str, "target_order": str}, _derive_exact
+    ),
+    PROOF_POWER: _Proof(
+        "formula", FormulaContribution, {"p": str, "l": str, "m": str, "r": str, "weight": int},
+        _derive_power,
+    ),
+    PROOF_SYMBOLIC: _Proof("embedding", EmbeddingContribution, {"degree": str}, _derive_symbolic),
+}
+_BY_KIND = {proof.contribution_kind: proof for proof in PROOFS.values()}
+_BY_TYPE = {proof.contribution_type: proof for proof in PROOFS.values()}
+
+
+def _certify(proof_kind, factor_names, target_name, contributions) -> BoundCertificate:
+    contributions = tuple(contributions)
+    order, conclusion, comparison = PROOFS[proof_kind].derive(contributions)
     return BoundCertificate(
-        factors=tuple(factor_names),
-        target=target_name,
-        target_order=target_order,
-        contributions=tuple(contributions),
-        comparison=comparison,
-        conclusion=conclusion,
-        proof_kind=PROOF_POWER,
+        tuple(factor_names), target_name, order, contributions, comparison, conclusion, proof_kind
     )
 
 
-def certify_embeddings(
-    factor_names: Sequence[str], degree: int
+def certify_exact_counts(
+    factor_names: Sequence[str], target_name: str, results: Sequence[HomCountResult]
 ) -> BoundCertificate:
+    contributions = [ExactContribution(r.count, r.target_order) for r in results]
+    return _certify(PROOF_EXACT, factor_names, target_name, contributions)
+
+
+def lower_bound_explicit(
+    factors: Sequence[Presentation], target: FiniteGroup
+) -> BoundCertificate:
+    """Certificate from exact per-factor homomorphism counts.
+
+    The conclusion c is certified by the big-integer inequality
+    (product of counts) > |target|^(c-1).
+    """
+    if not factors:
+        raise ValueError("need at least one factor")
+    results = [count_homs(f, target) for f in factors]
+    return certify_exact_counts([f.describe() for f in factors], target.describe(), results)
+
+
+def certify_formula(
+    factor_names: Sequence[str], target_name: str, contributions: Sequence[FormulaContribution]
+) -> BoundCertificate:
+    """Certificate for formula bounds into V^m : R, of order p^(lm) * r."""
+    return _certify(PROOF_POWER, factor_names, target_name, contributions)
+
+
+def certify_embeddings(factor_names: Sequence[str], degree: int) -> BoundCertificate:
     """Certificate for factors embedding in Sym(degree) with trivial
     centralizer: each count is at least degree!+1, so each h exceeds 1 and
     the sum exceeds the number of factors.
     """
-    n = len(factor_names)
-    kfact = factorial(degree)
-    return BoundCertificate(
-        factors=tuple(factor_names),
-        target=f"sym({degree})",
-        target_order=kfact,
-        contributions=tuple(EmbeddingContribution(degree) for _ in range(n)),
-        comparison=Comparison(kfact + 1, kfact),
-        conclusion=n + 1,
-        proof_kind=PROOF_SYMBOLIC,
-    )
+    contributions = [EmbeddingContribution(degree) for _ in factor_names]
+    return _certify(PROOF_SYMBOLIC, factor_names, f"sym({degree})", contributions)
 
 
 def check_certificate(cert: BoundCertificate) -> None:
     """Independent re-validation; raises CertificateError on any mismatch.
 
-    Only the stored exact integers are used; homomorphism counts are never
+    The target order, the comparison and the conclusion are re-derived from
+    the stored per-factor integers alone; homomorphism counts are never
     recomputed, so checking is instant even for certificates whose search
     took long.
     """
@@ -261,65 +266,26 @@ def check_certificate(cert: BoundCertificate) -> None:
         raise CertificateError("certificate is conditional and proves nothing")
     if not cert.comparison.holds():
         raise CertificateError("stored comparison does not hold")
-    if cert.proof_kind == PROOF_EXACT:
-        if not all(isinstance(c, ExactContribution) for c in cert.contributions):
-            raise CertificateError("exact-count certificate with non-exact parts")
-        if any(c.target_order != cert.target_order for c in cert.contributions):
-            raise CertificateError("contribution target order mismatch")
-        product_of_counts = prod(c.count for c in cert.contributions)
-        conclusion, comparison = _exact_conclusion(product_of_counts, cert.target_order)
-        if comparison != cert.comparison:
-            raise CertificateError(
-                f"comparison mismatch: recomputed {comparison}, stored {cert.comparison}"
-            )
-        if conclusion != cert.conclusion:
-            raise CertificateError(
-                f"conclusion mismatch: recomputed {conclusion}, stored {cert.conclusion}"
-            )
-    elif cert.proof_kind == PROOF_POWER:
-        if not all(isinstance(c, FormulaContribution) for c in cert.contributions):
-            raise CertificateError("power-inequality certificate with foreign parts")
-        params = {(c.p, c.l, c.m, c.r) for c in cert.contributions}
-        if len(params) != 1:
-            raise CertificateError("inconsistent formula parameters")
-        p, l, m, r = params.pop()
-        weight_total = sum(c.weight for c in cert.contributions)
-        conclusion, comparison = power_conclusion(p, l, m, r, weight_total)
-        if conclusion != cert.conclusion or comparison != cert.comparison:
-            raise CertificateError("power-inequality re-derivation mismatch")
-    elif cert.proof_kind == PROOF_SYMBOLIC:
-        if not all(isinstance(c, EmbeddingContribution) for c in cert.contributions):
-            raise CertificateError("symbolic certificate with foreign parts")
-        degrees = {c.degree for c in cert.contributions}
-        if len(degrees) != 1:
-            raise CertificateError("embedding degrees differ")
-        kfact = factorial(degrees.pop())
-        if cert.comparison != Comparison(kfact + 1, kfact):
-            raise CertificateError("symbolic comparison is not (k!+1, k!)")
-        if cert.target_order != kfact:
-            raise CertificateError("target order is not k!")
-        if cert.conclusion != len(cert.contributions) + 1:
-            raise CertificateError("symbolic conclusion is not n+1")
-    else:
+    proof = PROOFS.get(cert.proof_kind)
+    if proof is None:
         raise CertificateError(f"unknown proof kind {cert.proof_kind!r}")
+    if not all(isinstance(c, proof.contribution_type) for c in cert.contributions):
+        raise CertificateError(f"{cert.proof_kind} certificate with foreign parts")
+    derived = proof.derive(cert.contributions)
+    stored = (cert.target_order, cert.conclusion, cert.comparison)
+    names = ("target_order", "conclusion", "comparison")
+    wrong = [name for name, a, b in zip(names, derived, stored) if a != b]
+    if wrong:
+        raise CertificateError(f"{cert.proof_kind} re-derivation mismatch in {', '.join(wrong)}")
 
 
 # -- serialization -----------------------------------------------------------
 
 
 def _contribution_to_doc(c: Contribution) -> dict:
-    if isinstance(c, ExactContribution):
-        return {"kind": "exact", "count": str(c.count), "target_order": str(c.target_order)}
-    if isinstance(c, FormulaContribution):
-        return {
-            "kind": "formula",
-            "p": str(c.p),
-            "l": str(c.l),
-            "m": str(c.m),
-            "r": str(c.r),
-            "weight": c.weight,
-        }
-    return {"kind": "embedding", "degree": str(c.degree)}
+    proof = _BY_TYPE[type(c)]
+    fields = {key: write(getattr(c, key)) for key, write in proof.fields.items()}
+    return {"kind": proof.contribution_kind, **fields}
 
 
 def _field(doc, key: str, where: str, kind: type = str):
@@ -337,20 +303,12 @@ def _field(doc, key: str, where: str, kind: type = str):
     return value
 
 
-# the integer fields of each contribution kind, in constructor order
-_CONTRIBUTION_FIELDS = {
-    "exact": (ExactContribution, ("count", "target_order")),
-    "formula": (FormulaContribution, ("p", "l", "m", "r", "weight")),
-    "embedding": (EmbeddingContribution, ("degree",)),
-}
-
-
 def _contribution_from_doc(doc, where: str) -> Contribution:
     kind = _field(doc, "kind", where)
-    if kind not in _CONTRIBUTION_FIELDS:
+    if kind not in _BY_KIND:
         raise CertificateError(f"unknown contribution kind {kind!r}")
-    build, keys = _CONTRIBUTION_FIELDS[kind]
-    return build(*(_field(doc, key, where, int) for key in keys))
+    proof = _BY_KIND[kind]
+    return proof.contribution_type(*(_field(doc, key, where, int) for key in proof.fields))
 
 
 def certificate_to_doc(cert: BoundCertificate) -> dict:

@@ -208,12 +208,7 @@ def _cmd_construct_thm1(args) -> tuple[int, dict]:
         closed = modules, None, None
     modules, dims, r = closed
     target, contributions = semidirect_target(modules, args.m, module_dims=dims, r=r)
-    cert = certify_formula(
-        [f.describe() for f in factors],
-        target.describe(),
-        target.order,
-        contributions,
-    )
+    cert = certify_formula([f.describe() for f in factors], target.describe(), contributions)
     check_certificate(cert)
     report = {
         "target": target.describe(),

@@ -222,12 +222,7 @@ def metabelian_target(primes: Sequence[int], m: int | None = None) -> Metabelian
     p = dirichlet_prime(1, prod(primes))
     modules, dims, r = cyclic_modules([cyclic_presentation(q) for q in primes], p)
     target, contributions = semidirect_target(modules, m, module_dims=dims, r=r)
-    certificate = certify_formula(
-        [f"C{q}" for q in primes],
-        target.describe(),
-        target.order,
-        contributions,
-    )
+    certificate = certify_formula([f"C{q}" for q in primes], target.describe(), contributions)
     metabelian: bool | None = None
     if target.order <= METABELIAN_CHECK_CAP:
         first = derived_subgroup(target.group)
@@ -342,7 +337,7 @@ def abelianization_split(
     target, contributions = semidirect_target(
         modules, m, p=p, residual_rank=residual_rank, module_dims=dims, r=r
     )
-    certificate = certify_formula(all_names, target.describe(), target.order, contributions)
+    certificate = certify_formula(all_names, target.describe(), contributions)
     return SplitBound(
         s_prime, p, t, n, tuple(all_names), residual_rank,
         tuple(modules), target, certificate, False, (),

@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import linalg, perm
 
+# elements an enumeration may reach before it raises ClosureOverflowError
 DEFAULT_ELEMENT_CAP = 10**6
 
 
@@ -55,7 +56,7 @@ def closure(
     return out
 
 
-def _bfs(generators, mul, identity, cap, out: list, action: list) -> Iterator:
+def _bfs(generators, mul, identity, out: list, action: list) -> Iterator:
     """The enumeration BFS behind `FiniteGroup.elements`: `closure`, but
     recording the generators' right action it walks.
 
@@ -63,6 +64,7 @@ def _bfs(generators, mul, identity, cap, out: list, action: list) -> Iterator:
     yields it, so a reader may stop part way and resume later.
     action[j][i] is the position of out[i] * generators[j], filled for
     every element it has moved past."""
+    cap = DEFAULT_ELEMENT_CAP
     position = {identity: 0}
     out.append(identity)
     yield identity
@@ -107,7 +109,6 @@ def _apply(x, step: Callable):
 class FiniteGroup:
     """Base class: mul/inv/identity, cached enumeration and the int kernel."""
 
-    element_cap: int = DEFAULT_ELEMENT_CAP
     _elements: tuple | None = None
     _reached: list | tuple | None = None  # the elements enumerated so far
     _pending: Iterator | None = None  # the enumeration, while part way
@@ -136,7 +137,7 @@ class FiniteGroup:
         each. By default this is the closure BFS over the generators, which
         records their action for `compiled`."""
         self._action = [[] for _ in self.generators]
-        return _bfs(self.generators, self.mul, self.identity, self.element_cap, out, self._action)
+        return _bfs(self.generators, self.mul, self.identity, out, self._action)
 
     # -- derived, shared machinery ---------------------------------------
 
@@ -232,10 +233,6 @@ class FiniteGroup:
         """[a, b] = a^-1 b^-1 a b."""
         return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
 
-    def conjugate(self, a, g):
-        """g a g^-1."""
-        return self.mul(self.mul(g, a), self.inv(g))
-
     def is_abelian(self) -> bool:
         """Whether the generators commute pairwise, read off the kernel."""
         gens, right = self.compiled.generators, self.compiled.right
@@ -261,12 +258,7 @@ class FiniteGroup:
 class PermGroup(FiniteGroup):
     """Permutation group on points 0..degree-1, elements are image tuples."""
 
-    def __init__(
-        self,
-        degree: int,
-        generators: Iterable[Sequence[int]],
-        element_cap: int = DEFAULT_ELEMENT_CAP,
-    ):
+    def __init__(self, degree: int, generators: Iterable[Sequence[int]]):
         self.degree = degree
         gens = []
         for g in generators:
@@ -275,7 +267,6 @@ class PermGroup(FiniteGroup):
                 raise ValueError(f"generator degree {len(g)} != {degree}")
             gens.append(g)
         self._generators = tuple(gens)
-        self.element_cap = element_cap
 
     @property
     def identity(self):
@@ -302,7 +293,7 @@ class PermGroup(FiniteGroup):
             return super()._generate(out)
         self._action = [[] for _ in self._generators]
         getters = [itemgetter(*g) for g in self._generators]
-        return _bfs(getters, _apply, self.identity, self.element_cap, out, self._action)
+        return _bfs(getters, _apply, self.identity, out, self._action)
 
     def describe(self) -> str:
         return f"perm-group(degree={self.degree}, generators={len(self._generators)})"
@@ -474,13 +465,7 @@ class CayleyGroup(FiniteGroup):
 class MatrixGroup(FiniteGroup):
     """Group of invertible dim x dim matrices over F_p, given by generators."""
 
-    def __init__(
-        self,
-        p: int,
-        dim: int,
-        generators: Iterable[Sequence[Sequence[int]]],
-        element_cap: int = DEFAULT_ELEMENT_CAP,
-    ):
+    def __init__(self, p: int, dim: int, generators: Iterable[Sequence[Sequence[int]]]):
         self.p = p
         self.dim = dim
         gens = []
@@ -491,7 +476,6 @@ class MatrixGroup(FiniteGroup):
             linalg.mat_inv(m, p)  # raises if singular
             gens.append(m)
         self._generators = tuple(gens)
-        self.element_cap = element_cap
 
     @property
     def identity(self):
@@ -523,20 +507,12 @@ class AffineSemidirect(FiniteGroup):
     so the order is p^dim * |point group|.
     """
 
-    def __init__(
-        self,
-        p: int,
-        dim: int,
-        point_group: FiniteGroup,
-        action: Callable,
-        element_cap: int = DEFAULT_ELEMENT_CAP,
-    ):
+    def __init__(self, p: int, dim: int, point_group: FiniteGroup, action: Callable):
         self.p = p
         self.dim = dim
         self.point_group = point_group
         self._action_fn = action
         self._action_cache: dict = {}
-        self.element_cap = element_cap
 
     def action(self, a) -> linalg.Matrix:
         m = self._action_cache.get(a)
@@ -573,8 +549,8 @@ class AffineSemidirect(FiniteGroup):
 
     def _generate(self, out: list) -> Iterator:
         total = self.p**self.dim * self.point_group.order
-        if total > self.element_cap:
-            raise ClosureOverflowError(self.element_cap)
+        if total > DEFAULT_ELEMENT_CAP:
+            raise ClosureOverflowError(DEFAULT_ELEMENT_CAP)
         vectors = itertools.product(range(self.p), repeat=self.dim)
         for x in itertools.product(vectors, self.point_group.elements):
             out.append(x)
@@ -594,11 +570,10 @@ class AffineSemidirect(FiniteGroup):
 class ProductGroup(FiniteGroup):
     """Direct product; elements are tuples of factor elements."""
 
-    def __init__(self, factors: Sequence[FiniteGroup], element_cap: int = DEFAULT_ELEMENT_CAP):
+    def __init__(self, factors: Sequence[FiniteGroup]):
         if not factors:
             raise ValueError("need at least one factor")
         self.factors = tuple(factors)
-        self.element_cap = element_cap
 
     @property
     def identity(self):
@@ -622,8 +597,8 @@ class ProductGroup(FiniteGroup):
 
     def _generate(self, out: list) -> Iterator:
         total = prod(f.order for f in self.factors)
-        if total > self.element_cap:
-            raise ClosureOverflowError(self.element_cap)
+        if total > DEFAULT_ELEMENT_CAP:
+            raise ClosureOverflowError(DEFAULT_ELEMENT_CAP)
         for x in itertools.product(*(f.elements for f in self.factors)):
             out.append(x)
             yield x
@@ -643,15 +618,9 @@ class GeneratedGroup(FiniteGroup):
     supplies mul/inv and is never enumerated itself.
     """
 
-    def __init__(
-        self,
-        ambient: FiniteGroup,
-        generators: Sequence,
-        element_cap: int = DEFAULT_ELEMENT_CAP,
-    ):
+    def __init__(self, ambient: FiniteGroup, generators: Sequence):
         self.ambient = ambient
         self._generators = tuple(generators)
-        self.element_cap = element_cap
 
     @property
     def identity(self):

@@ -13,7 +13,6 @@ from math import gcd, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .groups import (
-    DEFAULT_ELEMENT_CAP,
     FiniteGroup,
     GeneratedGroup,
     ProductGroup,
@@ -310,8 +309,8 @@ class _WitnessGroup(GeneratedGroup):
     order on the target's ints: generator j moves coordinate i by the row
     moves[j][i], and each tuple reached maps back through `target.elements`."""
 
-    def __init__(self, ambient, generators, target, moves, element_cap):
-        super().__init__(ambient, generators, element_cap=element_cap)
+    def __init__(self, ambient, generators, target, moves):
+        super().__init__(ambient, generators)
         self._target = target
         self._moves = moves
 
@@ -319,7 +318,7 @@ class _WitnessGroup(GeneratedGroup):
         self._action = [[] for _ in self._moves]
         elems = self._target.elements
         start = (self._target.compiled.identity,) * len(self.ambient.factors)
-        for t in _bfs(self._moves, _move, start, self.element_cap, [], self._action):
+        for t in _bfs(self._moves, _move, start, [], self._action):
             x = tuple(map(elems.__getitem__, t))
             out.append(x)
             yield x
@@ -330,7 +329,6 @@ def witness_quotient(
     target: FiniteGroup,
     width_cap: int = DEFAULT_WITNESS_WIDTH_CAP,
     dedup_kernels: bool = False,
-    element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> WitnessQuotient:
     """Witness quotient of a free product with respect to a finite target.
 
@@ -382,11 +380,11 @@ def witness_quotient(
                 f"{len(homs)} distinct kernels still exceed the width cap {width_cap}"
             )
     width = len(homs)
-    ambient = ProductGroup([target] * width, element_cap=element_cap)
+    ambient = ProductGroup([target] * width)
     k = len(combined.generators)
     gen_tuples = [tuple(hom[j] for hom in homs) for j in range(k)]
     moves = [tuple(rows[hom[j]] for hom in ints) for j in range(k)]
-    group = _WitnessGroup(ambient, gen_tuples, target, moves, element_cap)
+    group = _WitnessGroup(ambient, gen_tuples, target, moves)
     group.elements  # force closure now so cap errors surface here
     return WitnessQuotient(
         group=group,

@@ -72,7 +72,7 @@ class SubgroupHandle:
         return all(c[x] in members for c in self.parent.compiled.conjugations for x in members)
 
     def as_group(self) -> GeneratedGroup:
-        return GeneratedGroup(self.parent, self.generators, element_cap=self.parent.element_cap)
+        return GeneratedGroup(self.parent, self.generators)
 
 
 def _handle(parent: FiniteGroup, indices, generators=()) -> SubgroupHandle:
@@ -294,12 +294,13 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> SubgroupHandle:
     gens: list[int] = []
     members = [kernel.identity]
     seen = set(members)
+
+    def normalizes(y: int) -> bool:
+        y_inv = kernel.inv(y)
+        return all(kernel.mul(kernel.mul(y, a), y_inv) in seen for a in gens)
+
     while len(members) < target:
-        y = next(
-            y
-            for y in p_elements
-            if y not in seen and all(kernel.conjugate(a, y) in seen for a in gens)
-        )
+        y = next(y for y in p_elements if y not in seen and normalizes(y))
         _extend(kernel, gens, y, members, seen)
     return _handle(G, members, gens)
 

@@ -236,7 +236,7 @@ def brute_conjugacy_classes(G: FiniteGroup) -> list[tuple]:
     elems = G.elements
     while remaining:
         x = next(iter(remaining))
-        cls = {G.conjugate(x, g) for g in elems}
+        cls = {G.mul(G.mul(g, x), G.inv(g)) for g in elems}
         classes.append(tuple(e for e in elems if e in cls))
         for e in cls:
             remaining.pop(e, None)
@@ -290,11 +290,11 @@ def kernels_equal(target: FiniteGroup, hom_a: Sequence, hom_b: Sequence) -> bool
     paired images is the graph of an isomorphism between the two images,
     i.e. has the same order as both images.
     """
-    cap, e = target.element_cap, target.identity
+    e = target.identity
     pair = ProductGroup([target, target])
-    order = len(closure(list(hom_a), target.mul, e, cap))
-    return order == len(closure(list(hom_b), target.mul, e, cap)) == len(
-        closure(list(zip(hom_a, hom_b)), pair.mul, pair.identity, cap)
+    order = len(closure(list(hom_a), target.mul, e))
+    return order == len(closure(list(hom_b), target.mul, e)) == len(
+        closure(list(zip(hom_a, hom_b)), pair.mul, pair.identity)
     )
 
 
@@ -335,7 +335,7 @@ def brute_derived_subgroup(G: FiniteGroup) -> frozenset:
     """Closure of all pairwise commutators; independent of normal closures."""
     elems = G.elements
     commutators = {G.commutator(a, b) for a in elems for b in elems}
-    return frozenset(closure(sorted(commutators), G.mul, G.identity, G.element_cap))
+    return frozenset(closure(sorted(commutators), G.mul, G.identity))
 
 
 def all_normal_subgroups(G: FiniteGroup) -> set[frozenset]:
@@ -352,9 +352,9 @@ def all_normal_subgroups(G: FiniteGroup) -> set[frozenset]:
     for x in elems:
         if x in seen:
             continue
-        conj_class = {G.conjugate(x, g) for g in elems}
+        conj_class = {G.mul(G.mul(g, x), G.inv(g)) for g in elems}
         seen |= conj_class
-        atoms.add(frozenset(closure(sorted(conj_class), G.mul, G.identity, G.element_cap)))
+        atoms.add(frozenset(closure(sorted(conj_class), G.mul, G.identity)))
     lattice = {frozenset([G.identity])} | atoms
     changed = True
     while changed:
@@ -362,9 +362,7 @@ def all_normal_subgroups(G: FiniteGroup) -> set[frozenset]:
         for a, b in itertools.combinations(sorted(lattice, key=sorted), 2):
             if a <= b or b <= a:
                 continue
-            join = frozenset(
-                closure(sorted(a | b), G.mul, G.identity, G.element_cap)
-            )
+            join = frozenset(closure(sorted(a | b), G.mul, G.identity))
             if join not in lattice:
                 lattice.add(join)
                 changed = True

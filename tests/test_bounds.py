@@ -8,8 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from genbound.bounds import (
+    PROOF_EXACT,
+    PROOF_POWER,
+    PROOF_SYMBOLIC,
+    PROOFS,
     CertificateError,
     Comparison,
+    EmbeddingContribution,
     FormulaContribution,
     certificate_from_doc,
     certificate_to_doc,
@@ -118,7 +123,7 @@ def test_power_conclusion_examples():
 
 def test_certify_formula_round_trip():
     contribs = [FormulaContribution(7, 1, 1, 6) for _ in range(2)]
-    cert = certify_formula(["C2", "C3"], "affine-target", 42, contribs)
+    cert = certify_formula(["C2", "C3"], "affine-target", contribs)
     assert cert.conclusion == 2
     check_certificate(cert)
     doc = certificate_to_doc(cert)
@@ -150,7 +155,7 @@ MALFORMED_FIELDS = [
 )
 def test_certificate_from_doc_names_a_malformed_field(path, value, message):
     doc = certificate_to_doc(
-        certify_formula(["C2", "C3"], "t", 42, [FormulaContribution(7, 1, 1, 6)] * 2)
+        certify_formula(["C2", "C3"], "t", [FormulaContribution(7, 1, 1, 6)] * 2)
     )
     *parents, key = path
     node = doc
@@ -169,7 +174,6 @@ def test_formula_certificate_rejects_mixed_params():
         certify_formula(
             ["a", "b"],
             "t",
-            42,
             [FormulaContribution(7, 1, 1, 6), FormulaContribution(5, 1, 1, 6)],
         )
 
@@ -224,3 +228,77 @@ def test_check_rejects_unknown_proof_kind():
     cert = lower_bound_explicit([cyclic_presentation(2)], symmetric_group(3))
     with pytest.raises(CertificateError, match="proof kind"):
         check_certificate(replace(cert, proof_kind="hand-waving"))
+
+
+# -- the checker re-derives every stored integer of each proof kind --------------
+
+
+FORMULA = FormulaContribution(7, 1, 1, 6)
+
+
+def power_cert():
+    return certify_formula(["C2", "C3"], "affine-target", [FORMULA] * 2)
+
+
+def symbolic_cert():
+    return certify_embeddings(["G1", "G2"], 5)
+
+
+def _with_parts(cert, *parts):
+    return replace(cert, contributions=parts)
+
+
+def _raised(contribution, field):
+    return replace(contribution, **{field: getattr(contribution, field) + 1})
+
+
+FORGERIES = {
+    "power-foreign-part": lambda: _with_parts(power_cert(), FORMULA, EmbeddingContribution(5)),
+    "power-mixed-p": lambda: _with_parts(power_cert(), FORMULA, _raised(FORMULA, "p")),
+    "power-mixed-l": lambda: _with_parts(power_cert(), FORMULA, _raised(FORMULA, "l")),
+    "power-mixed-m": lambda: _with_parts(power_cert(), FORMULA, _raised(FORMULA, "m")),
+    "power-mixed-r": lambda: _with_parts(power_cert(), FORMULA, _raised(FORMULA, "r")),
+    "power-conclusion-up": lambda: replace(power_cert(), conclusion=3),
+    "power-conclusion-down": lambda: replace(power_cert(), conclusion=1),
+    "power-comparison": lambda: replace(power_cert(), comparison=Comparison(8, 6)),
+    "power-target-order": lambda: replace(power_cert(), target_order=7),
+    "symbolic-foreign-part": lambda: _with_parts(
+        symbolic_cert(), EmbeddingContribution(5), FORMULA
+    ),
+    "symbolic-degrees-differ": lambda: _with_parts(
+        symbolic_cert(), EmbeddingContribution(5), EmbeddingContribution(6)
+    ),
+    "symbolic-conclusion-up": lambda: replace(symbolic_cert(), conclusion=4),
+    "symbolic-conclusion-down": lambda: replace(symbolic_cert(), conclusion=2),
+    "symbolic-comparison": lambda: replace(symbolic_cert(), comparison=Comparison(122, 120)),
+    "symbolic-target-order": lambda: replace(symbolic_cert(), target_order=121),
+}
+
+
+@pytest.mark.parametrize("forgery", FORGERIES.values(), ids=FORGERIES.keys())
+def test_check_rejects_forgery(forgery):
+    with pytest.raises(CertificateError):
+        check_certificate(forgery())
+
+
+# -- every proof kind of the table ------------------------------------------------
+
+# one certificate per proof kind; a kind added to PROOFS needs one here
+EXAMPLES = {
+    PROOF_EXACT: lambda: lower_bound_explicit([a5_presentation()] * 3, alternating_group_5()),
+    PROOF_POWER: power_cert,
+    PROOF_SYMBOLIC: symbolic_cert,
+}
+
+
+@pytest.mark.parametrize("proof_kind", sorted(PROOFS))
+def test_proof_kind_round_trips_and_rejects_a_raised_conclusion(proof_kind):
+    cert = EXAMPLES[proof_kind]()
+    assert cert.proof_kind == proof_kind
+    check_certificate(cert)
+    text = json.dumps(certificate_to_doc(cert), sort_keys=True)
+    again = certificate_from_doc(json.loads(text))
+    assert again == cert
+    assert json.dumps(certificate_to_doc(again), sort_keys=True) == text
+    with pytest.raises(CertificateError, match="re-derivation mismatch"):
+        check_certificate(replace(cert, conclusion=cert.conclusion + 1))

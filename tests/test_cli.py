@@ -105,6 +105,24 @@ def test_verify_detects_tampering(files, capsys, tmp_path):
     assert json.loads(out)["valid"] is False
 
 
+def test_verify_rejects_a_forged_target_order(files, capsys, tmp_path):
+    # the order p^(lm) * r of a power-inequality certificate is re-derived
+    report = tmp_path / "cert.json"
+    run(
+        ["construct-solsol", "--primes", "2,3", "--m", "1", "--json",
+         "--reproducible", "--output", str(report)],
+        capsys,
+    )
+    doc = json.loads(report.read_text())
+    assert doc["certificate"]["target_order"] == "42"
+    doc["certificate"]["target_order"] = "7"
+    report.write_text(json.dumps(doc))
+    status, out, _ = run(["verify", "--certificate", str(report), "--json", "--reproducible"], capsys)
+    assert status == 2
+    assert json.loads(out)["valid"] is False
+    assert "re-derivation mismatch" in json.loads(out)["reason"]
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
@@ -429,6 +447,21 @@ def test_construct_thm1_p_power_factor_is_one_error_line(capsys, tmp_path):
     )
     assert status == 1 and out == ""
     assert err == "error: C8 has no nontrivial irreducible action over F_2: its order 8 is a power of 2\n"
+
+
+def test_construct_thm1_without_a_module_up_to_dmax_is_one_error_line(capsys, tmp_path):
+    # A5's nontrivial irreducible modules over F_2 have dimension 4
+    path = tmp_path / "a5.json"
+    path.write_text(json.dumps({
+        "type": "presentation", "generators": ["a", "b"],
+        "relators": ["a^2", "b^3", "(a*b)^5"], "name": "A5",
+    }))
+    status, out, err = run(
+        ["construct-thm1", "--factors", str(path), str(path), "--prime", "2", "--dmax", "2"],
+        capsys,
+    )
+    assert status == 1 and out == ""
+    assert err == "error: no nontrivial irreducible action of A5 over F_2 up to dimension 2\n"
 
 
 def test_construct_solsol_eight_primes(capsys, r_unenumerated):

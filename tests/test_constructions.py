@@ -90,7 +90,7 @@ def test_default_m_certifies_one_per_module_plus_the_residual_rank():
     assert (target.m, [c.weight for c in contribs]) == (1, [1, 1])  # 7 > 6
     target, contribs = semidirect_target(modules, residual_rank=1)
     assert (target.m, [c.weight for c in contribs]) == (2, [1, 1, 1])  # 7^2 > 6^2
-    assert certify_formula(["C2", "C3", "C7"], target.describe(), target.order, contribs).conclusion == 3
+    assert certify_formula(["C2", "C3", "C7"], target.describe(), contribs).conclusion == 3
 
 
 def test_target_without_modules_needs_the_prime():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from genbound import groups
 from genbound.groups import (
     AffineSemidirect,
     CayleyGroup,
@@ -61,8 +62,9 @@ def test_closure_divides_degree_factorial():
         assert math.factorial(degree) % g.order == 0
 
 
-def test_closure_overflow_is_an_error_not_truncation():
-    s5 = PermGroup(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], element_cap=50)
+def test_closure_overflow_is_an_error_not_truncation(monkeypatch):
+    monkeypatch.setattr(groups, "DEFAULT_ELEMENT_CAP", 50)
+    s5 = PermGroup(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
     with pytest.raises(ClosureOverflowError, match="closure overflow"):
         s5.elements
 
@@ -128,9 +130,10 @@ def test_affine_semidirect_enumeration_matches_generator_closure():
     assert len(enumerated) == 20
 
 
-def test_affine_semidirect_respects_element_cap():
+def test_affine_semidirect_respects_element_cap(monkeypatch):
+    monkeypatch.setattr(groups, "DEFAULT_ELEMENT_CAP", 100)
     units = MatrixGroup(7, 1, [((3,),)])
-    h = AffineSemidirect(7, 2, units, action=lambda a: ((a[0][0], 0), (0, a[0][0])), element_cap=100)
+    h = AffineSemidirect(7, 2, units, action=lambda a: ((a[0][0], 0), (0, a[0][0])))
     with pytest.raises(ClosureOverflowError):
         h.elements
     assert h.order == 294  # order is known without enumeration
@@ -211,9 +214,9 @@ def test_interleaved_streams_share_one_enumeration():
     assert [x for x, _ in pairs] == [y for _, y in pairs] == list(symmetric_group(4).elements)
 
 
-def test_failed_enumeration_fails_again_on_the_next_read():
+def test_failed_enumeration_fails_again_on_the_next_read(monkeypatch):
+    monkeypatch.setattr(groups, "DEFAULT_ELEMENT_CAP", 10)
     group = symmetric_group(4)
-    group.element_cap = 10
     for _ in range(2):
         with pytest.raises(ClosureOverflowError):
             list(group.stream())

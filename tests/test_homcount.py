@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from genbound import groups
 from genbound.groups import (
     CayleyGroup,
     ClosureOverflowError,
@@ -380,21 +381,25 @@ def witness_cases(draw):
 def test_witness_group_is_the_realization_bfs_on_random_targets(case):
     factors, target, dedup = case
     try:
-        witness = witness_quotient(
-            factors, target, width_cap=8 if dedup else 512, dedup_kernels=dedup, element_cap=5000
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(groups, "DEFAULT_ELEMENT_CAP", 5000)
+            witness = witness_quotient(
+                factors, target, width_cap=8 if dedup else 512, dedup_kernels=dedup
+            )
     except (WitnessWidthError, ClosureOverflowError):
         assume(False)
     assume(witness.group.order * witness.width_used <= 50_000)
     check_witness_is_the_realization_bfs(witness, target)
 
 
-def test_witness_element_cap_is_the_realization_cap():
-    # the realization BFS overflows once it holds more than `element_cap`
-    # elements; so does the int enumeration
+def test_witness_element_cap_is_the_realization_cap(monkeypatch):
+    # the realization BFS overflows once it holds more than
+    # `DEFAULT_ELEMENT_CAP` elements; so does the int enumeration
+    monkeypatch.setattr(groups, "DEFAULT_ELEMENT_CAP", 287)
     with pytest.raises(ClosureOverflowError):
-        witness_quotient(C2_C3, symmetric_group(4), element_cap=287)
-    assert witness_quotient(C2_C3, symmetric_group(4), element_cap=288).group.order == 288
+        witness_quotient(C2_C3, symmetric_group(4))
+    monkeypatch.setattr(groups, "DEFAULT_ELEMENT_CAP", 288)
+    assert witness_quotient(C2_C3, symmetric_group(4)).group.order == 288
 
 
 two_generator_perm_groups = st.integers(3, 4).flatmap(

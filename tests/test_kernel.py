@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genbound import groups
 from genbound.groups import (
     CayleyGroup,
     ClosureOverflowError,
@@ -234,11 +235,13 @@ def test_from_action_checks_generation():
         CayleyGroup.from_action(6, 0, [[(i + 2) % 6 for i in range(6)]])
 
 
-def test_compiling_past_the_element_cap_overflows():
+def test_compiling_past_the_element_cap_overflows(monkeypatch):
+    monkeypatch.setattr(groups, "DEFAULT_ELEMENT_CAP", 23)
     with pytest.raises(ClosureOverflowError):
-        PermGroup(4, [(1, 2, 3, 0), (1, 0, 2, 3)], element_cap=23).compiled
+        PermGroup(4, [(1, 2, 3, 0), (1, 0, 2, 3)]).compiled
+    monkeypatch.setattr(groups, "DEFAULT_ELEMENT_CAP", 35)
     with pytest.raises(ClosureOverflowError):
-        ProductGroup([symmetric_group(3)] * 2, element_cap=35).compiled
+        ProductGroup([symmetric_group(3)] * 2).compiled
 
 
 class CountingPermGroup(PermGroup):
