@@ -15,7 +15,7 @@ from math import factorial, prod
 from typing import Callable, Sequence
 
 from .groups import FiniteGroup
-from .homcount import HomCountResult, count_homs
+from .homcount import HomCountResult, count_homs_per_factor
 from .presentations import Presentation
 
 PROOF_EXACT = "exact-count"
@@ -174,6 +174,8 @@ def _derive_exact(parts: Sequence[ExactContribution]) -> tuple[int, int, Compari
 
 def _derive_power(parts: Sequence[FormulaContribution]) -> tuple[int, int, Comparison]:
     p, l, m, r = _shared(((c.p, c.l, c.m, c.r) for c in parts), "p, l, m, r")
+    if p < 2 or min(l, m, r, *(c.weight for c in parts)) < 1:
+        raise CertificateError("formula needs p >= 2 and l, m, r and every weight >= 1")
     return p ** (l * m) * r, *power_conclusion(p, l, m, r, sum(c.weight for c in parts))
 
 
@@ -234,7 +236,7 @@ def lower_bound_explicit(
     """
     if not factors:
         raise ValueError("need at least one factor")
-    results = [count_homs(f, target) for f in factors]
+    results = count_homs_per_factor(factors, target)
     return certify_exact_counts([f.describe() for f in factors], target.describe(), results)
 
 

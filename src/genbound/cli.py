@@ -39,7 +39,7 @@ from .groups import ClosureOverflowError, FiniteGroup
 from .homcount import (
     HomSearchBudgetError,
     WitnessWidthError,
-    count_homs,
+    count_homs_per_factor,
     witness_quotient,
 )
 from .io import FileFormatError, _load_json, dump_document, parse_group_file
@@ -94,8 +94,7 @@ def _cmd_homcount(args) -> tuple[int, dict]:
     target = _require_group(args.target, "target")
     per_factor = []
     product = 1
-    for f in factors:
-        result = count_homs(f, target)
+    for f, result in zip(factors, count_homs_per_factor(factors, target)):
         product *= result.count
         per_factor.append(
             {

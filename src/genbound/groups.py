@@ -85,19 +85,20 @@ def _bfs(generators, mul, identity, out: list, action: list) -> Iterator:
 
 def orbit_partition(n: int, maps: Sequence[Sequence[int]]) -> list[list[int]]:
     """Orbits of 0..n-1 under the maps, each sorted, listed by least point."""
-    seen = [False] * n
+    seen = bytearray(n)
     out = []
     for start in range(n):
         if not seen[start]:
             orbit = [start]
-            seen[start] = True
+            seen[start] = 1
             for x in orbit:
                 for m in maps:
                     y = m[x]
                     if not seen[y]:
-                        seen[y] = True
+                        seen[y] = 1
                         orbit.append(y)
-            out.append(sorted(orbit))
+            orbit.sort()
+            out.append(orbit)
     return out
 
 
@@ -109,8 +110,8 @@ def _apply(x, step: Callable):
 class FiniteGroup:
     """Base class: mul/inv/identity, cached enumeration and the int kernel."""
 
-    _elements: tuple | None = None
-    _reached: list | tuple | None = None  # the elements enumerated so far
+    _elements: Sequence | None = None  # a tuple, or a range on a kernel
+    _reached: Sequence | None = None  # the elements enumerated so far
     _pending: Iterator | None = None  # the enumeration, while part way
     _index: dict | None = None
     _action: list | None = None  # the generators' right action, if recorded
@@ -165,7 +166,7 @@ class FiniteGroup:
         return len(reached) > n
 
     @property
-    def elements(self) -> tuple:
+    def elements(self) -> Sequence:
         if self._elements is None:
             self._reach(math.inf)
             self._elements = self._reached = tuple(self._reached)
@@ -203,10 +204,11 @@ class FiniteGroup:
 
     def _compile(self) -> CayleyGroup:
         elems = self.elements
-        if self._action is None:
-            index = self._positions()
-            self._action = [[index[self.mul(x, g)] for x in elems] for g in self.generators]
-        return CayleyGroup.from_action(len(elems), self.element_index(self.identity), self._action)
+        if self._action is not None:  # recorded by the BFS, which reaches the identity first
+            return CayleyGroup.from_action(len(elems), 0, self._action)
+        index = self._positions()
+        action = [[index[self.mul(x, g)] for x in elems] for g in self.generators]
+        return CayleyGroup.from_action(len(elems), index[self.identity], action)
 
     def power(self, a, n: int):
         if n < 0:
@@ -302,14 +304,15 @@ class PermGroup(FiniteGroup):
 class CayleyGroup(FiniteGroup):
     """The integer kernel: a group on 0..n-1 held as the right action of its
     generators (right[j][i] is i * generators[j]). A BFS over the action
-    gives every element a word; a * b walks b's word from a. Built from a
-    multiplication table, validated and kept with its inverses for lookups, or by
-    `from_action`.
+    gives every element a word, built on first use; a * b walks b's word
+    from a. Built from a multiplication table, validated and kept with its
+    inverses for lookups, or by `from_action`.
     """
 
     # Full associativity is cubic in the order; above this it is spot-checked.
     FULL_ASSOCIATIVITY_LIMIT = 64
     _table = _inv = _right = _words = _back = _conjugations = None
+    _generates = False  # whether the generators are known to reach every element
 
     def __init__(
         self,
@@ -341,19 +344,39 @@ class CayleyGroup(FiniteGroup):
         self._inv = tuple(inv)
         self._identity = e
         self._generators = tuple(range(n) if generators is None else generators)
-        self._elements = tuple(range(n))
+        self._elements = range(n)
 
     @classmethod
     def from_action(cls, order: int, identity: int, action: Sequence) -> CayleyGroup:
         """The group on 0..order-1 in which action[j][i] is i * g_j for its
-        generators g_j. Raises ValueError if they miss an element."""
+        generators g_j. Raises ValueError if they miss an element. Its
+        elements are `range(order)`, which holds no int objects."""
         group = cls.__new__(cls)
         group._identity = identity
         group._right = tuple(action)
         group._generators = tuple(row[identity] for row in action)
-        group._elements = tuple(range(order))
-        group.words()
+        group._elements = range(order)
+        group._check_generation()
         return group
+
+    def _check_generation(self) -> None:
+        """Raise ValueError unless a walk of the right action from the
+        identity reaches every element; walked once."""
+        if not self._generates:
+            seen = bytearray(self.order)
+            seen[self._identity] = 1
+            queue = [self._identity]
+            for x in queue:
+                for row in self.right:
+                    if not seen[y := row[x]]:
+                        seen[y] = 1
+                        queue.append(y)
+            if len(queue) != self.order:
+                raise ValueError(
+                    f"generators do not generate the group: they reach "
+                    f"{len(queue)} of {self.order} elements"
+                )
+            self._generates = True
 
     @property
     def identity(self):
@@ -383,7 +406,7 @@ class CayleyGroup(FiniteGroup):
         if self._table is not None:
             return self._table[a][b]
         right = self._right
-        for j in self._words[b]:
+        for j in (self._words or self.words())[b]:
             a = right[j][a]
         return a
 
@@ -394,7 +417,7 @@ class CayleyGroup(FiniteGroup):
             return self._inv[a]
         back = self.back
         x = self._identity
-        for j in reversed(self._words[a]):
+        for j in reversed((self._words or self.words())[a]):
             x = back[j][x]
         return x
 
@@ -403,13 +426,15 @@ class CayleyGroup(FiniteGroup):
         """The kernel itself, once its generators are known to generate it.
         It is not stored on itself: a self-reference would leave every
         kernel to the cyclic garbage collector."""
-        self.words()
+        self._check_generation()
         return self
 
     def words(self) -> list:
         """Each element's word (generator positions) along a BFS tree of the
-        right action. Raises ValueError if the generators miss an element."""
+        right action, built on first use. Raises ValueError if the
+        generators miss an element."""
         if self._words is None:
+            self._check_generation()
             words: list = [None] * self.order
             words[self._identity] = ()
             queue = [self._identity]
@@ -418,18 +443,13 @@ class CayleyGroup(FiniteGroup):
                     if words[y := row[x]] is None:
                         words[y] = words[x] + (j,)
                         queue.append(y)
-            if len(queue) != self.order:
-                raise ValueError(
-                    f"generators do not generate the group: they reach "
-                    f"{len(queue)} of {self.order} elements"
-                )
             self._words = words
         return self._words
 
     @property
     def back(self) -> tuple:
         """back[j][i] is i * generators[j]^-1: the inverse of right[j],
-        built once in O(|G|) a generator."""
+        built once in O(|G|) a generator, from the ints right[j] holds."""
         if self._back is None:
             self._back = tuple(perm.inverse(row) for row in self.right)
         return self._back
@@ -438,13 +458,15 @@ class CayleyGroup(FiniteGroup):
     def conjugations(self) -> tuple:
         """conjugations[j][i] is g i g^-1 for g = generators[j]. A BFS of the
         right action from the identity gives left[i] = g i, as left[i h] is
-        left[i] h for each generator h; then g i g^-1 is left[i] g^-1, read
-        through `back`. Each map costs O(|G| * #generators)."""
+        left[i] h for each generator h; then g (i g) g^-1 = g i is
+        left[i], so the map sends i * g, that is right[j][i], to left[i].
+        Each map costs O(|G| * #generators) and holds the ints the action
+        holds."""
         if self._conjugations is None:
-            self.words()  # raises if the generators miss an element
+            self._check_generation()
             right, e = self.right, self._identity
             maps = []
-            for g, back in zip(self._generators, self.back):
+            for g, row in zip(self._generators, right):
                 left = [None] * self.order
                 left[e] = g
                 queue = [e]
@@ -454,7 +476,11 @@ class CayleyGroup(FiniteGroup):
                         if left[y := r[x]] is None:
                             left[y] = r[lx]
                             queue.append(y)
-                maps.append([back[z] for z in left])
+                del queue  # free it before the map is built
+                conjugation = [None] * self.order
+                for x in row:
+                    conjugation[row[x]] = left[x]
+                maps.append(conjugation)
             self._conjugations = tuple(maps)
         return self._conjugations
 

@@ -10,13 +10,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from math import gcd, prod
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .groups import (
     FiniteGroup,
     GeneratedGroup,
     ProductGroup,
     _bfs,
+    orbit_partition,
 )
 from .presentations import (
     Presentation,
@@ -88,7 +89,7 @@ def evaluate_word(word: Word, images: Sequence, group: FiniteGroup):
     """The value in `group` of a word with generator i sent to images[i]."""
     result = None
     for idx, exp in word:
-        value = group.power(images[idx], exp)
+        value = images[idx] if exp == 1 else group.power(images[idx], exp)
         result = value if result is None else group.mul(result, value)
     return group.identity if result is None else result
 
@@ -98,12 +99,20 @@ class _BacktrackSearch:
 
     Generators are assigned in order of ascending candidate-set size (most
     constrained first); each relator is checked as soon as all generators it
-    mentions are assigned, as a power of its root (`cyclic_root`), so
-    "(a*b)^n" costs two products and a power. Deterministic given the
-    target's element order. A single generator needs no ranking, so its
-    candidates are drawn from the target's element stream as the search
-    goes, and a search that stops early enumerates the target no further
-    than it read.
+    mentions are assigned, as a power of its root (`cyclic_root`).
+    Deterministic given the target's element order.
+
+    With two or more generators the search reads the target's conjugacy
+    classes once, on its integer kernel, and one element order per class
+    (element order is a class function). Let Omega_m be the union of the
+    classes whose order divides m (every class for m = 0), in element
+    order. A generator with order bound m takes the candidates Omega_m,
+    the elements x with x^m = e, and a relator root^n = e is checked as
+    root in Omega_n: "(a*b)^n" costs one product and a set lookup, and no
+    element is ever powered. A single generator needs no ranking, so its
+    candidates are filtered by powering as they are drawn from the
+    target's element stream, and a search that stops early enumerates the
+    target no further than it read.
     """
 
     def __init__(self, pres: Presentation, target: FiniteGroup, node_budget: int):
@@ -113,10 +122,17 @@ class _BacktrackSearch:
         self.nodes = 0
         self.depth = 0  # the most generators assigned consistently so far
         k = len(pres.generators)
+        self.bounds = [_single_generator_order_bound(pres, g) for g in range(k)]
         self.candidates = None  # materialized only to rank two or more generators
         self.order = list(range(k))
         if k > 1:
-            self.candidates = [tuple(self._filtered(g, target.elements)) for g in range(k)]
+            kernel = target.compiled
+            self.classes = orbit_partition(kernel.order, kernel.conjugations)
+            elements = target.elements
+            self.class_orders = [target.element_order(elements[c[0]]) for c in self.classes]
+            self.candidates = [
+                tuple(map(elements.__getitem__, sorted(self._omega(m)))) for m in self.bounds
+            ]
             # stable sort: most constrained generator first
             self.order.sort(key=lambda g: (len(self.candidates[g]), g))
         position = {g: i for i, g in enumerate(self.order)}
@@ -128,34 +144,21 @@ class _BacktrackSearch:
                 continue
             self.checks[max(position[g] for g in used)].append(cyclic_root(word))
 
-    def _filtered(self, gen: int, elements: Iterable) -> Iterable:
-        """The elements x with x^m = e, m the order bound of `gen`."""
-        m = _single_generator_order_bound(self.pres, gen)
-        if m == 0:
-            return elements
-        target, e = self.target, self.target.identity
-        return (x for x in elements if target.power(x, m) == e)
+    def _classes(self, m: int) -> list[list[int]]:
+        """The classes making up Omega_m, as sorted lists of kernel ints."""
+        return [c for c, order in zip(self.classes, self.class_orders) if m % order == 0]
 
-    def _class_sizes(self, elements: Sequence) -> dict:
-        """One representative per conjugacy class among `elements` (a union
-        of classes), the first in their order, mapped to its class size: the
-        orbits of x -> g x g^-1 over the target's generators."""
-        target = self.target
-        conjugators = [(g, target.inv(g)) for g in target.generators]
-        seen: set = set()
-        sizes = {}
-        for x in elements:
-            if x not in seen:
-                seen.add(x)
-                orbit = [x]
-                for y in orbit:
-                    for g, g_inv in conjugators:
-                        z = target.mul(target.mul(g, y), g_inv)
-                        if z not in seen:
-                            seen.add(z)
-                            orbit.append(z)
-                sizes[x] = len(orbit)
-        return sizes
+    def _omega(self, m: int) -> Iterator[int]:
+        """The kernel ints of Omega_m, class by class."""
+        return itertools.chain.from_iterable(self._classes(m))
+
+    def _filtered(self, gen: int) -> Iterator:
+        """The elements x with x^m = e, m the order bound of `gen`, drawn
+        from the target's element stream."""
+        m = self.bounds[gen]
+        target, e = self.target, self.target.identity
+        stream = target.stream()
+        return stream if m == 0 else (x for x in stream if target.power(x, m) == e)
 
     def run(self, visit: Callable[[tuple], object] | None) -> int:
         """Visit each homomorphism, as its tuple of generator images, in
@@ -163,19 +166,25 @@ class _BacktrackSearch:
 
         With no `visit` and two or more generators it only counts: the
         first generator in `order` takes one representative x per conjugacy
-        class, and |Hom| = sum over x of |x^G| * #{homs with that image},
+        class in its Omega, the class's least int, and
+        |Hom| = sum over x of |x^G| * #{homs with that image},
         since conjugating a hom by g gives a hom, sending it to g x g^-1."""
         k = len(self.pres.generators)
-        target, e = self.target, self.target.identity
-        candidates = self.candidates or [
-            self._filtered(g, target.stream()) for g in range(k)
-        ]
+        target = self.target
+        candidates = self.candidates or [self._filtered(g) for g in range(k)]
         weights = None
         if visit is None and k > 1:
             first = self.order[0]
-            weights = self._class_sizes(candidates[first])
+            elements = target.elements
+            weights = {elements[c[0]]: len(c) for c in self._classes(self.bounds[first])}
             candidates = list(candidates)
             candidates[first] = tuple(weights)
+        # each Omega_n as a set of elements, built once per search
+        omegas = {
+            n: set(map(target.elements.__getitem__, self._omega(n)))
+            for n in {n for level in self.checks for _, n in level}
+        }
+        checks = [[(root, omegas[n]) for root, n in level] for level in self.checks]
         images: list = [None] * k
         count = 0
 
@@ -188,15 +197,14 @@ class _BacktrackSearch:
                 count += weights[images[first]] if weights else 1
                 return visit is not None and bool(visit(tuple(images)))
             gen = self.order[level]
-            checks = self.checks[level]
+            level_checks = checks[level]
             for x in candidates[gen]:
                 self.nodes += 1
                 if self.nodes > self.node_budget:
                     raise HomSearchBudgetError(self.node_budget, self.nodes, self.depth, k)
                 images[gen] = x
                 if all(
-                    target.power(evaluate_word(root, images, target), n) == e
-                    for root, n in checks
+                    evaluate_word(root, images, target) in omega for root, omega in level_checks
                 ) and descend(level + 1):
                     return True
             images[gen] = None
@@ -218,6 +226,15 @@ def count_homs(
     first generator's over conjugacy-class representatives only."""
     count = _BacktrackSearch(pres, target, node_budget).run(None)
     return HomCountResult(count, target.order)
+
+
+def count_homs_per_factor(
+    factors: Sequence[Presentation], target: FiniteGroup
+) -> list[HomCountResult]:
+    """`count_homs` of each factor into `target`, each distinct factor
+    searched once."""
+    results = {f: count_homs(f, target) for f in dict.fromkeys(factors)}
+    return [results[f] for f in factors]
 
 
 def enumerate_homs(pres: Presentation, target: FiniteGroup) -> list[tuple]:

@@ -37,9 +37,10 @@ def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
 
 
 def inverse(p: Sequence[int]) -> tuple[int, ...]:
+    """p^-1, holding the int objects p holds: inv[p[x]] = x for each x in p."""
     inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
+    for x in p:
+        inv[p[x]] = x
     return tuple(inv)
 
 

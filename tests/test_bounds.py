@@ -169,6 +169,40 @@ def test_certificate_from_doc_names_a_malformed_field(path, value, message):
         certificate_from_doc(doc)
 
 
+DEGENERATE_FORMULAS = {
+    "l-and-r-zero": FormulaContribution(2, 0, 1, 0),
+    "p-one": FormulaContribution(1, 1, 1, 6),
+    "p-zero": FormulaContribution(0, 1, 1, 6),
+    "l-zero": FormulaContribution(7, 0, 1, 6),
+    "m-zero": FormulaContribution(7, 1, 0, 6),
+    "r-zero": FormulaContribution(7, 1, 1, 0),
+    "weight-zero": FormulaContribution(7, 1, 1, 6, 0),
+}
+
+
+@pytest.mark.parametrize("part", DEGENERATE_FORMULAS.values(), ids=DEGENERATE_FORMULAS.keys())
+def test_formula_certificate_rejects_degenerate_params(part):
+    # l = r = 0 gave target order 0, and five such parts concluded 5 from 1 > 0
+    with pytest.raises(CertificateError, match="formula needs"):
+        check_certificate(certify_formula(["a"] * 5, "t", [part] * 5))
+
+
+def test_exact_certificate_counts_each_distinct_factor_once(monkeypatch):
+    from genbound import homcount
+
+    searched = []
+    count_homs = homcount.count_homs
+    monkeypatch.setattr(
+        homcount, "count_homs", lambda f, target: searched.append(f) or count_homs(f, target)
+    )
+    a5 = a5_presentation()
+    factors = [a5, a5_presentation(), cyclic_presentation(2), a5]
+    cert = lower_bound_explicit(factors, alternating_group_5())
+    assert searched == [a5, cyclic_presentation(2)]
+    assert [c.count for c in cert.contributions] == [121, 121, 16, 121]
+    check_certificate(cert)
+
+
 def test_formula_certificate_rejects_mixed_params():
     with pytest.raises(ValueError, match="share"):
         certify_formula(

@@ -535,14 +535,19 @@ def test_reduced_count_matches_enumeration(source_and_target):
     # each enumerated hom satisfies every relator evaluated as written
     for hom in homs:
         assert all(evaluate_word(w, hom, target) == target.identity for w in pres.relators)
-    # and, on small targets, no tuple of images is missed
+    # and, on small targets, they are the brute-force solutions in search
+    # order: generators in `order`, each one's images in element order
     k = len(pres.generators)
     if target.order**k <= 2000:
-        brute = sum(
-            all(evaluate_word(w, images, target) == target.identity for w in pres.relators)
-            for images in itertools.product(target.elements, repeat=k)
-        )
-        assert brute == len(homs)
+        order = _BacktrackSearch(pres, target, 10**6).order
+        brute = []
+        for assigned in itertools.product(target.elements, repeat=k):
+            images = [None] * k
+            for g, x in zip(order, assigned):
+                images[g] = x
+            if all(evaluate_word(w, images, target) == target.identity for w in pres.relators):
+                brute.append(tuple(images))
+        assert brute == homs
 
 
 @pytest.mark.parametrize(

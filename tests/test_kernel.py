@@ -19,10 +19,10 @@ from genbound.groups import (
     closure,
     orbit_partition,
 )
-from genbound.homcount import _partner_walk, enumerate_homs, witness_quotient
+from genbound.homcount import _BacktrackSearch, _partner_walk, enumerate_homs, witness_quotient
 from genbound.modules import general_linear_group
 from genbound.perm import compose, inverse
-from genbound.presentations import cyclic_presentation
+from genbound.presentations import cyclic_presentation, presentation_from_words
 from genbound.subgroups import (
     SubgroupHandle,
     _normal_closure,
@@ -303,6 +303,20 @@ def test_witness_quotient_works_on_the_targets_ints(degree, gens, dedup):
     result = d_min_generators(witness.group)
     assert result.value == 2 and result.exact
     assert CountingPermGroup.calls <= 1000
+
+
+def test_class_filtered_count_makes_at_most_two_products_a_node():
+    # Candidates and relator checks read the target's conjugacy classes on
+    # its kernel, so no element is powered: the only realization products
+    # are one per (a*b) evaluated (the powering filter made about 23,000)
+    sym7 = CountingPermGroup(7, [(1, 2, 3, 4, 5, 6, 0), (1, 0, 2, 3, 4, 5, 6)])
+    pres = presentation_from_words(["a", "b"], ["a^2", "b^3", "(a*b)^7"])
+    CountingPermGroup.calls = 0
+    search = _BacktrackSearch(pres, sym7, 10**6)
+    assert search.run(None) == 10081
+    assert CountingPermGroup.calls <= 2 * search.nodes
+    # neither the element index nor the kernel's words were built
+    assert sym7._index is None and sym7.compiled._words is None
 
 
 # -- fast paths against their slow paths ---------------------------------------
