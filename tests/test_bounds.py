@@ -182,7 +182,8 @@ DEGENERATE_FORMULAS = {
 
 @pytest.mark.parametrize("part", DEGENERATE_FORMULAS.values(), ids=DEGENERATE_FORMULAS.keys())
 def test_formula_certificate_rejects_degenerate_params(part):
-    # l = r = 0 gave target order 0, and five such parts concluded 5 from 1 > 0
+    # l = r = 0 would give target order 0, and five such parts would
+    # conclude 5 from 1 > 0
     with pytest.raises(CertificateError, match="formula needs"):
         check_certificate(certify_formula(["a"] * 5, "t", [part] * 5))
 

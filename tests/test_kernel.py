@@ -308,7 +308,7 @@ def test_witness_quotient_works_on_the_targets_ints(degree, gens, dedup):
 def test_class_filtered_count_makes_at_most_two_products_a_node():
     # Candidates and relator checks read the target's conjugacy classes on
     # its kernel, so no element is powered: the only realization products
-    # are one per (a*b) evaluated (the powering filter made about 23,000)
+    # are one per (a*b) evaluated
     sym7 = CountingPermGroup(7, [(1, 2, 3, 4, 5, 6, 0), (1, 0, 2, 3, 4, 5, 6)])
     pres = presentation_from_words(["a", "b"], ["a^2", "b^3", "(a*b)^7"])
     CountingPermGroup.calls = 0
