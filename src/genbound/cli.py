@@ -34,6 +34,7 @@ from .constructions import (
     metabelian_target,
     reduce_cyclic_orders,
     semidirect_target,
+    simple_modules,
 )
 from .groups import ClosureOverflowError, FiniteGroup
 from .homcount import (
@@ -43,7 +44,6 @@ from .homcount import (
     witness_quotient,
 )
 from .io import FileFormatError, _load_json, dump_document, parse_group_file
-from .modules import cyclic_modules, find_simple_module
 from .numtheory import SearchCapError
 from .presentations import Presentation
 from .subgroups import d_min_generators, largest_normal_p_subgroup
@@ -188,24 +188,15 @@ def _cmd_construct_thm1(args) -> tuple[int, dict]:
     factors = _require_presentations(args.factors, "factor")
     if args.prime is None:
         raise JobError("construct-thm1 needs --prime")
-    closed = cyclic_modules(factors, args.prime)
-    if closed is None:
-        modules = []
-        searches: dict = {}  # repeated factors share one module search
-        for f in factors:
-            if f not in searches:
-                searches[f] = find_simple_module(f, args.prime, args.dmax)
-            search = searches[f]
-            if search.found is None:
-                skipped = "; ".join(f"dim {d}: {why}" for d, why in search.skipped)
-                raise JobError(
-                    f"no nontrivial irreducible action of {f.describe()} over "
-                    f"F_{args.prime} up to dimension {args.dmax}"
-                    + (f" ({skipped})" if skipped else "")
-                )
-            modules.append(search.found)
-        closed = modules, None, None
-    modules, dims, r = closed
+    modules, dims, r, failed = simple_modules(factors, args.prime, args.dmax)
+    if failed:
+        i, search = failed[0]
+        skipped = "; ".join(f"dim {d}: {why}" for d, why in search.skipped)
+        raise JobError(
+            f"no nontrivial irreducible action of {factors[i].describe()} over "
+            f"F_{args.prime} up to dimension {args.dmax}"
+            + (f" ({skipped})" if skipped else "")
+        )
     target, contributions = semidirect_target(modules, args.m, module_dims=dims, r=r)
     cert = certify_formula([f.describe() for f in factors], target.describe(), contributions)
     check_certificate(cert)

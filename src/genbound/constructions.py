@@ -30,6 +30,7 @@ from .bounds import (
     certify_formula,
 )
 from .groups import AffineSemidirect, FiniteGroup, MatrixGroup, PermGroup
+from .homcount import group_presentation
 from .modules import ModuleAction, cyclic_modules, find_simple_module, is_irreducible
 from .numtheory import (
     common_subset_sum,
@@ -44,7 +45,7 @@ from .numtheory import (
     unit_of_order,
 )
 from .perm import perm_order
-from .presentations import cyclic_presentation
+from .presentations import Presentation, cyclic_presentation
 from .subgroups import (
     abelian_invariants,
     d_min_generators,
@@ -92,6 +93,31 @@ class SemidirectTarget:
 
 def _block_embed(matrix: linalg.Matrix, copies: int) -> linalg.Matrix:
     return linalg.block_diag([matrix] * copies)
+
+
+def simple_modules(sources: Sequence[Presentation | FiniteGroup], p: int, d_max: int) -> tuple:
+    """One nontrivial simple module per source over F_p, for
+    `semidirect_target`: (modules, dims, r, failed). When every source is
+    cyclic, `cyclic_modules` gives them in closed form, with dims and r.
+    Otherwise `find_simple_module` searches up to dimension d_max once per
+    distinct source presentation (a concrete group is read through its
+    Schreier presentation); dims and r are None, `failed` lists (index,
+    search) for each source with none found, and `modules` holds the others'.
+    """
+    sources = [group_presentation(s) if isinstance(s, FiniteGroup) else s for s in sources]
+    closed = cyclic_modules(sources, p)
+    if closed is not None:
+        return *closed, []
+    searches: dict = {}
+    modules, failed = [], []
+    for i, source in enumerate(sources):
+        if source not in searches:
+            searches[source] = find_simple_module(source, p, d_max)
+        if (found := searches[source].found) is None:
+            failed.append((i, searches[source]))
+        else:
+            modules.append(found)
+    return modules, None, None, failed
 
 
 def semidirect_target(
@@ -318,22 +344,12 @@ def abelianization_split(
         reduced_names.append(f"{names[i]}/O_{p}")
     residual_name = f"C{p}^{residual_rank}"
     all_names = reduced_names + [residual_name]
-    closed = cyclic_modules(reduced, p)
-    if closed is None:
-        modules, missing = [], []
-        for name, h_i in zip(reduced_names, reduced):
-            search = find_simple_module(h_i, p, d_max)
-            if search.found is None:
-                missing.append(name)
-            else:
-                modules.append(search.found)
-        if missing:
-            return SplitBound(
-                s_prime, p, t, n, tuple(all_names), residual_rank,
-                tuple(modules), None, None, True, tuple(missing),
-            )
-        closed = modules, None, None
-    modules, dims, r = closed
+    modules, dims, r, failed = simple_modules(reduced, p, d_max)
+    if failed:
+        return SplitBound(
+            s_prime, p, t, n, tuple(all_names), residual_rank,
+            tuple(modules), None, None, True, tuple(reduced_names[i] for i, _ in failed),
+        )
     target, contributions = semidirect_target(
         modules, m, p=p, residual_rank=residual_rank, module_dims=dims, r=r
     )

@@ -1,11 +1,13 @@
 """Finite group realizations with uniform multiply / invert / enumerate.
 
-Four concrete realizations are provided (permutation, Cayley table, matrix
-over a prime field, affine semidirect product), plus direct products and
-subgroups generated inside an ambient group. Elements are plain hashable
-values (tuples or ints); every group value is immutable after construction
-and enumeration caches are write-once. Structure work runs on one integer
-kernel: `FiniteGroup.compiled`, the group as a `CayleyGroup` on 0..n-1.
+Three concrete realizations are provided (permutation, matrix over a prime
+field, affine semidirect product), plus direct products and subgroups
+generated inside an ambient group. Elements are plain hashable values
+(tuples or ints); every group value is immutable after construction and
+enumeration caches are write-once. Each enumerates by a BFS over its
+generators, recording their right action. Structure work runs on one
+integer kernel: `FiniteGroup.compiled`, that action as a `CayleyGroup` on
+0..n-1. A Cayley table input is read straight into such a kernel.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ class FiniteGroup:
     _reached: Sequence | None = None  # the elements enumerated so far
     _pending: Iterator | None = None  # the enumeration, while part way
     _index: dict | None = None
-    _action: list | None = None  # the generators' right action, if recorded
+    _action: list | None = None  # the generators' right action, as the BFS records it
     _compiled: CayleyGroup | None = None
 
     # -- realization interface -------------------------------------------
@@ -135,8 +137,8 @@ class FiniteGroup:
 
     def _generate(self, out: list) -> Iterator:
         """Append the elements to `out` in enumeration order, yielding after
-        each. By default this is the closure BFS over the generators, which
-        records their action for `compiled`."""
+        each: the closure BFS over the generators, which records their
+        action for `compiled`. An override records it too."""
         self._action = [[] for _ in self.generators]
         return _bfs(self.generators, self.mul, self.identity, out, self._action)
 
@@ -196,19 +198,12 @@ class FiniteGroup:
     @property
     def compiled(self) -> CayleyGroup:
         """This group on 0..n-1, int i standing for elements[i], compiled
-        on first use and kept. The default enumeration BFS records the
-        action it needs; other groups pay one `mul` per element and generator."""
+        on first use and kept: the generators' right action, as the
+        enumeration BFS recorded it."""
         if self._compiled is None:
-            self._compiled = self._compile()
+            elems = self.elements  # the BFS reaches the identity first
+            self._compiled = CayleyGroup.from_action(len(elems), 0, self._action)
         return self._compiled
-
-    def _compile(self) -> CayleyGroup:
-        elems = self.elements
-        if self._action is not None:  # recorded by the BFS, which reaches the identity first
-            return CayleyGroup.from_action(len(elems), 0, self._action)
-        index = self._positions()
-        action = [[index[self.mul(x, g)] for x in elems] for g in self.generators]
-        return CayleyGroup.from_action(len(elems), index[self.identity], action)
 
     def power(self, a, n: int):
         if n < 0:
@@ -302,23 +297,23 @@ class PermGroup(FiniteGroup):
 
 
 class CayleyGroup(FiniteGroup):
-    """The integer kernel: a group on 0..n-1 held as the right action of its
-    generators (right[j][i] is i * generators[j]). A BFS over the action
-    gives every element a word, built on first use; a * b walks b's word
-    from a. Built from a multiplication table, validated and kept with its
-    inverses for lookups, or by `from_action`.
+    """The integer kernel: a group on 0..n-1 held as the right action of a
+    set of generators that generates it (right[j][i] is i * generators[j]).
+    A BFS over the action gives every element a word, built on first use;
+    a * b walks b's word from a. Built by `from_action`, or from a
+    multiplication table: the table is validated, and its columns for a few
+    generators are all that is kept.
     """
 
     # Full associativity is cubic in the order; above this it is spot-checked.
     FULL_ASSOCIATIVITY_LIMIT = 64
-    _table = _inv = _right = _words = _back = _conjugations = None
-    _generates = False  # whether the generators are known to reach every element
+    _words = _back = _conjugations = None
 
-    def __init__(
-        self,
-        table: Sequence[Sequence[int]],
-        generators: Sequence[int] | None = None,
-    ):
+    def __init__(self, table: Sequence[Sequence[int]]):
+        """The group of a multiplication table on 0..n-1. Its generators are
+        picked greedily, each the least int outside the subgroup the earlier
+        ones generate, so each pick at least doubles that subgroup and there
+        are at most log2(n) of them."""
         n = len(table)
         table = tuple(tuple(row) for row in table)
         if any(len(row) != n for row in table):
@@ -340,43 +335,42 @@ class CayleyGroup(FiniteGroup):
         for a, b, c in itertools.product(small, range(n), small):
             if table[table[a][b]][c] != table[a][table[b][c]]:
                 raise ValueError(f"table is not associative at ({a},{b},{c})")
-        self._table = table
-        self._inv = tuple(inv)
-        self._identity = e
-        self._generators = tuple(range(n) if generators is None else generators)
-        self._elements = range(n)
+        generators: list[int] = []
+        reached = {e}
+        while len(reached) < n:
+            generators.append(next(x for x in range(n) if x not in reached))
+            reached = set(closure(generators, lambda a, b: table[a][b], e))
+        self._hold(n, e, [[row[g] for row in table] for g in generators])
+
+    def _hold(self, order: int, identity: int, action: Sequence) -> None:
+        """Hold the action: what both constructors keep."""
+        self._identity = identity
+        self.right = tuple(action)
+        self._generators = tuple(row[identity] for row in action)
+        self._elements = range(order)
 
     @classmethod
     def from_action(cls, order: int, identity: int, action: Sequence) -> CayleyGroup:
         """The group on 0..order-1 in which action[j][i] is i * g_j for its
-        generators g_j. Raises ValueError if they miss an element. Its
-        elements are `range(order)`, which holds no int objects."""
+        generators g_j. Raises ValueError if a walk of the action from the
+        identity misses an element. Its elements are `range(order)`, which
+        holds no int objects."""
         group = cls.__new__(cls)
-        group._identity = identity
-        group._right = tuple(action)
-        group._generators = tuple(row[identity] for row in action)
-        group._elements = range(order)
-        group._check_generation()
+        group._hold(order, identity, action)
+        seen = bytearray(order)
+        seen[identity] = 1
+        queue = [identity]
+        for x in queue:
+            for row in group.right:
+                if not seen[y := row[x]]:
+                    seen[y] = 1
+                    queue.append(y)
+        if len(queue) != order:
+            raise ValueError(
+                f"generators do not generate the group: they reach "
+                f"{len(queue)} of {order} elements"
+            )
         return group
-
-    def _check_generation(self) -> None:
-        """Raise ValueError unless a walk of the right action from the
-        identity reaches every element; walked once."""
-        if not self._generates:
-            seen = bytearray(self.order)
-            seen[self._identity] = 1
-            queue = [self._identity]
-            for x in queue:
-                for row in self.right:
-                    if not seen[y := row[x]]:
-                        seen[y] = 1
-                        queue.append(y)
-            if len(queue) != self.order:
-                raise ValueError(
-                    f"generators do not generate the group: they reach "
-                    f"{len(queue)} of {self.order} elements"
-                )
-            self._generates = True
 
     @property
     def identity(self):
@@ -387,25 +381,24 @@ class CayleyGroup(FiniteGroup):
         return self._generators
 
     @property
-    def right(self) -> tuple:
-        """right[j][i] is i * generators[j], read off the table if not given."""
-        if self._right is None:
-            self._right = tuple([row[g] for row in self._table] for g in self._generators)
-        return self._right
-
-    @property
     def table(self) -> tuple:
-        """Full multiplication table, built on first use if not given."""
-        if self._table is None:
-            self._table = tuple(
-                tuple(self.mul(a, b) for b in self._elements) for a in self._elements
-            )
-        return self._table
+        """The full multiplication table, built on each call in O(|G|^2)
+        along a BFS tree of the right action: the column of x * h, that is
+        a * x * h for every a, is right[h] applied to the column of x."""
+        right, e = self.right, self._identity
+        columns: list = [None] * self.order
+        columns[e] = self._elements
+        queue = [e]
+        for x in queue:
+            column = columns[x]
+            for row in right:
+                if columns[y := row[x]] is None:
+                    columns[y] = list(map(row.__getitem__, column))
+                    queue.append(y)
+        return tuple(zip(*columns))
 
     def mul(self, a, b):
-        if self._table is not None:
-            return self._table[a][b]
-        right = self._right
+        right = self.right
         for j in (self._words or self.words())[b]:
             a = right[j][a]
         return a
@@ -413,8 +406,6 @@ class CayleyGroup(FiniteGroup):
     def inv(self, a):
         """a^-1: if a = g_1 ... g_k along its word, e g_k^-1 ... g_1^-1,
         read through the inverse rows in O(k)."""
-        if self._inv is not None:
-            return self._inv[a]
         back = self.back
         x = self._identity
         for j in reversed((self._words or self.words())[a]):
@@ -423,18 +414,14 @@ class CayleyGroup(FiniteGroup):
 
     @property
     def compiled(self) -> CayleyGroup:
-        """The kernel itself, once its generators are known to generate it.
-        It is not stored on itself: a self-reference would leave every
-        kernel to the cyclic garbage collector."""
-        self._check_generation()
+        """The kernel itself. It is not stored on itself: a self-reference
+        would leave every kernel to the cyclic garbage collector."""
         return self
 
     def words(self) -> list:
         """Each element's word (generator positions) along a BFS tree of the
-        right action, built on first use. Raises ValueError if the
-        generators miss an element."""
+        right action, built on first use."""
         if self._words is None:
-            self._check_generation()
             words: list = [None] * self.order
             words[self._identity] = ()
             queue = [self._identity]
@@ -463,7 +450,6 @@ class CayleyGroup(FiniteGroup):
         Each map costs O(|G| * #generators) and holds the ints the action
         holds."""
         if self._conjugations is None:
-            self._check_generation()
             right, e = self.right, self._identity
             maps = []
             for g, row in zip(self._generators, right):
@@ -574,13 +560,9 @@ class AffineSemidirect(FiniteGroup):
         return (linalg.vec_neg(linalg.mat_vec(self.action(a_inv), v, self.p), self.p), a_inv)
 
     def _generate(self, out: list) -> Iterator:
-        total = self.p**self.dim * self.point_group.order
-        if total > DEFAULT_ELEMENT_CAP:
+        if self.order > DEFAULT_ELEMENT_CAP:
             raise ClosureOverflowError(DEFAULT_ELEMENT_CAP)
-        vectors = itertools.product(range(self.p), repeat=self.dim)
-        for x in itertools.product(vectors, self.point_group.elements):
-            out.append(x)
-            yield x
+        yield from super()._generate(out)
 
     @property
     def order(self) -> int:
@@ -622,12 +604,9 @@ class ProductGroup(FiniteGroup):
         return tuple(f.inv(x) for f, x in zip(self.factors, a))
 
     def _generate(self, out: list) -> Iterator:
-        total = prod(f.order for f in self.factors)
-        if total > DEFAULT_ELEMENT_CAP:
+        if self.order > DEFAULT_ELEMENT_CAP:
             raise ClosureOverflowError(DEFAULT_ELEMENT_CAP)
-        for x in itertools.product(*(f.elements for f in self.factors)):
-            out.append(x)
-            yield x
+        yield from super()._generate(out)
 
     @property
     def order(self) -> int:

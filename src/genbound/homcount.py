@@ -259,7 +259,7 @@ def group_presentation(G: FiniteGroup) -> Presentation:
     are dropped. Relators are kept once per class under rotation and
     inversion, shortest first.
     """
-    kernel = G.compiled  # raises ValueError if the generators do not generate
+    kernel = G.compiled
     words = kernel.words()
     paths = [tuple((j, 1) for j in word) for word in words]
     relators = {((gi, G.element_order(g)),) for gi, g in enumerate(G.generators)}

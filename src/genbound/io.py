@@ -76,8 +76,11 @@ def parse_group_file(path: str | Path, _depth: int = 0):
         if not isinstance(table, list):
             _fail(path, "table", "must be an array of rows")
         order = doc.get("order")
-        if order is not None and order != len(table):
-            _fail(path, "order", f"declared {order} but table has {len(table)} rows")
+        if order is not None:
+            if not isinstance(order, int) or order < 1:
+                _fail(path, "order", "must be a positive integer")
+            if order != len(table):
+                _fail(path, "order", f"declared {order} but table has {len(table)} rows")
         try:
             return CayleyGroup(table)
         except (ValueError, TypeError) as exc:

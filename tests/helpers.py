@@ -91,9 +91,9 @@ def regular_perm_group(G: FiniteGroup) -> PermGroup:
 
 
 def cyclic_group(n: int) -> CayleyGroup:
-    """Cyclic group of order n as a Cayley table (identity is 0)."""
-    table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    return CayleyGroup(table, generators=(1 % n,))
+    """Cyclic group of order n as a Cayley table (identity is 0), generated
+    by 1."""
+    return CayleyGroup([[(i + j) % n for j in range(n)] for i in range(n)])
 
 
 def free_presentation(rank: int, prefix: str = "x") -> Presentation:

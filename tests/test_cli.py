@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -23,6 +24,7 @@ def files(tmp_path):
         "s3.perm": {"type": "perm", "degree": 3, "generators": [[1, 2, 0], [1, 0, 2]]},
         "klein.perm": {"type": "perm", "degree": 4, "generators": [[1, 0, 3, 2], [2, 3, 0, 1]]},
         "c3.perm": {"type": "perm", "degree": 3, "generators": [[1, 2, 0]]},
+        "c13.perm": {"type": "perm", "degree": 13, "generators": [[*range(1, 13), 0]]},
     }
     out = {}
     for name, doc in docs.items():
@@ -215,6 +217,46 @@ def test_decompose_thm3(files, capsys):
     assert doc["certificate"]["conclusion"] == 3
 
 
+def _cayley_file(tmp_path, name, elements, mul):
+    index = {x: i for i, x in enumerate(elements)}
+    table = [[index[mul(a, b)] for b in elements] for a in elements]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"type": "cayley", "order": len(table), "table": table}))
+    return str(path)
+
+
+def test_cayley_table_inputs(files, capsys, tmp_path):
+    # Sym(5) in lexicographic order, a(b(x)) as in perm.compose; C13 as Z/13
+    sym5 = _cayley_file(
+        tmp_path, "sym5", list(itertools.permutations(range(5))),
+        lambda a, b: tuple(a[x] for x in b),
+    )
+    c13 = _cayley_file(tmp_path, "c13", range(13), lambda a, b: (a + b) % 13)
+    status, out, _ = run(
+        ["homcount", "--factors", files["a5.pres"], "--target", sym5, "--json", "--reproducible"],
+        capsys,
+    )
+    assert status == 0
+    assert json.loads(out)["combined_count"] == "121"
+    status, out, _ = run(["dmin", sym5, "--json", "--reproducible"], capsys)
+    doc = json.loads(out)
+    assert status == 0
+    assert (doc["order"], doc["d"], doc["exact"]) == ("120", 2, True)
+    docs = []
+    for factor in (c13, files["c13.perm"]):
+        status, out, _ = run(
+            ["decompose-thm3", "--factors", files["c3.perm"], factor, "--json", "--reproducible"],
+            capsys,
+        )
+        assert status == 0
+        docs.append(json.loads(out))
+    for doc in docs:  # the factor names differ: "cayley-group(...)" and "perm-group(...)"
+        del doc["parts"], doc["certificate"]["factors"]
+    assert docs[0] == docs[1]
+    assert docs[0]["certificate"]["conclusion"] == 2
+    assert docs[0]["construction"]["r"] == "13"
+
+
 def test_construct_thm1(files, capsys):
     status, out, _ = run(
         ["construct-thm1", "--factors", files["c2.pres"], files["c3.pres"],
@@ -336,11 +378,11 @@ def test_presentation_where_group_expected(files, capsys):
 def test_construct_thm1_searches_repeated_factors_once(files, capsys, monkeypatch):
     # cyclic factors take the closed form, which builds each distinct
     # factor's action once
-    import genbound.cli as cli
+    import genbound.constructions as constructions
     import genbound.modules as modules
 
     entries, built = [], []
-    closed_form = cli.cyclic_modules
+    closed_form = constructions.cyclic_modules
     post_init = modules.ModuleAction.__post_init__
 
     def counted_entry(factors, p):
@@ -351,7 +393,7 @@ def test_construct_thm1_searches_repeated_factors_once(files, capsys, monkeypatc
         built.append(action.source.name)
         post_init(action)
 
-    monkeypatch.setattr(cli, "cyclic_modules", counted_entry)
+    monkeypatch.setattr(constructions, "cyclic_modules", counted_entry)
     monkeypatch.setattr(modules.ModuleAction, "__post_init__", counted_build)
     status, out, _ = run(
         ["construct-thm1", "--factors", files["c3.pres"], files["c2.pres"], files["c3.pres"],

@@ -93,6 +93,20 @@ def test_parse_cayley(tmp_path):
     assert group.order == 3
 
 
+@pytest.mark.parametrize(
+    "order, message",
+    [("3", "order: must be a positive integer"), (0, "order: must be a positive integer"),
+     (4, "order: declared 4 but table has 3 rows")],
+)
+def test_cayley_order_must_be_a_positive_integer_matching_the_table(tmp_path, order, message):
+    path = write(tmp_path, "c.json", {
+        "type": "cayley", "order": order,
+        "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+    })
+    with pytest.raises(FileFormatError, match=message):
+        parse_group_file(path)
+
+
 def test_unknown_type(tmp_path):
     path = write(tmp_path, "u.json", {"type": "mystery"})
     with pytest.raises(FileFormatError, match="unknown type"):

@@ -19,7 +19,13 @@ from genbound.groups import (
     closure,
     orbit_partition,
 )
-from genbound.homcount import _BacktrackSearch, _partner_walk, enumerate_homs, witness_quotient
+from genbound.homcount import (
+    _BacktrackSearch,
+    _partner_walk,
+    count_homs,
+    enumerate_homs,
+    witness_quotient,
+)
 from genbound.modules import general_linear_group
 from genbound.perm import compose, inverse
 from genbound.presentations import cyclic_presentation, presentation_from_words
@@ -161,6 +167,7 @@ def test_table_group_with_identity_away_from_zero():
             table[label[i]][label[j]] = label[s3.element_index(s3.mul(a, b))]
     group = CayleyGroup(table)
     assert group.identity == 4
+    assert group.table == tuple(map(tuple, table))
     check_kernel_matches_realization(group)
     check_conjugation_maps_and_orbits(group)
     check_class_wise_structure(group)
@@ -172,6 +179,20 @@ def test_table_group_with_identity_away_from_zero():
     assert largest_normal_p_subgroup(group, 3).order == 3
     assert largest_normal_p_subgroup(group, 2).order == 1
     assert d_min_generators(group).value == 2
+
+
+def test_sym6_as_a_table_is_held_by_few_generators():
+    # each generator is the least int outside the subgroup the earlier ones
+    # generate, so each at least doubles it: at most log2(720) < 10 of them
+    sym6 = symmetric_group(6)
+    group = CayleyGroup(sym6.compiled.table)
+    assert len(group.generators) <= 9
+    assert group.table == sym6.compiled.table
+    triangle = presentation_from_words(["a", "b"], ["a^2", "b^3", "(a*b)^5"])
+    assert count_homs(triangle, group).count == 1441
+    result = d_min_generators(group)
+    assert (result.value, result.exact) == (2, True)
+    assert derived_subgroup(group).order == 360
 
 
 @pytest.mark.parametrize(
@@ -199,17 +220,13 @@ def test_d_min_finds_the_first_element_of_full_order_on_cyclic_groups(factory):
 
 
 def test_non_generating_cayley_group_is_rejected():
+    # one transposition's right action on Sym(3) reaches only the 2 elements of <t>
     s3 = symmetric_group(3)
-    table = s3.compiled.table
+    kernel = s3.compiled
     t = s3.element_index((1, 0, 2))
-    only_t = CayleyGroup(table, generators=(t,))
-    # multiplication still works off the table
-    assert only_t.mul(t, t) == s3.element_index(s3.identity)
-    with pytest.raises(ValueError, match="do not generate"):
-        only_t.conjugacy_classes()
-    # <t> is not normal in Sym(3): no quotient of order 3 is built
-    with pytest.raises(ValueError, match="do not generate"):
-        quotient_group(only_t, subgroup_from_generators(only_t, [t]))
+    only_t = [kernel.mul(x, t) for x in range(6)]
+    with pytest.raises(ValueError, match="reach 2 of 6"):
+        CayleyGroup.from_action(6, kernel.identity, [only_t])
 
 
 def test_a_kernel_is_freed_without_the_cycle_collector():
@@ -386,7 +403,6 @@ def test_partner_walk_decides_kernel_equality_on_every_hom_pair(degree, gens):
 def test_word_inverse_is_a_two_sided_inverse(group):
     kernel = group.compiled
     e = kernel.identity
-    assert kernel._inv is None  # compiled from the action: no table of inverses
     for x in range(kernel.order):
         y = kernel.inv(x)
         assert kernel.mul(x, y) == e == kernel.mul(y, x)
