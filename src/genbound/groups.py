@@ -4,16 +4,17 @@ Three concrete realizations are provided (permutation, matrix over a prime
 field, affine semidirect product), plus direct products and subgroups
 generated inside an ambient group. Elements are plain hashable values
 (tuples or ints); every group value is immutable after construction and
-enumeration caches are write-once. Each enumerates by a BFS over its
-generators, recording their right action. Structure work runs on one
-integer kernel: `FiniteGroup.compiled`, that action as a `CayleyGroup` on
-0..n-1. A Cayley table input is read straight into such a kernel.
+enumeration caches are write-once. Each enumerates once, on the first read
+of `elements`, by a BFS over its generators run to the end, recording
+their right action. Structure work runs on one integer kernel:
+`FiniteGroup.compiled`, that action as a `CayleyGroup` on 0..n-1, walked
+once into a BFS tree that its words, table and conjugation maps are read
+from. A Cayley table input is read straight into such a kernel.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from math import prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -63,7 +64,7 @@ def _bfs(generators, mul, identity, out: list, action: list) -> Iterator:
     recording the generators' right action it walks.
 
     Appends each element to `out` as it is reached, identity first, and
-    yields it, so a reader may stop part way and resume later.
+    yields it, so a reader may stop at the first element it wants.
     action[j][i] is the position of out[i] * generators[j], filled for
     every element it has moved past."""
     cap = DEFAULT_ELEMENT_CAP
@@ -83,6 +84,15 @@ def _bfs(generators, mul, identity, out: list, action: list) -> Iterator:
                 yield b
             else:
                 row.append(i)
+
+
+def _enumerate(generators, mul, identity) -> tuple[list, list]:
+    """(elements, action): the enumeration BFS run to the end."""
+    out: list = []
+    action: list = [[] for _ in generators]
+    for _ in _bfs(generators, mul, identity, out, action):
+        pass
+    return out, action
 
 
 def orbit_partition(n: int, maps: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -113,8 +123,6 @@ class FiniteGroup:
     """Base class: mul/inv/identity, cached enumeration and the int kernel."""
 
     _elements: Sequence | None = None  # a tuple, or a range on a kernel
-    _reached: Sequence | None = None  # the elements enumerated so far
-    _pending: Iterator | None = None  # the enumeration, while part way
     _index: dict | None = None
     _action: list | None = None  # the generators' right action, as the BFS records it
     _compiled: CayleyGroup | None = None
@@ -135,53 +143,23 @@ class FiniteGroup:
     def generators(self) -> tuple:
         raise NotImplementedError
 
-    def _generate(self, out: list) -> Iterator:
-        """Append the elements to `out` in enumeration order, yielding after
-        each: the closure BFS over the generators, which records their
-        action for `compiled`. An override records it too."""
-        self._action = [[] for _ in self.generators]
-        return _bfs(self.generators, self.mul, self.identity, out, self._action)
+    def _generate(self) -> list:
+        """The elements in enumeration order: the closure BFS over the
+        generators, which records their action for `compiled`. An override
+        records it too."""
+        out, self._action = _enumerate(self.generators, self.mul, self.identity)
+        return out
 
     # -- derived, shared machinery ---------------------------------------
 
-    def _reach(self, n: float) -> bool:
-        """Whether element n exists, enumerating up to it and no further.
-
-        A partial enumeration keeps its place, so the group is enumerated
-        at most once however its readers interleave."""
-        if self._reached is None:
-            if self._elements is not None:
-                self._reached = self._elements
-            else:
-                self._reached = []
-                self._pending = self._generate(self._reached)
-        reached = self._reached
-        if self._pending is not None:
-            try:
-                while len(reached) <= n:
-                    next(self._pending)
-            except StopIteration:
-                self._pending = None
-            except BaseException:  # the enumeration is spent: restart on the next read
-                self._reached = self._pending = None
-                raise
-        return len(reached) > n
-
     @property
     def elements(self) -> Sequence:
+        """The elements in enumeration order, enumerated on first read. An
+        enumeration that raises keeps nothing, so the next read runs it
+        again."""
         if self._elements is None:
-            self._reach(math.inf)
-            self._elements = self._reached = tuple(self._reached)
+            self._elements = tuple(self._generate())
         return self._elements
-
-    def stream(self) -> Iterator:
-        """The elements in `elements` order, enumerated only as far as they
-        are read. A stream left part way leaves the enumeration where it
-        stopped; `elements`, `compiled` and later streams continue it."""
-        i = 0
-        while self._reach(i):
-            yield self._reached[i]
-            i += 1
 
     @property
     def order(self) -> int:
@@ -282,15 +260,15 @@ class PermGroup(FiniteGroup):
     def element_order(self, a) -> int:
         return perm.perm_order(a)
 
-    def _generate(self, out: list) -> Iterator:
+    def _generate(self) -> list:
         """The closure BFS, with x * g formed by g's own itemgetter: the
         product `perm.compose` forms, without a call to it. Below degree 2,
         where an itemgetter returns no tuple, the generic BFS."""
         if self.degree < 2:
-            return super()._generate(out)
-        self._action = [[] for _ in self._generators]
+            return super()._generate()
         getters = [itemgetter(*g) for g in self._generators]
-        return _bfs(getters, _apply, self.identity, out, self._action)
+        out, self._action = _enumerate(getters, _apply, self.identity)
+        return out
 
     def describe(self) -> str:
         return f"perm-group(degree={self.degree}, generators={len(self._generators)})"
@@ -299,8 +277,9 @@ class PermGroup(FiniteGroup):
 class CayleyGroup(FiniteGroup):
     """The integer kernel: a group on 0..n-1 held as the right action of a
     set of generators that generates it (right[j][i] is i * generators[j]).
-    A BFS over the action gives every element a word, built on first use;
-    a * b walks b's word from a. Built by `from_action`, or from a
+    Both constructors walk the action once from the identity and keep the
+    BFS tree: words, the table and the conjugation maps are each one pass
+    over it. a * b walks b's word from a. Built by `from_action`, or from a
     multiplication table: the table is validated, and its columns for a few
     generators are all that is kept.
     """
@@ -343,33 +322,40 @@ class CayleyGroup(FiniteGroup):
         self._hold(n, e, [[row[g] for row in table] for g in generators])
 
     def _hold(self, order: int, identity: int, action: Sequence) -> None:
-        """Hold the action: what both constructors keep."""
+        """Hold the action, what both constructors keep, and walk it once
+        from the identity. The walk's BFS tree is kept as three lists in BFS
+        order, the identity left out: each element y, its parent x and the
+        generator position j with y = x * g_j, so a pass over them meets
+        every parent before its children. Raises ValueError if the walk
+        misses an element."""
         self._identity = identity
         self.right = tuple(action)
         self._generators = tuple(row[identity] for row in action)
         self._elements = range(order)
+        seen = bytearray(order)
+        seen[identity] = 1
+        reached, parents, steps = [], [], []
+        for x in itertools.chain((identity,), reached):
+            for j, row in enumerate(self.right):
+                if not seen[y := row[x]]:
+                    seen[y] = 1
+                    reached.append(y)
+                    parents.append(x)
+                    steps.append(j)
+        if len(reached) + 1 != order:
+            raise ValueError(
+                f"generators do not generate the group: they reach "
+                f"{len(reached) + 1} of {order} elements"
+            )
+        self._tree = (reached, parents, steps)
 
     @classmethod
     def from_action(cls, order: int, identity: int, action: Sequence) -> CayleyGroup:
         """The group on 0..order-1 in which action[j][i] is i * g_j for its
-        generators g_j. Raises ValueError if a walk of the action from the
-        identity misses an element. Its elements are `range(order)`, which
-        holds no int objects."""
+        generators g_j, walked once by `_hold`. Its elements are
+        `range(order)`, which holds no int objects."""
         group = cls.__new__(cls)
         group._hold(order, identity, action)
-        seen = bytearray(order)
-        seen[identity] = 1
-        queue = [identity]
-        for x in queue:
-            for row in group.right:
-                if not seen[y := row[x]]:
-                    seen[y] = 1
-                    queue.append(y)
-        if len(queue) != order:
-            raise ValueError(
-                f"generators do not generate the group: they reach "
-                f"{len(queue)} of {order} elements"
-            )
         return group
 
     @property
@@ -383,18 +369,13 @@ class CayleyGroup(FiniteGroup):
     @property
     def table(self) -> tuple:
         """The full multiplication table, built on each call in O(|G|^2)
-        along a BFS tree of the right action: the column of x * h, that is
-        a * x * h for every a, is right[h] applied to the column of x."""
-        right, e = self.right, self._identity
+        along the BFS tree: the column of x * h, that is a * x * h for
+        every a, is right[h] applied to the column of x."""
+        right = self.right
         columns: list = [None] * self.order
-        columns[e] = self._elements
-        queue = [e]
-        for x in queue:
-            column = columns[x]
-            for row in right:
-                if columns[y := row[x]] is None:
-                    columns[y] = list(map(row.__getitem__, column))
-                    queue.append(y)
+        columns[self._identity] = self._elements
+        for y, x, j in zip(*self._tree):
+            columns[y] = list(map(right[j].__getitem__, columns[x]))
         return tuple(zip(*columns))
 
     def mul(self, a, b):
@@ -419,17 +400,13 @@ class CayleyGroup(FiniteGroup):
         return self
 
     def words(self) -> list:
-        """Each element's word (generator positions) along a BFS tree of the
-        right action, built on first use."""
+        """Each element's word (generator positions) along the BFS tree,
+        built on first use."""
         if self._words is None:
             words: list = [None] * self.order
             words[self._identity] = ()
-            queue = [self._identity]
-            for x in queue:
-                for j, row in enumerate(self.right):
-                    if words[y := row[x]] is None:
-                        words[y] = words[x] + (j,)
-                        queue.append(y)
+            for y, x, j in zip(*self._tree):
+                words[y] = words[x] + (j,)
             self._words = words
         return self._words
 
@@ -443,26 +420,19 @@ class CayleyGroup(FiniteGroup):
 
     @property
     def conjugations(self) -> tuple:
-        """conjugations[j][i] is g i g^-1 for g = generators[j]. A BFS of the
-        right action from the identity gives left[i] = g i, as left[i h] is
-        left[i] h for each generator h; then g (i g) g^-1 = g i is
-        left[i], so the map sends i * g, that is right[j][i], to left[i].
-        Each map costs O(|G| * #generators) and holds the ints the action
-        holds."""
+        """conjugations[j][i] is g i g^-1 for g = generators[j]. A pass over
+        the BFS tree gives left[i] = g i, as left[x h] is left[x] h for
+        each generator h; then g (i g) g^-1 = g i is left[i], so the map
+        sends i * g, that is right[j][i], to left[i]. Each map costs O(|G|)
+        and holds the ints the action holds."""
         if self._conjugations is None:
-            right, e = self.right, self._identity
+            right = self.right
             maps = []
             for g, row in zip(self._generators, right):
                 left = [None] * self.order
-                left[e] = g
-                queue = [e]
-                for x in queue:
-                    lx = left[x]
-                    for r in right:
-                        if left[y := r[x]] is None:
-                            left[y] = r[lx]
-                            queue.append(y)
-                del queue  # free it before the map is built
+                left[self._identity] = g
+                for y, x, j in zip(*self._tree):
+                    left[y] = right[j][left[x]]
                 conjugation = [None] * self.order
                 for x in row:
                     conjugation[row[x]] = left[x]
@@ -559,10 +529,10 @@ class AffineSemidirect(FiniteGroup):
         a_inv = self.point_group.inv(a)
         return (linalg.vec_neg(linalg.mat_vec(self.action(a_inv), v, self.p), self.p), a_inv)
 
-    def _generate(self, out: list) -> Iterator:
+    def _generate(self) -> list:
         if self.order > DEFAULT_ELEMENT_CAP:
             raise ClosureOverflowError(DEFAULT_ELEMENT_CAP)
-        yield from super()._generate(out)
+        return super()._generate()
 
     @property
     def order(self) -> int:
@@ -603,10 +573,10 @@ class ProductGroup(FiniteGroup):
     def inv(self, a):
         return tuple(f.inv(x) for f, x in zip(self.factors, a))
 
-    def _generate(self, out: list) -> Iterator:
+    def _generate(self) -> list:
         if self.order > DEFAULT_ELEMENT_CAP:
             raise ClosureOverflowError(DEFAULT_ELEMENT_CAP)
-        yield from super()._generate(out)
+        return super()._generate()
 
     @property
     def order(self) -> int:

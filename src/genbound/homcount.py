@@ -16,7 +16,7 @@ from .groups import (
     FiniteGroup,
     GeneratedGroup,
     ProductGroup,
-    _bfs,
+    _enumerate,
     orbit_partition,
 )
 from .presentations import (
@@ -102,17 +102,13 @@ class _BacktrackSearch:
     mentions are assigned, as a power of its root (`cyclic_root`).
     Deterministic given the target's element order.
 
-    With two or more generators the search reads the target's conjugacy
-    classes once, on its integer kernel, and one element order per class
-    (element order is a class function). Let Omega_m be the union of the
-    classes whose order divides m (every class for m = 0), in element
-    order. A generator with order bound m takes the candidates Omega_m,
-    the elements x with x^m = e, and a relator root^n = e is checked as
-    root in Omega_n: "(a*b)^n" costs one product and a set lookup, and no
-    element is ever powered. A single generator needs no ranking, so its
-    candidates are filtered by powering as they are drawn from the
-    target's element stream, and a search that stops early enumerates the
-    target no further than it read.
+    The search reads the target's conjugacy classes once, on its integer
+    kernel, and one element order per class (element order is a class
+    function). Let Omega_m be the union of the classes whose order divides
+    m (every class for m = 0), in element order. A generator with order
+    bound m takes the candidates Omega_m, the elements x with x^m = e, and
+    a relator root^n = e is checked as root in Omega_n: "(a*b)^n" costs one
+    product and a set lookup, and no element is ever powered.
     """
 
     def __init__(self, pres: Presentation, target: FiniteGroup, node_budget: int):
@@ -123,18 +119,15 @@ class _BacktrackSearch:
         self.depth = 0  # the most generators assigned consistently so far
         k = len(pres.generators)
         self.bounds = [_single_generator_order_bound(pres, g) for g in range(k)]
-        self.candidates = None  # materialized only to rank two or more generators
-        self.order = list(range(k))
-        if k > 1:
-            kernel = target.compiled
-            self.classes = orbit_partition(kernel.order, kernel.conjugations)
-            elements = target.elements
-            self.class_orders = [target.element_order(elements[c[0]]) for c in self.classes]
-            self.candidates = [
-                tuple(map(elements.__getitem__, sorted(self._omega(m)))) for m in self.bounds
-            ]
-            # stable sort: most constrained generator first
-            self.order.sort(key=lambda g: (len(self.candidates[g]), g))
+        kernel = target.compiled
+        self.classes = orbit_partition(kernel.order, kernel.conjugations)
+        elements = target.elements
+        self.class_orders = [target.element_order(elements[c[0]]) for c in self.classes]
+        self.candidates = [
+            tuple(map(elements.__getitem__, sorted(self._omega(m)))) for m in self.bounds
+        ]
+        # most constrained generator first
+        self.order = sorted(range(k), key=lambda g: (len(self.candidates[g]), g))
         position = {g: i for i, g in enumerate(self.order)}
         self.checks: list[list[tuple[Word, int]]] = [[] for _ in range(k)]
         for word in pres.relators:
@@ -152,28 +145,19 @@ class _BacktrackSearch:
         """The kernel ints of Omega_m, class by class."""
         return itertools.chain.from_iterable(self._classes(m))
 
-    def _filtered(self, gen: int) -> Iterator:
-        """The elements x with x^m = e, m the order bound of `gen`, drawn
-        from the target's element stream."""
-        m = self.bounds[gen]
-        target, e = self.target, self.target.identity
-        stream = target.stream()
-        return stream if m == 0 else (x for x in stream if target.power(x, m) == e)
-
     def run(self, visit: Callable[[tuple], object] | None) -> int:
         """Visit each homomorphism, as its tuple of generator images, in
         order until `visit` returns a truthy value; the number visited.
 
-        With no `visit` and two or more generators it only counts: the
-        first generator in `order` takes one representative x per conjugacy
-        class in its Omega, the class's least int, and
-        |Hom| = sum over x of |x^G| * #{homs with that image},
+        With no `visit` it only counts: the first generator in `order` takes
+        one representative x per conjugacy class in its Omega, the class's
+        least int, and |Hom| = sum over x of |x^G| * #{homs with that image},
         since conjugating a hom by g gives a hom, sending it to g x g^-1."""
         k = len(self.pres.generators)
         target = self.target
-        candidates = self.candidates or [self._filtered(g) for g in range(k)]
+        candidates = self.candidates
         weights = None
-        if visit is None and k > 1:
+        if visit is None and self.order:  # a presentation may have no generator
             first = self.order[0]
             elements = target.elements
             weights = {elements[c[0]]: len(c) for c in self._classes(self.bounds[first])}
@@ -331,14 +315,11 @@ class _WitnessGroup(GeneratedGroup):
         self._target = target
         self._moves = moves
 
-    def _generate(self, out: list) -> Iterator:
-        self._action = [[] for _ in self._moves]
+    def _generate(self) -> list:
         elems = self._target.elements
         start = (self._target.compiled.identity,) * len(self.ambient.factors)
-        for t in _bfs(self._moves, _move, start, [], self._action):
-            x = tuple(map(elems.__getitem__, t))
-            out.append(x)
-            yield x
+        ints, self._action = _enumerate(self._moves, _move, start)
+        return [tuple(map(elems.__getitem__, t)) for t in ints]
 
 
 def witness_quotient(

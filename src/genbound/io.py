@@ -22,6 +22,7 @@ from pathlib import Path
 
 from . import perm
 from .groups import CayleyGroup, MatrixGroup, PermGroup
+from .numtheory import is_prime
 from .presentations import Presentation, presentation_from_words, render_word
 
 
@@ -88,7 +89,7 @@ def parse_group_file(path: str | Path, _depth: int = 0):
     if kind == "matrix":
         prime = doc.get("prime")
         dim = doc.get("dim")
-        if not isinstance(prime, int) or prime < 2:
+        if not isinstance(prime, int) or not is_prime(prime):
             _fail(path, "prime", "must be a prime integer")
         if not isinstance(dim, int) or dim < 1:
             _fail(path, "dim", "must be a positive integer")
@@ -112,8 +113,11 @@ def parse_group_file(path: str | Path, _depth: int = 0):
             _fail(path, "generators", "must be an array of names")
         if not isinstance(relators, list):
             _fail(path, "relators", "must be an array of words")
+        name = doc.get("name", "")
+        if not isinstance(name, str):
+            _fail(path, "name", "must be a string")
         try:
-            return presentation_from_words(gens, relators, name=doc.get("name", ""))
+            return presentation_from_words(gens, relators, name=name)
         except ValueError as exc:
             _fail(path, "relators", str(exc))
     if kind == "presentation-ref":

@@ -11,13 +11,12 @@ from math import gcd, lcm, prod
 from typing import Sequence
 
 from . import linalg
-from .groups import FiniteGroup, MatrixGroup
+from .groups import MatrixGroup, _bfs
 from .homcount import (
     DEFAULT_NODE_BUDGET,
     _BacktrackSearch,
     _single_generator_order_bound,
     evaluate_word,
-    group_presentation,
 )
 from .numtheory import (
     factorize,
@@ -130,35 +129,35 @@ class SimpleModuleSearch:
     skipped: tuple[tuple[int, str], ...]
 
 
-def find_simple_module(
-    source: Presentation | FiniteGroup,
-    p: int,
-    d_max: int,
-    gl_order_cap: int = DEFAULT_GL_ORDER_CAP,
-) -> SimpleModuleSearch:
+def find_simple_module(source: Presentation, p: int, d_max: int) -> SimpleModuleSearch:
     """Search dimensions 1..d_max for a nontrivial irreducible action of the
     source over F_p.
 
-    Each dimension runs the homomorphism search into the full matrix group
-    and tests the nontrivial homomorphisms for irreducibility as it finds
-    them; the search stops at the first hit (small dimensions keep
-    downstream targets small). A one-generator source reads the matrix
-    group's elements only as far as that hit. Dimensions whose matrix group
-    or vector space exceeds the caps are reported as skipped. A dimension
-    where every generator has an order bound m prime to |GL(d, p)| admits
-    only the trivial hom (Lagrange), so it counts as searched without
-    building the matrix group. A concrete source group is searched through
-    its Schreier presentation.
+    Each dimension tests the homomorphisms into the full matrix group for
+    irreducibility as they are found, and stops at the first nontrivial
+    irreducible one (small dimensions keep downstream targets small).
+    Dimensions whose matrix group (above `DEFAULT_GL_ORDER_CAP`) or vector
+    space exceeds the caps are reported as skipped. A dimension where
+    every generator has an order bound m prime to |GL(d, p)| admits only
+    the trivial hom (Lagrange), so it counts as searched without building
+    the matrix group. For a one-generator source, m is taken with its
+    p-part removed: the image of a p-element A is unipotent (A - I is
+    nilpotent), so it fixes a nonzero vector and acts irreducibly only
+    when trivial. With more generators that fails: Sym(3), generated by
+    involutions, has a simple module of dimension 2 over F_2.
     """
-    if isinstance(source, FiniteGroup):
-        source = group_presentation(source)
     bounds = [_single_generator_order_bound(source, g) for g in range(len(source.generators))]
+    if len(bounds) == 1 and bounds[0]:
+        while bounds[0] % p == 0:
+            bounds[0] //= p
     searched: list[int] = []
     skipped: list[tuple[int, str]] = []
     for dim in range(1, d_max + 1):
         gl_order = general_linear_order(p, dim)
-        if gl_order > gl_order_cap:
-            skipped.append((dim, f"matrix group order {gl_order} exceeds cap {gl_order_cap}"))
+        if gl_order > DEFAULT_GL_ORDER_CAP:
+            skipped.append(
+                (dim, f"matrix group order {gl_order} exceeds cap {DEFAULT_GL_ORDER_CAP}")
+            )
             continue
         if p**dim > SPACE_CAP:
             skipped.append((dim, f"space size {p}^{dim} exceeds cap {SPACE_CAP}"))
@@ -174,7 +173,10 @@ def find_simple_module(
 
 def _first_irreducible(source: Presentation, gl: MatrixGroup) -> ModuleAction | None:
     """The first nontrivial irreducible action among the homomorphisms into
-    `gl`, in search order; the search stops there."""
+    `gl`, in search order; the search stops there. A one-generator source
+    needs no search: it reads the enumeration BFS of `gl` itself, in
+    `gl.elements` order, and stops at the first x with x^m = e whose action
+    is irreducible, so it enumerates and powers no further than that."""
     identity, found = gl.identity, None
 
     def irreducible(images) -> bool:
@@ -188,12 +190,19 @@ def _first_irreducible(source: Presentation, gl: MatrixGroup) -> ModuleAction | 
                 found = action
         return found is not None
 
-    _BacktrackSearch(source, gl, DEFAULT_NODE_BUDGET).run(irreducible)
+    if len(source.generators) == 1:
+        m = _single_generator_order_bound(source, 0)
+        walk = _bfs(gl.generators, gl.mul, identity, [], [[] for _ in gl.generators])
+        for x in walk:
+            if gl.power(x, m) == identity and irreducible((x,)):
+                break
+    else:
+        _BacktrackSearch(source, gl, DEFAULT_NODE_BUDGET).run(irreducible)
     return found
 
 
 def cyclic_modules(
-    sources: Sequence[Presentation | FiniteGroup], p: int
+    sources: Sequence[Presentation], p: int
 ) -> tuple[list[ModuleAction], list[int], int] | None:
     """Closed-form actions of cyclic sources over F_p: (the actions on
     V = F_p^l, the dimensions of their simple summands, r = |R|), or None
@@ -214,7 +223,6 @@ def cyclic_modules(
         raise ValueError(f"{p} is not prime")
     if not sources or any(len(s.generators) != 1 for s in sources):
         return None
-    sources = [group_presentation(s) if isinstance(s, FiniteGroup) else s for s in sources]
     exponents: dict[Presentation, int] = {}
     for pres in sources:
         if pres not in exponents:

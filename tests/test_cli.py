@@ -439,7 +439,7 @@ def r_unenumerated(monkeypatch):
     import genbound.constructions as constructions
 
     class Unenumerated(constructions.MatrixGroup):
-        def _generate(self, out):
+        def _generate(self):
             raise AssertionError("R was enumerated")
 
     monkeypatch.setattr(constructions, "MatrixGroup", Unenumerated)

@@ -1,0 +1,133 @@
+"""Every benchmark job's report, frozen byte for byte.
+
+The inputs and argument lists of the 21 jobs in `perfbench/jobs.py`,
+copied here at the identity relabelling of their permutation groups, run
+through `cli.main --json --reproducible`; each report's sha256 must match
+the table below. A refactor that means to keep every result keeps this
+table. A change that means to change a report updates the table and says
+in CHANGES.md which reports changed and why.
+"""
+
+import hashlib
+import json
+
+from genbound.cli import main
+
+PERM_GROUPS = {
+    "sym4": (4, [[1, 2, 3, 0], [1, 0, 2, 3]]),
+    "sym6": (6, [[1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5]]),
+    "sym7": (7, [[1, 2, 3, 4, 5, 6, 0], [1, 0, 2, 3, 4, 5, 6]]),
+    "alt5": (5, [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]]),
+    "agl-1-7": (7, [[1, 2, 3, 4, 5, 6, 0], [0, 3, 6, 2, 5, 1, 4]]),
+    "sym4-wr-c2": (
+        8,
+        [[1, 2, 3, 0, 4, 5, 6, 7], [1, 0, 2, 3, 4, 5, 6, 7], [4, 5, 6, 7, 0, 1, 2, 3]],
+    ),
+    "agl-3-2": (
+        8,
+        [[1, 0, 3, 2, 5, 4, 7, 6], [0, 1, 3, 2, 4, 5, 7, 6], [0, 2, 4, 6, 1, 3, 5, 7]],
+    ),
+    "c3-perm": (3, [[1, 2, 0]]),
+    "c13-perm": (13, [[(i + 1) % 13 for i in range(13)]]),
+}
+
+PRESENTATIONS = {
+    "c2": (["a"], ["a^2"]),
+    "c3": (["b"], ["b^3"]),
+    "c13": (["a"], ["a^13"]),
+    "tri-2-3-5": (["a", "b"], ["a^2", "b^3", "(a*b)^5"]),
+    "tri-2-4-5": (["a", "b"], ["a^2", "b^4", "(a*b)^5"]),
+    "tri-3-3-4": (["a", "b"], ["a^3", "b^3", "(a*b)^4"]),
+    "tri-2-3-7": (["a", "b"], ["a^2", "b^3", "(a*b)^7"]),
+    "tri-2-3-605": (["a", "b"], ["a^2", "b^3", "(a*b)^605"]),
+}
+
+# (job, argv): `@x` names an input and `=x` the report of an earlier job.
+# The jobs run in this order.
+JOBS = [
+    ("hom-2-3-5-sym6", "homcount --factors @tri-2-3-5 --target @sym6"),
+    ("hom-2-4-5-sym6", "homcount --factors @tri-2-4-5 --target @sym6"),
+    ("hom-3-3-4-sym6", "homcount --factors @tri-3-3-4 --target @sym6"),
+    ("hom-2-3-7-sym7", "homcount --factors @tri-2-3-7 --target @sym7"),
+    ("hom-2-3-605-alt5", "homcount --factors @tri-2-3-605 --target @alt5"),
+    ("bound-2-3-5-cubed-alt5",
+     "bound --factors @tri-2-3-5 @tri-2-3-5 @tri-2-3-5 --target @alt5"),
+    ("witness-sym4", "witness --factors @c2 @c3 --target @sym4"),
+    ("witness-agl-1-7", "witness --factors @c2 @c3 --target @agl-1-7"),
+    ("witness-agl-1-7-dedup",
+     "witness --factors @c2 @c3 --target @agl-1-7 --dedup --width-cap 64"),
+    ("dmin-sym4-wr-c2", "dmin @sym4-wr-c2"),
+    ("opsub-sym4-wr-c2", "opsub @sym4-wr-c2 --prime 2"),
+    ("dmin-agl-3-2", "dmin @agl-3-2"),
+    ("opsub-agl-3-2", "opsub @agl-3-2 --prime 2"),
+    ("thm1-c13-c13-f3", "construct-thm1 --factors @c13 @c13 --prime 3"),
+    ("thm3-c3-c13", "decompose-thm3 --factors @c3-perm @c13-perm"),
+    ("solsol-2-3-5-7", "construct-solsol --primes 2,3,5,7"),
+    ("thm4-n2", "construct-thm4 --n 2"),
+    ("verify-thm1", "verify --certificate =thm1-c13-c13-f3"),
+    ("verify-thm3", "verify --certificate =thm3-c3-c13"),
+    ("verify-solsol", "verify --certificate =solsol-2-3-5-7"),
+    ("verify-thm4", "verify --certificate =thm4-n2"),
+]
+
+FROZEN = {
+    "hom-2-3-5-sym6": "653c04ded71eb17819753abfd65832c893a3597be63dce4c007198c14f05ca1d",
+    "hom-2-4-5-sym6": "0792de57386777fa32b23861e605dad7cc6ddfc672d1f9f613450a324bd675b4",
+    "hom-3-3-4-sym6": "41f7dc782768d15673615390b083f56e13236a3c0d90aaf17999f9679d3d17e6",
+    "hom-2-3-7-sym7": "a5c2fb431ef34c959a7d41922f6d860371c08b951404d55f0e46d4ba0731ebc1",
+    "hom-2-3-605-alt5": "b0e763b623bda46397459d50bb1d3e0a7c00af4f6a7624c4f37ad4bb67492eea",
+    "bound-2-3-5-cubed-alt5": "eb20fb4947bcf8175f9ad407b484ff997dc6a73c8e095b39c7c3685a02379f88",
+    "witness-sym4": "b67db5a90be66d5077d019bdc73aef10d83c32cde6161ccd0789da3cd4959e29",
+    "witness-agl-1-7": "f6f12af244e0fe4f3b296368b16e7e4f805fe55e818c56749ec695e1049add5d",
+    "witness-agl-1-7-dedup": "a6335e2640e9b606cc8643600f7dc861d9dbf3d8eeafd443d1a0d1f4c211aeb2",
+    "dmin-sym4-wr-c2": "aa7525e9ace9081f1620a005234a5bcd4908d9a3cb531b8647cd84eca5a8b44a",
+    "opsub-sym4-wr-c2": "dae97dd2b1869c726795acec671e789c1b14298e7aa09e7a6bf73b55009756ef",
+    "dmin-agl-3-2": "694806b57d14dec1b9e54ba35884ed809bd656cfedba47fb27eef0e6a6d3b1a1",
+    "opsub-agl-3-2": "72adb3be2aa5e214283804ece9631dbfd8aa7549d036dacbe32a063a9d314404",
+    "thm1-c13-c13-f3": "e4b8ca30fac86506513bbd782fa2494fa18c20e33a113cb67cba891547964ef7",
+    "thm3-c3-c13": "f0aa5087ea931feb3f38195ac193763cbf5912f8667286fc45e4329762ff83ed",
+    "solsol-2-3-5-7": "8f4ae16bc4bb0300be8c5e17a460c2d0c2ad584a1481e82dc7357ac0953181df",
+    "thm4-n2": "24596b88c29918e4c37d27bdb524e7bde9667a905fa3ac2d7be19d80aa9910e3",
+    "verify-thm1": "720ea0fbcf2e3a744f01a72bf6ae1d25ac2d0c53843f5b6a198c27c722d7fadf",
+    "verify-thm3": "720ea0fbcf2e3a744f01a72bf6ae1d25ac2d0c53843f5b6a198c27c722d7fadf",
+    "verify-solsol": "366c71ac5121b2a1d15010363139b1ff7867fd33256620368429a9e4be1325bd",
+    "verify-thm4": "51068e4a2112cf81deca27e043be377e7c75a45c1c82a9b6e52cadd13189d891",
+}
+
+
+def _inputs(directory) -> dict:
+    """Each input document written to `directory`: name -> path."""
+    docs = {
+        name: {"type": "perm", "degree": degree, "generators": generators}
+        for name, (degree, generators) in PERM_GROUPS.items()
+    }
+    for name, (generators, relators) in PRESENTATIONS.items():
+        docs[name] = {"type": "presentation", "generators": generators, "relators": relators}
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = directory / f"{name}.json"
+        paths[name].write_text(json.dumps(doc) + "\n")
+    return paths
+
+
+def reports(directory) -> dict:
+    """Each job's report bytes, the jobs run in order in `directory`."""
+    inputs = _inputs(directory)
+    out = {}
+    for name, argv in JOBS:
+        args = []
+        for arg in argv.split():
+            if arg.startswith("@"):
+                arg = str(inputs[arg[1:]])
+            elif arg.startswith("="):
+                arg = str(directory / f"{arg[1:]}.report.json")
+            args.append(arg)
+        report = directory / f"{name}.report.json"
+        assert main(args + ["--json", "--reproducible", "--output", str(report)]) == 0, name
+        out[name] = report.read_bytes()
+    return out
+
+
+def test_every_benchmark_report_is_frozen(tmp_path):
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in reports(tmp_path).items()}
+    assert digests == FROZEN

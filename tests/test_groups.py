@@ -15,7 +15,7 @@ from genbound.groups import (
     ProductGroup,
     closure,
 )
-from genbound.modules import general_linear_generators
+from genbound.modules import general_linear_group
 from helpers import (
     alternating_group_5,
     cyclic_group,
@@ -184,34 +184,17 @@ def test_power_matches_repeated_multiplication(x, n):
     assert group.power(x, n) == expected
 
 
-def test_stream_left_part_way_is_continued_not_restarted():
-    class CountingMatrixGroup(MatrixGroup):
-        calls = 0
-
-        def mul(self, a, b):
-            CountingMatrixGroup.calls += 1
-            return super().mul(a, b)
-
-    fresh = CountingMatrixGroup(3, 2, general_linear_generators(3, 2))
-    fresh.elements
-    full_cost = CountingMatrixGroup.calls
-    CountingMatrixGroup.calls = 0
-    gl = CountingMatrixGroup(3, 2, general_linear_generators(3, 2))
-    first = list(itertools.islice(gl.stream(), 5))
-    assert first == list(fresh.elements[:5])
-    assert 0 < CountingMatrixGroup.calls < full_cost
-    assert gl.elements == fresh.elements  # continues where the stream stopped
-    assert CountingMatrixGroup.calls == full_cost
-    assert list(gl.stream()) == list(fresh.elements)
-    assert gl.compiled.right == fresh.compiled.right
-    assert closure(gl.generators, gl.mul, gl.identity) == list(fresh.elements)
-
-
-def test_interleaved_streams_share_one_enumeration():
-    s4 = symmetric_group(4)
-    a, b = s4.stream(), s4.stream()
-    pairs = list(zip(a, b))
-    assert [x for x, _ in pairs] == [y for _, y in pairs] == list(symmetric_group(4).elements)
+@pytest.mark.parametrize("p,dim", [(3, 2), (2, 3)])
+def test_walk_read_part_way_meets_the_elements_in_enumeration_order(p, dim):
+    # the one-generator module search reads GL(d, p) through this walk and
+    # stops at its first hit, so the module it reports is the first one in
+    # `elements` order
+    gl = general_linear_group(p, dim)
+    walk = groups._bfs(gl.generators, gl.mul, gl.identity, [], [[] for _ in gl.generators])
+    first = list(itertools.islice(walk, 5))
+    assert first == list(gl.elements[:5])
+    assert first + list(walk) == list(gl.elements)
+    assert closure(gl.generators, gl.mul, gl.identity) == list(gl.elements)
 
 
 def test_failed_enumeration_fails_again_on_the_next_read(monkeypatch):
@@ -219,6 +202,8 @@ def test_failed_enumeration_fails_again_on_the_next_read(monkeypatch):
     group = symmetric_group(4)
     for _ in range(2):
         with pytest.raises(ClosureOverflowError):
-            list(group.stream())
-        with pytest.raises(ClosureOverflowError):
             group.elements
+    # nothing of the failed reads is kept: the next read starts afresh
+    monkeypatch.setattr(groups, "DEFAULT_ELEMENT_CAP", 24)
+    assert group.elements == symmetric_group(4).elements
+    assert group.compiled.right == symmetric_group(4).compiled.right

@@ -85,6 +85,34 @@ def test_cyclic_counts_against_element_scan_oracle():
         assert pres_count == oracle_power_count(s4, m)
 
 
+@pytest.mark.parametrize(
+    "target",
+    [symmetric_group(4), affine_group(7, 3), general_linear_group(3, 2)],
+    ids=["sym4", "agl-1-7", "gl-2-3"],
+)
+def test_one_generator_searches_read_the_classes_and_power_nothing(target, monkeypatch):
+    sources = {m: cyclic_presentation(m) for m in range(1, 13)}
+    sources[0] = presentation_from_words(("a",), ())  # <a | >, every element
+    expected = {
+        m: [(x,) for x in target.elements if target.power(x, m) == target.identity]
+        for m in sources
+    }
+    oracle = {m: oracle_power_count(target, m) for m in sources}
+    powered = 0
+    power = groups.FiniteGroup.power
+
+    def counted(self, a, n):
+        nonlocal powered
+        powered += 1
+        return power(self, a, n)
+
+    monkeypatch.setattr(groups.FiniteGroup, "power", counted)
+    for m, source in sources.items():
+        assert count_homs(source, target).count == len(expected[m]) == oracle[m], m
+        assert enumerate_homs(source, target) == expected[m], m  # in element order
+    assert powered == 0
+
+
 def test_known_counts():
     s4 = symmetric_group(4)
     assert count_homs(cyclic_presentation(2), s4).count == 10

@@ -83,6 +83,24 @@ def test_parse_matrix_group_row_major(tmp_path):
     assert group.order == 3
 
 
+@pytest.mark.parametrize("prime", [4, 9, 1, 0, True, "7"])
+def test_matrix_prime_must_be_a_prime_integer(tmp_path, prime):
+    path = write(tmp_path, "m.json", {
+        "type": "matrix", "prime": prime, "dim": 2, "generators": [[0, 1, 1, 1]],
+    })
+    with pytest.raises(FileFormatError, match="prime: must be a prime integer"):
+        parse_group_file(path)
+
+
+@pytest.mark.parametrize("name", [7, None, ["C2"]])
+def test_presentation_name_must_be_a_string(tmp_path, name):
+    path = write(tmp_path, "p.json", {
+        "type": "presentation", "generators": ["a"], "relators": ["a^2"], "name": name,
+    })
+    with pytest.raises(FileFormatError, match="name: must be a string"):
+        parse_group_file(path)
+
+
 def test_parse_cayley(tmp_path):
     path = write(tmp_path, "c.json", {
         "type": "cayley", "order": 3,

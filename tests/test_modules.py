@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from genbound import modules
 from genbound.groups import MatrixGroup
+from genbound.homcount import group_presentation
 from genbound.linalg import (
     block_diag,
     has_no_joint_fixed_vector,
@@ -168,13 +170,13 @@ def test_find_simple_module_c2_mod2_inconclusive():
 
 def test_find_simple_module_from_concrete_group():
     s3 = symmetric_group(3)
-    search = find_simple_module(s3, 5, 2)
+    search = find_simple_module(group_presentation(s3), 5, 2)
     assert search.found is not None
     assert search.found.dim == 1  # sign action: the unit -1 mod 5
 
 
 def test_module_action_on_concrete_source_checks_its_relators():
-    source = find_simple_module(symmetric_group(3), 5, 2).found.source
+    source = find_simple_module(group_presentation(symmetric_group(3)), 5, 2).found.source
     assert source.relators
     # the generators are the 3-cycle and the transposition; 2 has order 4
     # mod 5, so it cannot be the image of the transposition
@@ -182,8 +184,9 @@ def test_module_action_on_concrete_source_checks_its_relators():
         ModuleAction(5, 1, (((1,),), ((2,),)), source)
 
 
-def test_find_simple_module_reports_skipped_dimensions():
-    search = find_simple_module(C2, 7, 4, gl_order_cap=5)
+def test_find_simple_module_reports_skipped_dimensions(monkeypatch):
+    monkeypatch.setattr(modules, "DEFAULT_GL_ORDER_CAP", 5)
+    search = find_simple_module(C2, 7, 4)
     assert search.found is None
     assert all(reason.startswith("matrix group order") for _, reason in search.skipped)
     assert [d for d, _ in search.skipped] == [1, 2, 3, 4]
@@ -192,7 +195,7 @@ def test_find_simple_module_reports_skipped_dimensions():
 def test_find_simple_module_inconclusive_for_a5_at_small_dims():
     # nontrivial actions of Alt(5) over F_2 first appear in dimension 4;
     # a bounded search below that is inconclusive, not a disproof
-    search = find_simple_module(alternating_group_5(), 2, 2)
+    search = find_simple_module(group_presentation(alternating_group_5()), 2, 2)
     assert search.found is None
 
 
@@ -201,10 +204,10 @@ def test_find_simple_module_inconclusive_for_a5_at_small_dims():
 TWO_GENERATOR_SYM3 = presentation_from_words(("a", "b"), ("a^2", "b^3", "(a*b)^2"))
 STREAM_CORPUS = [
     *((cyclic_presentation(n), p, 3) for p in (2, 3, 5, 7) for n in range(2, 14)),
-    (symmetric_group(3), 5, 2),
-    (klein_group(), 3, 2),
+    (group_presentation(symmetric_group(3)), 5, 2),
+    (group_presentation(klein_group()), 3, 2),
     (TWO_GENERATOR_SYM3, 7, 2),
-    (alternating_group_5(), 2, 2),  # inconclusive
+    (group_presentation(alternating_group_5()), 2, 2),  # inconclusive
 ]
 
 
@@ -262,6 +265,26 @@ def test_generator_without_order_bound_blocks_the_coprime_skip():
     free_and_c13 = presentation_from_words(("a", "b"), ("a^13",))
     search = find_simple_module(free_and_c13, 2, 2)
     assert search.found is not None and search.found.matrices[0] == ((1, 0), (0, 1))
+
+
+@pytest.mark.parametrize("m,p,d_max", [(2, 2, 4), (4, 2, 4), (9, 3, 3)])
+def test_module_search_skips_cyclic_sources_of_p_power_order(monkeypatch, m, p, d_max):
+    # the image of a p-element is unipotent and fixes a nonzero vector, so
+    # C_m has no nontrivial simple module over F_p; reading GL(4, 2) alone
+    # costs over 200,000 products
+    calls = 0
+    mul = MatrixGroup.mul
+
+    def counted(self, a, b):
+        nonlocal calls
+        calls += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(MatrixGroup, "mul", counted)
+    search = find_simple_module(cyclic_presentation(m), p, d_max)
+    assert search.found is None
+    assert search.searched_dims == tuple(range(1, d_max + 1)) and search.skipped == ()
+    assert calls == 0
 
 
 # -- closed-form modules of cyclic sources ------------------------------------
@@ -336,9 +359,9 @@ def test_closed_form_for_several_factors_shares_one_field():
 
 def test_closed_form_needs_cyclic_sources():
     assert cyclic_modules([], 2) is None
-    assert cyclic_modules([symmetric_group(3)], 5) is None
+    assert cyclic_modules([group_presentation(symmetric_group(3))], 5) is None
     assert cyclic_modules([presentation_from_words(("a",), ())], 5) is None  # infinite cyclic
-    _, dims, r = cyclic_modules([cyclic_perm_group(3)], 2)
+    _, dims, r = cyclic_modules([group_presentation(cyclic_perm_group(3))], 2)
     assert dims == [2] and r == 3
     with pytest.raises(ValueError, match="not prime"):
         cyclic_modules([C3], 4)
