@@ -17,8 +17,6 @@ from .bounds import (
     weak_bound,
 )
 from .constructions import (
-    AffineBlock,
-    BlockAffineGroup,
     ConstructionError,
     CoprimeFamilyInstance,
     MetabelianTarget,
@@ -33,7 +31,6 @@ from .constructions import (
     semidirect_target,
 )
 from .groups import (
-    AffineSemidirect,
     CayleyGroup,
     ClosureOverflowError,
     FiniteGroup,

@@ -44,7 +44,7 @@ from .homcount import (
     witness_quotient,
 )
 from .io import FileFormatError, _load_json, dump_document, parse_group_file
-from .numtheory import SearchCapError
+from .numtheory import INPUT_INTEGER_BOUND, SearchCapError
 from .presentations import Presentation
 from .subgroups import d_min_generators, largest_normal_p_subgroup
 
@@ -79,11 +79,20 @@ def _construction_doc(target) -> dict:
     return {key: str(getattr(target, key)) for key in ("p", "l", "m", "r")}
 
 
+def _bounded(value: int, option: str) -> int:
+    """An integer option that the job tests for primality or factors, once
+    it is below `INPUT_INTEGER_BOUND`."""
+    if value >= INPUT_INTEGER_BOUND:
+        raise JobError(f"{option} value {value} is not below 2^32")
+    return value
+
+
 def _parse_primes(text: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        values = [int(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise JobError(f"bad --primes value {text!r}: {exc}") from exc
+    return [_bounded(value, "--primes") for value in values]
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -158,7 +167,7 @@ def _cmd_dmin(args) -> tuple[int, dict]:
 
 def _cmd_opsub(args) -> tuple[int, dict]:
     group = _require_group(args.group, "group")
-    handle = largest_normal_p_subgroup(group, args.prime)
+    handle = largest_normal_p_subgroup(group, _bounded(args.prime, "--prime"))
     return EXIT_OK, {
         "group": group.describe(),
         "prime": args.prime,
@@ -186,9 +195,7 @@ def _cmd_construct_solsol(args) -> tuple[int, dict]:
 
 def _cmd_construct_thm1(args) -> tuple[int, dict]:
     factors = _require_presentations(args.factors, "factor")
-    if args.prime is None:
-        raise JobError("construct-thm1 needs --prime")
-    modules, dims, r, failed = simple_modules(factors, args.prime, args.dmax)
+    modules, dims, r, failed = simple_modules(factors, _bounded(args.prime, "--prime"), args.dmax)
     if failed:
         i, search = failed[0]
         skipped = "; ".join(f"dim {d}: {why}" for d, why in search.skipped)

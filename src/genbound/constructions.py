@@ -12,13 +12,17 @@ Four constructions are provided:
   embed in a common symmetric group with trivial centralizer, built from
   CRT residues, sieved prime progressions and a common subset sum.
 
-Large constructed groups are verified through exact per-block arithmetic
-and small permutation computations; they are never enumerated.
+A target V^m : R is held as the affine matrices of F_p^(lm), built only
+when read. Each family group is held as the permutations of its two
+generators: its claims are checked block by block on those permutations
+and by integer arithmetic on the block sizes, and only a group of at most
+`CROSS_CHECK_CAP` elements is enumerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm, prod
 from typing import Sequence
 
@@ -29,7 +33,7 @@ from .bounds import (
     certify_embeddings,
     certify_formula,
 )
-from .groups import AffineSemidirect, FiniteGroup, MatrixGroup, PermGroup
+from .groups import FiniteGroup, MatrixGroup, PermGroup
 from .homcount import group_presentation
 from .modules import ModuleAction, cyclic_modules, find_simple_module, is_irreducible
 from .numtheory import (
@@ -44,7 +48,7 @@ from .numtheory import (
     primes_in_progression,
     unit_of_order,
 )
-from .perm import perm_order
+from .perm import compose, inverse, perm_order
 from .presentations import Presentation, cyclic_presentation
 from .subgroups import (
     abelian_invariants,
@@ -80,12 +84,24 @@ class SemidirectTarget:
     m: int
     r: int
     point_group: MatrixGroup
-    group: AffineSemidirect
     module_dims: tuple[int, ...]
 
     @property
     def order(self) -> int:
         return self.p ** (self.l * self.m) * self.r
+
+    @cached_property
+    def group(self) -> MatrixGroup:
+        """V^m : R, built on first read, as the affine maps x -> a x + v of
+        F_p^(lm): each is the (lm+1) x (lm+1) matrix [[a, v], [0, 1]], so
+        two multiply to (v1 + a1 v2, a1 a2), the semidirect product rule.
+        Its generators are the lm unit translations, then each generator of
+        R acting diagonally on the m copies of V."""
+        basis = linalg.mat_identity(self.l * self.m)
+        zero = (0,) * len(basis)
+        translations = [_affine(basis, v) for v in basis]
+        points = [_affine(_block_embed(g, self.m), zero) for g in self.point_group.generators]
+        return MatrixGroup(self.p, len(basis) + 1, translations + points)
 
     def describe(self) -> str:
         return f"affine-target(p={self.p}, l={self.l}, m={self.m}, r={self.r})"
@@ -93,6 +109,11 @@ class SemidirectTarget:
 
 def _block_embed(matrix: linalg.Matrix, copies: int) -> linalg.Matrix:
     return linalg.block_diag([matrix] * copies)
+
+
+def _affine(a: linalg.Matrix, v: linalg.Vector) -> linalg.Matrix:
+    """The matrix [[a, v], [0, 1]] of the affine map x -> a x + v."""
+    return tuple(row + (x,) for row, x in zip(a, v)) + ((0,) * len(v) + (1,),)
 
 
 def simple_modules(sources: Sequence[Presentation | FiniteGroup], p: int, d_max: int) -> tuple:
@@ -173,10 +194,7 @@ def semidirect_target(
         r = point_group.order
     if m is None:
         m = min_m_for_conclusion(len(modules) + residual_rank, p, l, r)
-    group = AffineSemidirect(
-        p, l * m, point_group, action=lambda a: _block_embed(a, m)
-    )
-    target = SemidirectTarget(p, l, m, r, point_group, group, tuple(module_dims))
+    target = SemidirectTarget(p, l, m, r, point_group, tuple(module_dims))
     contributions = [FormulaContribution(p, l, m, r) for _ in modules]
     if residual_rank:
         contributions.append(FormulaContribution(p, l, m, r, weight=residual_rank))
@@ -364,100 +382,6 @@ def abelianization_split(
 
 
 @dataclass(frozen=True)
-class AffineBlock:
-    """One orbit block: affine maps x -> u^s x + w on F_q, u of fixed order."""
-
-    q: int
-    multiplier: int
-    offset: int
-
-
-class BlockAffineGroup:
-    """Exact model of a product of prime-field translations extended by a
-    diagonal multiplier of order p.
-
-    Elements are pairs (s, w): the map acting on block j as
-    x -> multiplier_j^s * x + w_j. The group is never enumerated; orders
-    and structure are computed arithmetically, which keeps instances with
-    tens of millions of elements verifiable.
-    """
-
-    def __init__(self, p: int, blocks: Sequence[AffineBlock]):
-        self.p = p
-        self.blocks = tuple(blocks)
-        for b in self.blocks:
-            if multiplicative_order(b.multiplier, b.q) != p:
-                raise ValueError(
-                    f"multiplier {b.multiplier} has wrong order mod {b.q}"
-                )
-
-    @property
-    def identity(self):
-        return (0, (0,) * len(self.blocks))
-
-    @property
-    def translation_generator(self):
-        return (0, (1,) * len(self.blocks))
-
-    @property
-    def multiplier_generator(self):
-        return (1, (0,) * len(self.blocks))
-
-    @property
-    def translation_order(self) -> int:
-        return prod(b.q for b in self.blocks)
-
-    @property
-    def order(self) -> int:
-        return self.p * self.translation_order
-
-    @property
-    def degree(self) -> int:
-        return sum(b.q for b in self.blocks)
-
-    def mul(self, x, y):
-        s1, w1 = x
-        s2, w2 = y
-        w = tuple(
-            (pow(b.multiplier, s1, b.q) * w2[j] + w1[j]) % b.q
-            for j, b in enumerate(self.blocks)
-        )
-        return ((s1 + s2) % self.p, w)
-
-    def inv(self, x):
-        s, w = x
-        s_inv = (-s) % self.p
-        w_inv = tuple(
-            (-pow(b.multiplier, s_inv, b.q) * w[j]) % b.q
-            for j, b in enumerate(self.blocks)
-        )
-        return (s_inv, w_inv)
-
-    def commutator(self, x, y):
-        return self.mul(self.mul(self.inv(x), self.inv(y)), self.mul(x, y))
-
-    def element_order(self, x) -> int:
-        s, w = x
-        if s == 0:
-            return lcm(*(b.q if w[j] else 1 for j, b in enumerate(self.blocks)), 1)
-        power = x
-        for _ in range(self.p - 1):
-            power = self.mul(power, x)
-        assert power[0] == 0
-        rest = self.element_order(power)
-        return self.p * rest
-
-    def to_permutation(self, x) -> tuple[int, ...]:
-        s, w = x
-        images = [0] * self.degree
-        for j, b in enumerate(self.blocks):
-            mult = pow(b.multiplier, s, b.q)
-            for point in range(b.q):
-                images[b.offset + point] = b.offset + (mult * point + w[j]) % b.q
-        return tuple(images)
-
-
-@dataclass(frozen=True)
 class CoprimeFamilyInstance:
     """Witness package: n solvable two-generated groups of pairwise coprime
     order acting on a common point set with trivial centralizers, plus the
@@ -473,7 +397,6 @@ class CoprimeFamilyInstance:
     multipliers: tuple[tuple[int, ...], ...]
     orders: tuple[int, ...]
     groups: tuple[PermGroup, ...]
-    models: tuple[BlockAffineGroup, ...]
     flags: dict[str, bool]
     certificate: BoundCertificate
     cross_checked: bool
@@ -496,6 +419,13 @@ def _block_centralizer_order(multiply: tuple[int, ...]) -> int:
     Groups, 1996, 4.2), and those are the points fixed by its generator.
     """
     return sum(1 for x, y in enumerate(multiply) if x == y)
+
+
+def _block_commutator(translate: tuple[int, ...], multiply: tuple[int, ...]) -> tuple[int, ...]:
+    """[t, m] = t^-1 m^-1 t m on one block F_q, by `perm`, for the
+    translation t: x -> x + 1 and the multiplier m: x -> u x. As a map it
+    is x -> x + u^-1 - 1."""
+    return compose(compose(inverse(translate), inverse(multiply)), compose(translate, multiply))
 
 
 # family groups up to this order are also checked by enumeration
@@ -553,7 +483,6 @@ def coprime_family(
         ),
     )
 
-    models: list[BlockAffineGroup] = []
     groups: list[PermGroup] = []
     multipliers: list[tuple[int, ...]] = []
     orders: list[int] = []
@@ -583,73 +512,70 @@ def coprime_family(
                 multiplicative_order(u, q) == p_i,
                 f"unit {u} mod {q}",
             )
-        blocks = [AffineBlock(q, u, off) for q, u, off in zip(qs, units, offsets)]
-        model = BlockAffineGroup(p_i, blocks)
-        v = model.translation_generator
-        u = model.multiplier_generator
-        v_perm = model.to_permutation(v)
-        u_perm = model.to_permutation(u)
+        # block j holds the points off_j + x for x in F_q, on which v is
+        # x -> x + 1 and u is x -> u_j x
+        v_perm = tuple(off + (x + 1) % q for q, off in zip(qs, offsets) for x in range(q))
+        u_perm = tuple(off + u * x % q for q, u, off in zip(qs, units, offsets) for x in range(q))
         group = PermGroup(k, [v_perm, u_perm])
+        translation_order = prod(qs)
+        order = p_i * translation_order
 
-        # derived subgroup equals the translations: the commutator [v, u] is
-        # a translation with every component nonzero, so it generates all of
-        # them (coprime block sizes), while the multiplier-exponent quotient
-        # C_p is abelian, sandwiching the derived subgroup exactly.
-        c = model.commutator(v, u)
-        _check(
-            flags,
-            f"derived-subgroup-is-translations[{i}]",
-            c != model.identity
-            and c[0] == 0
-            and all(x != 0 for x in c[1])
-            and model.element_order(c) == model.translation_order,
-        )
-        _check(
-            flags,
-            f"abelianization-cyclic-of-order-p[{i}]",
-            model.order // model.translation_order == p_i,
-        )
-        # two generators: their orders are coprime with product |G|, and the
-        # pair does not commute, so the group is noncyclic (Lagrange gives
-        # the lower bound, containment in the model the upper one).
-        ord_v = perm_order(v_perm)
-        ord_u = perm_order(u_perm)
-        _check(
-            flags,
-            f"two-generated[{i}]",
-            ord_v == model.translation_order
-            and ord_u == p_i
-            and gcd(ord_v, ord_u) == 1
-            and ord_v * ord_u == model.order
-            and model.mul(v, u) != model.mul(u, v),
-        )
-        for j, block in enumerate(blocks):
-            translate = tuple((x + 1) % block.q for x in range(block.q))
-            multiply = tuple((block.multiplier * x) % block.q for x in range(block.q))
+        # derived subgroup equals the translations: on each block the
+        # commutator [v, u] is x -> x + w with w != 0, of prime order q, so
+        # (distinct block sizes) it generates every translation, while the
+        # multiplier-exponent quotient C_p is abelian, sandwiching the
+        # derived subgroup exactly. Each block is checked on its own points.
+        translations = True
+        for j, (q, u) in enumerate(zip(qs, units)):
+            translate = (*range(1, q), 0)
+            multiply = tuple(u * x % q for x in range(q))
+            c = _block_commutator(translate, multiply)
+            w = c[0]  # c is x -> x + w when it is a translation
+            translations = translations and w != 0 and c == (*range(w, q), *range(w))
             _check(
                 flags,
                 f"block-transitive[{i}.{j}]",
-                len(orbits(PermGroup(block.q, [translate, multiply]))) == 1,
+                len(orbits(PermGroup(q, [translate, multiply]))) == 1,
             )
             _check(
                 flags,
                 f"block-centralizer-trivial[{i}.{j}]",
                 _block_centralizer_order(multiply) == 1,
             )
-        if model.order <= CROSS_CHECK_CAP:
+        _check(flags, f"derived-subgroup-is-translations[{i}]", translations)
+        _check(
+            flags,
+            f"abelianization-cyclic-of-order-p[{i}]",
+            order // translation_order == p_i,
+        )
+        # two generators: their orders are coprime with product |G|, and the
+        # pair does not commute, so the group is noncyclic (Lagrange gives
+        # the lower bound, the form x -> u^s x + w of every element the
+        # upper one).
+        ord_v = perm_order(v_perm)
+        ord_u = perm_order(u_perm)
+        _check(
+            flags,
+            f"two-generated[{i}]",
+            ord_v == translation_order
+            and ord_u == p_i
+            and gcd(ord_v, ord_u) == 1
+            and ord_v * ord_u == order
+            and compose(v_perm, u_perm) != compose(u_perm, v_perm),
+        )
+        if order <= CROSS_CHECK_CAP:
             _check(
                 flags,
                 f"exhaustive-cross-check[{i}]",
-                group.order == model.order
-                and derived_subgroup(group).order == model.translation_order
+                group.order == order
+                and derived_subgroup(group).order == translation_order
                 and d_min_generators(group).value == 2,
             )
         else:
             cross_checked = False
-        models.append(model)
         groups.append(group)
         multipliers.append(units)
-        orders.append(model.order)
+        orders.append(order)
 
     _check(
         flags,
@@ -674,7 +600,6 @@ def coprime_family(
         multipliers=tuple(multipliers),
         orders=tuple(orders),
         groups=tuple(groups),
-        models=tuple(models),
         flags=flags,
         certificate=certificate,
         cross_checked=cross_checked,

@@ -1,15 +1,15 @@
 """Finite group realizations with uniform multiply / invert / enumerate.
 
-Three concrete realizations are provided (permutation, matrix over a prime
-field, affine semidirect product), plus direct products and subgroups
-generated inside an ambient group. Elements are plain hashable values
-(tuples or ints); every group value is immutable after construction and
-enumeration caches are write-once. Each enumerates once, on the first read
-of `elements`, by a BFS over its generators run to the end, recording
-their right action. Structure work runs on one integer kernel:
-`FiniteGroup.compiled`, that action as a `CayleyGroup` on 0..n-1, walked
-once into a BFS tree that its words, table and conjugation maps are read
-from. A Cayley table input is read straight into such a kernel.
+Two concrete realizations are provided, permutations and matrices over a
+prime field, plus direct products and subgroups generated inside an
+ambient group. Elements are plain hashable values (tuples or ints); every
+group value is immutable after construction and enumeration caches are
+write-once. Each enumerates once, on the first read of `elements`, by a
+BFS over its generators run to the end, recording their right action.
+Structure work runs on one integer kernel: `FiniteGroup.compiled`, that
+action as a `CayleyGroup` on 0..n-1, walked once into a BFS tree that its
+words, table and conjugation maps are read from. A Cayley table input is
+read straight into such a kernel.
 """
 
 from __future__ import annotations
@@ -475,74 +475,6 @@ class MatrixGroup(FiniteGroup):
 
     def describe(self) -> str:
         return f"matrix-group(p={self.p}, dim={self.dim})"
-
-
-class AffineSemidirect(FiniteGroup):
-    """Semidirect product of F_p^dim (translations) with a point group.
-
-    Elements are pairs (v, a) with v in F_p^dim and a in the point group;
-    the point group acts through `action`, mapping a point-group element to
-    an invertible dim x dim matrix over F_p. Multiplication is
-
-        (v1, a1) * (v2, a2) = (v1 + action(a1) v2, a1 a2)
-
-    so the order is p^dim * |point group|.
-    """
-
-    def __init__(self, p: int, dim: int, point_group: FiniteGroup, action: Callable):
-        self.p = p
-        self.dim = dim
-        self.point_group = point_group
-        self._action_fn = action
-        self._action_cache: dict = {}
-
-    def action(self, a) -> linalg.Matrix:
-        m = self._action_cache.get(a)
-        if m is None:
-            m = linalg.normalize_matrix(self._action_fn(a), self.p)
-            if len(m) != self.dim:
-                raise ValueError("action matrix has wrong dimension")
-            self._action_cache[a] = m
-        return m
-
-    @property
-    def identity(self):
-        return ((0,) * self.dim, self.point_group.identity)
-
-    @property
-    def generators(self):
-        basis = tuple(
-            (tuple(1 if i == j else 0 for j in range(self.dim)), self.point_group.identity)
-            for i in range(self.dim)
-        )
-        points = tuple(((0,) * self.dim, g) for g in self.point_group.generators)
-        return basis + points
-
-    def mul(self, x, y):
-        v1, a1 = x
-        v2, a2 = y
-        moved = linalg.mat_vec(self.action(a1), v2, self.p)
-        return (linalg.vec_add(v1, moved, self.p), self.point_group.mul(a1, a2))
-
-    def inv(self, x):
-        v, a = x
-        a_inv = self.point_group.inv(a)
-        return (linalg.vec_neg(linalg.mat_vec(self.action(a_inv), v, self.p), self.p), a_inv)
-
-    def _generate(self) -> list:
-        if self.order > DEFAULT_ELEMENT_CAP:
-            raise ClosureOverflowError(DEFAULT_ELEMENT_CAP)
-        return super()._generate()
-
-    @property
-    def order(self) -> int:
-        return self.p**self.dim * self.point_group.order
-
-    def describe(self) -> str:
-        return (
-            f"affine-semidirect(p={self.p}, dim={self.dim}, "
-            f"point={self.point_group.describe()})"
-        )
 
 
 class ProductGroup(FiniteGroup):

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import perm
 from .groups import CayleyGroup, MatrixGroup, PermGroup
-from .numtheory import is_prime
+from .numtheory import INPUT_INTEGER_BOUND, is_prime
 from .presentations import Presentation, presentation_from_words, render_word
 
 
@@ -89,8 +89,8 @@ def parse_group_file(path: str | Path, _depth: int = 0):
     if kind == "matrix":
         prime = doc.get("prime")
         dim = doc.get("dim")
-        if not isinstance(prime, int) or not is_prime(prime):
-            _fail(path, "prime", "must be a prime integer")
+        if not isinstance(prime, int) or prime >= INPUT_INTEGER_BOUND or not is_prime(prime):
+            _fail(path, "prime", "must be a prime integer below 2^32")
         if not isinstance(dim, int) or dim < 1:
             _fail(path, "dim", "must be a positive integer")
         gens = doc.get("generators")

@@ -35,14 +35,6 @@ def mat_vec(a: Matrix, v: Vector, p: int) -> Vector:
     return tuple(sum(x * y for x, y in zip(row, v)) % p for row in a)
 
 
-def vec_add(u: Vector, v: Vector, p: int) -> Vector:
-    return tuple((x + y) % p for x, y in zip(u, v))
-
-
-def vec_neg(v: Vector, p: int) -> Vector:
-    return tuple((-x) % p for x in v)
-
-
 def mat_inv(a: Matrix, p: int) -> Matrix:
     """Inverse by Gauss-Jordan elimination; raises on singular input."""
     dim = len(a)

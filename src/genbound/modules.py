@@ -136,15 +136,15 @@ def find_simple_module(source: Presentation, p: int, d_max: int) -> SimpleModule
     Each dimension tests the homomorphisms into the full matrix group for
     irreducibility as they are found, and stops at the first nontrivial
     irreducible one (small dimensions keep downstream targets small).
-    Dimensions whose matrix group (above `DEFAULT_GL_ORDER_CAP`) or vector
-    space exceeds the caps are reported as skipped. A dimension where
-    every generator has an order bound m prime to |GL(d, p)| admits only
-    the trivial hom (Lagrange), so it counts as searched without building
-    the matrix group. For a one-generator source, m is taken with its
-    p-part removed: the image of a p-element A is unipotent (A - I is
-    nilpotent), so it fixes a nonzero vector and acts irreducibly only
-    when trivial. With more generators that fails: Sym(3), generated by
-    involutions, has a simple module of dimension 2 over F_2.
+    Dimensions whose matrix group exceeds `DEFAULT_GL_ORDER_CAP` are
+    reported as skipped. A dimension where every generator has an order
+    bound m prime to |GL(d, p)| admits only the trivial hom (Lagrange), so
+    it counts as searched without building the matrix group. For a
+    one-generator source, m is taken with its p-part removed: the image of
+    a p-element A is unipotent (A - I is nilpotent), so it fixes a nonzero
+    vector and acts irreducibly only when trivial. With more generators
+    that fails: Sym(3), generated by involutions, has a simple module of
+    dimension 2 over F_2.
     """
     bounds = [_single_generator_order_bound(source, g) for g in range(len(source.generators))]
     if len(bounds) == 1 and bounds[0]:
@@ -154,13 +154,13 @@ def find_simple_module(source: Presentation, p: int, d_max: int) -> SimpleModule
     skipped: list[tuple[int, str]] = []
     for dim in range(1, d_max + 1):
         gl_order = general_linear_order(p, dim)
+        # a dimension within this cap has p^dim <= SPACE_CAP, which
+        # `is_irreducible` needs, while DEFAULT_GL_ORDER_CAP < SPACE_CAP:
+        # p = |GL(1, p)| + 1, and p^d <= |GL(d, p)| for d >= 2
         if gl_order > DEFAULT_GL_ORDER_CAP:
             skipped.append(
                 (dim, f"matrix group order {gl_order} exceeds cap {DEFAULT_GL_ORDER_CAP}")
             )
-            continue
-        if p**dim > SPACE_CAP:
-            skipped.append((dim, f"space size {p}^{dim} exceeds cap {SPACE_CAP}"))
             continue
         searched.append(dim)
         if 0 not in bounds and all(gcd(m, gl_order) == 1 for m in bounds):

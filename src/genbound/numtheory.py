@@ -13,6 +13,11 @@ class SearchCapError(RuntimeError):
     """A bounded numeric search hit its cap without an answer."""
 
 
+# a prime or order read from input must lie below this before `is_prime` or
+# `factorize` runs on it: trial division then takes at most 2^16 steps
+INPUT_INTEGER_BOUND = 2**32
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

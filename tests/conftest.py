@@ -9,7 +9,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 @pytest.fixture
 def r_builds(monkeypatch) -> list:
     """Counts the matrix groups `genbound.constructions` builds, which are
-    the point groups R of its targets: each build appends its generators."""
+    the point groups R of its targets and each target group that is read:
+    each build appends its generators."""
     import genbound.constructions as constructions
 
     built = []

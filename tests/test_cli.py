@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import signal
 
 import pytest
 
@@ -428,6 +429,52 @@ def test_search_cap_is_one_error_line(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: no prime = 1 (mod 9699690)")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# a prime, whose trial division to its square root would take about 1.5e9 steps
+MERSENNE_61 = 2**61 - 1
+
+
+@pytest.fixture
+def five_second_deadline():
+    """Fails the test with TimeoutError if it runs past 5 s."""
+
+    def expire(signum, frame):
+        raise TimeoutError("still running after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dmin", "@matrix"], "prime: must be a prime integer below 2^32"),
+        (["opsub", "@s4.perm", "--prime", str(MERSENNE_61)],
+         f"--prime value {MERSENNE_61} is not below 2^32"),
+        (["construct-thm1", "--factors", "@c2.pres", "--prime", str(MERSENNE_61)],
+         f"--prime value {MERSENNE_61} is not below 2^32"),
+        (["construct-solsol", "--primes", f"2,{MERSENNE_61}"],
+         f"--primes value {MERSENNE_61} is not below 2^32"),
+    ],
+    ids=["dmin-matrix-prime", "opsub", "construct-thm1", "construct-solsol"],
+)
+def test_an_input_prime_from_2_to_the_32_is_one_error_line(
+    files, capsys, five_second_deadline, argv, message
+):
+    matrix = files["dir"] / "big-prime.json"
+    matrix.write_text(json.dumps(
+        {"type": "matrix", "prime": MERSENNE_61, "dim": 1, "generators": [[2]]}
+    ))
+    files = {**files, "matrix": str(matrix)}
+    args = [files[arg[1:]] if arg.startswith("@") else arg for arg in argv]
+    status, out, err = run(args, capsys)
+    assert status == 1 and out == ""
+    assert err.startswith("error: ") and err.endswith(f"{message}\n")
+    assert err.count("\n") == 1
 
 
 # -- paper-scale cyclic factors: closed-form modules, R never enumerated -------

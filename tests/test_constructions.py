@@ -1,12 +1,13 @@
+import itertools
+
 import pytest
 
 from genbound.bounds import certify_formula, check_certificate
 from genbound.constructions import (
-    AffineBlock,
-    BlockAffineGroup,
     ConstructionError,
     VerificationFailure,
     _block_centralizer_order,
+    _block_commutator,
     abelianization_split,
     coprime_family,
     family_to_doc,
@@ -14,12 +15,14 @@ from genbound.constructions import (
     min_m_for_conclusion,
     reduce_cyclic_orders,
     semidirect_target,
+    simple_modules,
 )
 from genbound.groups import PermGroup
 from genbound.homcount import count_homs
 from genbound.modules import ModuleAction
 from genbound.numtheory import is_prime, unit_of_order
-from genbound.presentations import cyclic_presentation
+from genbound.perm import perm_order
+from genbound.presentations import cyclic_presentation, presentation_from_words
 from genbound.subgroups import d_min_generators, derived_subgroup, orbits
 
 from helpers import (
@@ -75,6 +78,44 @@ def test_formula_never_exceeds_true_h_small_targets():
             explicit = count_homs(pres, target.group)
             assert explicit.count >= target.p ** (target.l * target.m)
             assert explicit.h >= contrib.h - 1e-12
+
+
+def _affine_perm_group(target) -> PermGroup:
+    """V^m : R as permutations of the vectors of F_p^(lm), in
+    `itertools.product` order: the lm unit translations, then each
+    generator of R acting on every copy of V = F_p^l."""
+    p, l, m = target.p, target.l, target.m
+    vectors = list(itertools.product(range(p), repeat=l * m))
+    index = {v: i for i, v in enumerate(vectors)}
+    maps = [
+        lambda v, i=i: v[:i] + ((v[i] + 1) % p,) + v[i + 1 :] for i in range(l * m)
+    ] + [
+        lambda v, g=g: tuple(
+            sum(g[row][col] * v[b * l + col] for col in range(l)) % p
+            for b in range(m)
+            for row in range(l)
+        )
+        for g in target.point_group.generators
+    ]
+    return PermGroup(len(vectors), [[index[f(v)] for v in vectors] for f in maps])
+
+
+def test_target_group_matches_its_affine_maps_on_the_vectors():
+    s3 = presentation_from_words(["a", "b"], ["a^2", "b^3", "(a*b)^2"], "S3")
+    modules, _, _, failed = simple_modules([s3, cyclic_presentation(3)], 2, 4)
+    assert failed == []
+    targets = [
+        metabelian_target([2, 3], m=1).target,
+        metabelian_target([3, 5], m=1).target,
+        semidirect_target([dim1_module(7, 2), dim1_module(7, 3)], 2)[0],  # order 294
+        semidirect_target(modules)[0],  # l = 2, m = 2
+    ]
+    assert [t.order for t in targets] == [42, 465, 294, 96]
+    for target in targets:
+        oracle = _affine_perm_group(target)
+        assert target.group.order == oracle.order == target.order
+        for pres in [cyclic_presentation(2), cyclic_presentation(3)]:
+            assert count_homs(pres, target.group).count == count_homs(pres, oracle).count
 
 
 def test_module_with_fixed_vector_rejected():
@@ -240,50 +281,43 @@ def test_split_all_factors_divisible_by_p():
     check_certificate(split.certificate)
 
 
-# -- block affine model -------------------------------------------------------------
+# -- block affine family groups ------------------------------------------------------
 
 
-def test_block_affine_group_axioms_exhaustive_small():
-    group = BlockAffineGroup(3, [AffineBlock(7, 2, 0)])
-    elements = [(s, (w,)) for s in range(3) for w in range(7)]
-    assert len(elements) == group.order == 21
-    for x in elements:
-        assert group.mul(x, group.identity) == x
-        assert group.mul(group.identity, x) == x
-        assert group.mul(x, group.inv(x)) == group.identity
-    for x in elements[:8]:
-        for y in elements[:8]:
-            for z in elements[:8]:
-                assert group.mul(group.mul(x, y), z) == group.mul(x, group.mul(y, z))
+def _block(q: int, u: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """x -> x + 1 and x -> u x on F_q, as permutations of 0..q-1."""
+    return tuple((x + 1) % q for x in range(q)), tuple(u * x % q for x in range(q))
 
 
-def test_block_affine_matches_permutation_action():
-    group = BlockAffineGroup(3, [AffineBlock(7, 2, 0), AffineBlock(13, 3, 7)])
-    x = (2, (3, 11))
-    y = (1, (5, 2))
-    from genbound.perm import compose
-
-    assert group.to_permutation(group.mul(x, y)) == compose(
-        group.to_permutation(x), group.to_permutation(y)
-    )
-    assert group.to_permutation(group.identity) == tuple(range(20))
+def test_block_commutator_is_the_translation_by_u_inverse_minus_one():
+    cases = 0
+    for q in filter(is_prime, range(2, 62)):
+        for u in range(1, q):
+            w = (pow(u, -1, q) - 1) % q
+            assert _block_commutator(*_block(q, u)) == tuple((x + w) % q for x in range(q))
+            cases += 1
+    assert cases == 483
 
 
 def test_block_affine_element_orders():
-    group = BlockAffineGroup(3, [AffineBlock(7, 2, 0), AffineBlock(13, 3, 7)])
-    v = group.translation_generator
-    u = group.multiplier_generator
-    assert group.element_order(v) == 91
-    assert group.element_order(u) == 3
-    assert group.order == 3 * 91
-    c = group.commutator(v, u)
-    assert c[0] == 0 and all(x for x in c[1])
-    assert group.element_order(c) == 91
+    # blocks F_7 (u = 2) and F_13 (u = 3) of a p = 3 factor, on 20 points
+    (t7, m7), (t13, m13) = _block(7, 2), _block(13, 3)
+    v = t7 + tuple(7 + x for x in t13)
+    u = m7 + tuple(7 + x for x in m13)
+    assert perm_order(v) == 91
+    assert perm_order(u) == 3
+    assert PermGroup(20, [v, u]).order == 3 * 91
+    for q, c in [(7, _block_commutator(t7, m7)), (13, _block_commutator(t13, m13))]:
+        assert c[0] != 0 and perm_order(c) == q
 
 
-def test_block_affine_rejects_wrong_multiplier_order():
-    with pytest.raises(ValueError, match="order"):
-        BlockAffineGroup(3, [AffineBlock(7, 6, 0)])  # 6 has order 2 mod 7
+def test_block_affine_rejects_wrong_multiplier_order(monkeypatch):
+    import genbound.constructions as constructions
+
+    monkeypatch.setattr(constructions, "unit_of_order", lambda q, order: q - 1)  # order 2
+    with pytest.raises(VerificationFailure) as failure:
+        coprime_family(1)
+    assert failure.value.claim == "multiplier-order[0]"
 
 
 # -- coprime family ------------------------------------------------------------------
@@ -356,7 +390,6 @@ def test_family_sum_cap_too_small():
 
 
 def test_verification_failure_names_the_claim():
-    group = BlockAffineGroup(3, [AffineBlock(7, 2, 0)])
     try:
         raise VerificationFailure("derived-subgroup-is-translations[0]")
     except VerificationFailure as exc:

@@ -1,11 +1,15 @@
-"""Every benchmark job's report, frozen byte for byte.
+"""Every benchmark job's report, and the construction reports the
+benchmark does not run, frozen byte for byte.
 
 The inputs and argument lists of the 21 jobs in `perfbench/jobs.py`,
 copied here at the identity relabelling of their permutation groups, run
 through `cli.main --json --reproducible`; each report's sha256 must match
-the table below. A refactor that means to keep every result keeps this
-table. A change that means to change a report updates the table and says
-in CHANGES.md which reports changed and why.
+the table below. So do the reports of `CONSTRUCTION_JOBS`, constructions on
+further inputs: the coprime family at n = 1, metabelian targets small
+enough to be checked on their elements, module searches over noncyclic
+factors and abelianization splits. A refactor that means to keep every
+result keeps these tables. A change that means to change a report updates
+the table and says in CHANGES.md which reports changed and why.
 """
 
 import hashlib
@@ -29,6 +33,9 @@ PERM_GROUPS = {
     ),
     "c3-perm": (3, [[1, 2, 0]]),
     "c13-perm": (13, [[(i + 1) % 13 for i in range(13)]]),
+    # inputs of CONSTRUCTION_JOBS only
+    "c2-perm": (2, [[1, 0]]),
+    "sym3": (3, [[1, 2, 0], [1, 0, 2]]),
 }
 
 PRESENTATIONS = {
@@ -40,6 +47,12 @@ PRESENTATIONS = {
     "tri-3-3-4": (["a", "b"], ["a^3", "b^3", "(a*b)^4"]),
     "tri-2-3-7": (["a", "b"], ["a^2", "b^3", "(a*b)^7"]),
     "tri-2-3-605": (["a", "b"], ["a^2", "b^3", "(a*b)^605"]),
+    # inputs of CONSTRUCTION_JOBS only
+    "c5": (["a"], ["a^5"]),
+    "c7": (["a"], ["a^7"]),
+    "c11": (["a"], ["a^11"]),
+    "c31": (["a"], ["a^31"]),
+    "sym3-pres": (["a", "b"], ["a^2", "b^3", "(a*b)^2"]),
 }
 
 # (job, argv): `@x` names an input and `=x` the report of an earlier job.
@@ -95,6 +108,46 @@ FROZEN = {
 }
 
 
+# Constructions the benchmark never runs, with the same conventions. The
+# metabelian targets of two primes have at most 5,000 elements, so their
+# second derived subgroup is computed on the target group itself.
+CONSTRUCTION_JOBS = [
+    ("thm4-n1", "construct-thm4 --n 1"),
+    ("solsol-2-3", "construct-solsol --primes 2,3"),
+    ("solsol-3-5", "construct-solsol --primes 3,5"),
+    ("solsol-2-5", "construct-solsol --primes 2,5"),
+    ("solsol-2-7", "construct-solsol --primes 2,7"),
+    ("solsol-3-7", "construct-solsol --primes 3,7"),
+    ("solsol-5-7", "construct-solsol --primes 5,7"),
+    ("solsol-eight-primes", "construct-solsol --primes 2,3,5,7,11,13,17,19"),
+    ("thm1-c5-c7-f2", "construct-thm1 --factors @c5 @c7 --prime 2"),
+    ("thm1-c11-c31-f2", "construct-thm1 --factors @c11 @c31 --prime 2"),
+    ("thm1-s3-s3-f5", "construct-thm1 --factors @sym3-pres @sym3-pres --prime 5"),
+    ("thm1-s3-c2-f5", "construct-thm1 --factors @sym3-pres @c2 --prime 5"),
+    ("thm1-s3-c3-f2", "construct-thm1 --factors @sym3-pres @c3 --prime 2"),
+    ("thm3-s3-s4", "decompose-thm3 --factors @sym3 @sym4"),
+    ("thm3-s3-c2-c3", "decompose-thm3 --factors @sym3 @c2-perm @c3-perm"),
+]
+
+CONSTRUCTION_FROZEN = {
+    "thm4-n1": "3eee36fa97c5948f5cc273f49558392fe8c816ee3d11dbf983126daa3221f385",
+    "solsol-2-3": "860221b783011ccea9ee90fd2d2b49716b67f5633b1b6424883f988437ea5268",
+    "solsol-3-5": "4be501abc4cccd67c86a3bdff10c1e8019859783eca00a99da008aca57544623",
+    "solsol-2-5": "b61f50c2b6319bffe401a1dfe57658f9c621dbb8a07966230a812cc66ad7f8d8",
+    "solsol-2-7": "bd030cde02d10b322bc7be8b590290cba126feb5c460c86cf30eb7b5f11b4951",
+    "solsol-3-7": "6583bbff832d292aa7028be17612f54b7f720daa4ee7995888d00fd640245f02",
+    "solsol-5-7": "7753fb05fec6b21b23d91399e035e237536524c58a5d88ce7787e221b27bbaba",
+    "solsol-eight-primes": "1f41e388eb85b281d9ef98cc7e54f978cfb8491b4465c0515e48957b2bec5d42",
+    "thm1-c5-c7-f2": "df4044c22d26debfcef15012daf3c020d14ddcaca66c42058311d461649dafed",
+    "thm1-c11-c31-f2": "d600367bde0d94d010d0c3b7322d5ea73e5a5e104c8e8301cf1dc08b0769eb3a",
+    "thm1-s3-s3-f5": "e733f2496534b99d1c8d2959e9c544aefacfe9ae001fc123327dac8a3a3a545b",
+    "thm1-s3-c2-f5": "1b9dcfe466fcae21d2b9189e1cd35c77f5a8d7e4a7772efd3937758b89f49d9c",
+    "thm1-s3-c3-f2": "6db25a0a174eecdc997336ce8ff1fbab1617405cbed48d6a10c63611214aaf43",
+    "thm3-s3-s4": "1488d427279f8fa5836dc70a4ca8cf2b1c37f53a34fa19f518687fdf141755d2",
+    "thm3-s3-c2-c3": "a6b443c6bb2b92978fc024d87960023de185007d6f0d903d40b390ccd219d276",
+}
+
+
 def _inputs(directory) -> dict:
     """Each input document written to `directory`: name -> path."""
     docs = {
@@ -110,11 +163,11 @@ def _inputs(directory) -> dict:
     return paths
 
 
-def reports(directory) -> dict:
+def reports(directory, jobs=JOBS) -> dict:
     """Each job's report bytes, the jobs run in order in `directory`."""
     inputs = _inputs(directory)
     out = {}
-    for name, argv in JOBS:
+    for name, argv in jobs:
         args = []
         for arg in argv.split():
             if arg.startswith("@"):
@@ -131,3 +184,11 @@ def reports(directory) -> dict:
 def test_every_benchmark_report_is_frozen(tmp_path):
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in reports(tmp_path).items()}
     assert digests == FROZEN
+
+
+def test_every_construction_report_is_frozen(tmp_path):
+    digests = {
+        name: hashlib.sha256(data).hexdigest()
+        for name, data in reports(tmp_path, CONSTRUCTION_JOBS).items()
+    }
+    assert digests == CONSTRUCTION_FROZEN

@@ -5,8 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from genbound import groups
+from genbound.constructions import semidirect_target
 from genbound.groups import (
-    AffineSemidirect,
     CayleyGroup,
     ClosureOverflowError,
     GeneratedGroup,
@@ -15,7 +15,8 @@ from genbound.groups import (
     ProductGroup,
     closure,
 )
-from genbound.modules import general_linear_group
+from genbound.modules import ModuleAction, general_linear_group
+from genbound.presentations import cyclic_presentation
 from helpers import (
     alternating_group_5,
     cyclic_group,
@@ -106,24 +107,34 @@ def test_matrix_group_rejects_singular_generator():
         MatrixGroup(3, 2, [((1, 1), (1, 1))])
 
 
+def _units_target(p: int, unit: int, order: int, m: int):
+    """F_p^m : <unit>, the unit acting on each copy of F_p by multiplication:
+    the target V^m : R of the one-dimensional module of C_order it gives."""
+    module = ModuleAction(p, 1, (((unit,),),), cyclic_presentation(order))
+    return semidirect_target([module], m)[0]
+
+
+def _affine(v: int, a: int):
+    """x -> a x + v on F_p as the matrix [[a, v], [0, 1]]."""
+    return ((a, v), (0, 1))
+
+
 def test_affine_semidirect_order_and_multiplication_rule():
     # holomorph of C_7: translations extended by the full unit group
-    units = MatrixGroup(7, 1, [((3,),)])
-    h = AffineSemidirect(7, 1, units, action=lambda a: a)
-    assert units.order == 6
-    assert h.order == 42
-    v1, a1 = ((2,), ((3,),))
-    v2, a2 = ((4,), ((2,),))
-    prod = h.mul((v1, a1), (v2, a2))
-    assert prod == (((2 + 3 * 4) % 7,), ((6,),))
-    x = ((5,), ((4,),))
+    target = _units_target(7, 3, 6, 1)
+    h = target.group
+    assert target.point_group.order == 6
+    assert h.order == target.order == 42
+    assert h.generators == (_affine(1, 1), _affine(0, 3))
+    # (v1, a1) * (v2, a2) = (v1 + a1 v2, a1 a2)
+    assert h.mul(_affine(2, 3), _affine(4, 2)) == _affine((2 + 3 * 4) % 7, 6)
+    x = _affine(5, 4)
     assert h.mul(x, h.inv(x)) == h.identity
     assert h.mul(h.inv(x), x) == h.identity
 
 
 def test_affine_semidirect_enumeration_matches_generator_closure():
-    units = MatrixGroup(5, 1, [((2,),)])
-    h = AffineSemidirect(5, 1, units, action=lambda a: a)
+    h = _units_target(5, 2, 4, 1).group
     enumerated = set(h.elements)
     generated = set(closure(list(h.generators), h.mul, h.identity))
     assert enumerated == generated
@@ -132,11 +143,10 @@ def test_affine_semidirect_enumeration_matches_generator_closure():
 
 def test_affine_semidirect_respects_element_cap(monkeypatch):
     monkeypatch.setattr(groups, "DEFAULT_ELEMENT_CAP", 100)
-    units = MatrixGroup(7, 1, [((3,),)])
-    h = AffineSemidirect(7, 2, units, action=lambda a: ((a[0][0], 0), (0, a[0][0])))
+    target = _units_target(7, 3, 6, 2)
     with pytest.raises(ClosureOverflowError):
-        h.elements
-    assert h.order == 294  # order is known without enumeration
+        target.group.elements
+    assert target.order == 294  # order is known without enumeration
 
 
 def test_product_group_and_power():

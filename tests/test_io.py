@@ -83,7 +83,7 @@ def test_parse_matrix_group_row_major(tmp_path):
     assert group.order == 3
 
 
-@pytest.mark.parametrize("prime", [4, 9, 1, 0, True, "7"])
+@pytest.mark.parametrize("prime", [4, 9, 1, 0, True, "7", 2**32 + 15])  # 2^32 + 15 is prime
 def test_matrix_prime_must_be_a_prime_integer(tmp_path, prime):
     path = write(tmp_path, "m.json", {
         "type": "matrix", "prime": prime, "dim": 2, "generators": [[0, 1, 1, 1]],

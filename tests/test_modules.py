@@ -192,6 +192,16 @@ def test_find_simple_module_reports_skipped_dimensions(monkeypatch):
     assert [d for d, _ in search.skipped] == [1, 2, 3, 4]
 
 
+def test_every_dimension_within_the_gl_cap_is_within_the_space_cap():
+    # the search skips dimensions by |GL(d, p)| alone, and is_irreducible
+    # raises above SPACE_CAP: p = |GL(1, p)| + 1 and p^d <= |GL(d, p)| for d >= 2
+    assert modules.DEFAULT_GL_ORDER_CAP < modules.SPACE_CAP
+    for p in (2, 3, 5, 7, 11, 101):
+        for d in range(1, 8):
+            if general_linear_order(p, d) <= modules.DEFAULT_GL_ORDER_CAP:
+                assert p**d <= modules.SPACE_CAP
+
+
 def test_find_simple_module_inconclusive_for_a5_at_small_dims():
     # nontrivial actions of Alt(5) over F_2 first appear in dimension 4;
     # a bounded search below that is inconclusive, not a disproof

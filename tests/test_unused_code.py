@@ -1,10 +1,12 @@
 """Every module-level function, class and method in `src/genbound` is run by
-some code path: referenced somewhere in the package outside its own body,
-or imported by `genbound/__init__.py`. Dunder methods, which Python calls
-implicitly, are exempt. References are matched by name, so a name used
-anywhere counts for every definition of it; a method counts only names
-read as attributes (`obj.name`), so a local variable does not keep alive a
-method of the same name."""
+some code path: referenced somewhere in the package outside its own body.
+The exceptions are the names in `UNCALLED_EXPORTS`, each exported by
+`genbound/__init__.py` for a stated reason, and dunder methods, which Python
+calls implicitly. An export is no exemption by itself, so a public class
+cannot keep dead code alive. References are matched by name, so a name used
+anywhere counts for every definition of it; a method counts only names read
+as attributes (`obj.name`), so a local variable does not keep alive a method
+of the same name."""
 
 import ast
 from pathlib import Path
@@ -12,6 +14,13 @@ from pathlib import Path
 import genbound
 
 PACKAGE = Path(genbound.__file__).parent
+
+# exported definitions that nothing in the package calls, with the reason
+# each is kept
+UNCALLED_EXPORTS = {
+    "bounds.weak_bound": "acceptance criterion 10 compares the certified conclusion with it",
+    "io.serialize_group": "the canonical document form of a group, which parsing reads back",
+}
 
 
 def _names(nodes, attributes_only: bool = False) -> set[str]:
@@ -32,7 +41,6 @@ def _names(nodes, attributes_only: bool = False) -> set[str]:
 
 def unused_definitions(package: Path) -> list[str]:
     """Qualified names of the definitions that no code path reaches."""
-    exported = _names([ast.parse((package / "__init__.py").read_text())])
     definitions = []  # (qualified name, node, is a method)
     chunks = []  # (top-level nodes, the definitions they lie in)
     for path in sorted(package.glob("*.py")):
@@ -53,8 +61,7 @@ def unused_definitions(package: Path) -> list[str]:
     return [
         qualname
         for qualname, node, method in definitions
-        if node.name not in exported
-        and not any(
+        if not any(
             node.name in (attrs if method else names)
             for names, attrs, owners in read
             if node not in owners
@@ -63,4 +70,6 @@ def unused_definitions(package: Path) -> list[str]:
 
 
 def test_every_definition_has_a_caller_or_is_exported():
-    assert unused_definitions(PACKAGE) == []
+    assert unused_definitions(PACKAGE) == list(UNCALLED_EXPORTS)
+    exported = _names([ast.parse((PACKAGE / "__init__.py").read_text())])
+    assert {name.rpartition(".")[2] for name in UNCALLED_EXPORTS} <= exported
