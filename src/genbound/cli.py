@@ -177,8 +177,9 @@ def _cmd_opsub(args) -> tuple[int, dict]:
 
 
 def _cmd_construct_solsol(args) -> tuple[int, dict]:
-    orders = _parse_primes(args.primes)
-    primes = reduce_cyclic_orders(orders)
+    primes = reduce_cyclic_orders(_parse_primes(args.primes))
+    # the Dirichlet search trial-divides 1 + j * prod(primes): bound that too
+    _bounded(math.prod(primes), "--primes product")
     result = metabelian_target(primes, m=args.m)
     check_certificate(result.certificate)
     report = {

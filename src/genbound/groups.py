@@ -5,16 +5,17 @@ prime field, plus direct products and subgroups generated inside an
 ambient group. Elements are plain hashable values (tuples or ints); every
 group value is immutable after construction and enumeration caches are
 write-once. Each enumerates once, on the first read of `elements`, by a
-BFS over its generators run to the end, recording their right action.
-Structure work runs on one integer kernel: `FiniteGroup.compiled`, that
-action as a `CayleyGroup` on 0..n-1, walked once into a BFS tree that its
-words, table and conjugation maps are read from. A Cayley table input is
-read straight into such a kernel.
+BFS run to the end that forms x * g by one unary step per generator and
+records their right action, then reads the BFS tree off it. Structure work
+runs on one integer kernel: `FiniteGroup.compiled`, that action and tree as
+a `CayleyGroup` on 0..n-1, whose words, table and conjugation maps are
+read from the tree. A Cayley table input is walked into such a kernel.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from math import prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -59,21 +60,20 @@ def closure(
     return out
 
 
-def _bfs(generators, mul, identity, out: list, action: list) -> Iterator:
-    """The enumeration BFS behind `FiniteGroup.elements`: `closure`, but
-    recording the generators' right action it walks.
-
-    Appends each element to `out` as it is reached, identity first, and
-    yields it, so a reader may stop at the first element it wants.
-    action[j][i] is the position of out[i] * generators[j], filled for
-    every element it has moved past."""
+def _bfs(steps, identity, out: list, action: list) -> Iterator:
+    """The enumeration BFS behind `FiniteGroup.elements`: `closure`, with
+    steps[j] forming x * g_j. Appends each element to `out` as it is
+    reached, identity first, and yields it, so a reader may stop at the
+    first element it wants; action[j][i] is the position of out[i] * g_j,
+    filled for every element it has moved past."""
     cap = DEFAULT_ELEMENT_CAP
     position = {identity: 0}
     out.append(identity)
     yield identity
+    edges = tuple(zip(steps, action))
     for a in out:
-        for g, row in zip(generators, action):
-            b = mul(a, g)
+        for step, row in edges:
+            b = step(a)
             i = position.get(b)
             if i is None:
                 i = position[b] = len(out)
@@ -86,13 +86,24 @@ def _bfs(generators, mul, identity, out: list, action: list) -> Iterator:
                 row.append(i)
 
 
-def _enumerate(generators, mul, identity) -> tuple[list, list]:
-    """(elements, action): the enumeration BFS run to the end."""
+def _enumerate(steps, identity) -> tuple[list, tuple]:
+    """(elements, (action, tree)): the enumeration BFS run to the end, and
+    its tree as `CayleyGroup.from_action` takes it, read once the BFS has
+    freed its position dict: y is reached at the first product equal to y."""
     out: list = []
-    action: list = [[] for _ in generators]
-    for _ in _bfs(generators, mul, identity, out, action):
+    action: list = [[] for _ in steps]
+    for _ in _bfs(steps, identity, out, action):
         pass
-    return out, action
+    parents, moves = array("i"), array("B" if len(steps) < 256 else "i")
+    y = 1
+    edges = tuple(enumerate(action))
+    for x in range(len(out)):
+        for j, row in edges:
+            if row[x] == y:
+                y += 1
+                parents.append(x)
+                moves.append(j)
+    return out, (action, (range(1, len(out)), parents, moves))
 
 
 def orbit_partition(n: int, maps: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -114,17 +125,12 @@ def orbit_partition(n: int, maps: Sequence[Sequence[int]]) -> list[list[int]]:
     return out
 
 
-def _apply(x, step: Callable):
-    """step(x): a product x * g for a `step` that forms it."""
-    return step(x)
-
-
 class FiniteGroup:
     """Base class: mul/inv/identity, cached enumeration and the int kernel."""
 
     _elements: Sequence | None = None  # a tuple, or a range on a kernel
     _index: dict | None = None
-    _action: list | None = None  # the generators' right action, as the BFS records it
+    _walk: tuple | None = None  # (action, tree), as the enumeration BFS records them
     _compiled: CayleyGroup | None = None
 
     # -- realization interface -------------------------------------------
@@ -143,11 +149,14 @@ class FiniteGroup:
     def generators(self) -> tuple:
         raise NotImplementedError
 
+    def _steps(self) -> list:
+        """One unary step per generator, forming x * g: x -> mul(x, g)."""
+        return [lambda x, g=g, mul=self.mul: mul(x, g) for g in self.generators]
+
     def _generate(self) -> list:
-        """The elements in enumeration order: the closure BFS over the
-        generators, which records their action for `compiled`. An override
-        records it too."""
-        out, self._action = _enumerate(self.generators, self.mul, self.identity)
+        """The elements in enumeration order: the BFS over the generators'
+        steps, which records its walk for `compiled`, as an override does."""
+        out, self._walk = _enumerate(self._steps(), self.identity)
         return out
 
     # -- derived, shared machinery ---------------------------------------
@@ -176,11 +185,11 @@ class FiniteGroup:
     @property
     def compiled(self) -> CayleyGroup:
         """This group on 0..n-1, int i standing for elements[i], compiled
-        on first use and kept: the generators' right action, as the
-        enumeration BFS recorded it."""
+        on first use and kept: the generators' right action and its BFS
+        tree, as the enumeration recorded them, so nothing is walked again."""
         if self._compiled is None:
             elems = self.elements  # the BFS reaches the identity first
-            self._compiled = CayleyGroup.from_action(len(elems), 0, self._action)
+            self._compiled = CayleyGroup.from_action(len(elems), 0, *self._walk)
         return self._compiled
 
     def power(self, a, n: int):
@@ -260,15 +269,12 @@ class PermGroup(FiniteGroup):
     def element_order(self, a) -> int:
         return perm.perm_order(a)
 
-    def _generate(self) -> list:
-        """The closure BFS, with x * g formed by g's own itemgetter: the
-        product `perm.compose` forms, without a call to it. Below degree 2,
-        where an itemgetter returns no tuple, the generic BFS."""
+    def _steps(self) -> list:
+        """Each generator's itemgetter, forming the `perm.compose` product
+        uncalled; below degree 2, where it returns no tuple, x -> mul(x, g)."""
         if self.degree < 2:
-            return super()._generate()
-        getters = [itemgetter(*g) for g in self._generators]
-        out, self._action = _enumerate(getters, _apply, self.identity)
-        return out
+            return super()._steps()
+        return [itemgetter(*g) for g in self._generators]
 
     def describe(self) -> str:
         return f"perm-group(degree={self.degree}, generators={len(self._generators)})"
@@ -276,12 +282,11 @@ class PermGroup(FiniteGroup):
 
 class CayleyGroup(FiniteGroup):
     """The integer kernel: a group on 0..n-1 held as the right action of a
-    set of generators that generates it (right[j][i] is i * generators[j]).
-    Both constructors walk the action once from the identity and keep the
-    BFS tree: words, the table and the conjugation maps are each one pass
-    over it. a * b walks b's word from a. Built by `from_action`, or from a
-    multiplication table: the table is validated, and its columns for a few
-    generators are all that is kept.
+    set of generators that generates it (right[j][i] is i * generators[j]),
+    and its BFS tree from the identity: words, the table and the conjugation
+    maps are each one pass over it. a * b walks b's word from a. Built by
+    `from_action`, or from a multiplication table: the table is validated,
+    and its columns for a few generators are all that is kept.
     """
 
     # Full associativity is cubic in the order; above this it is spot-checked.
@@ -321,41 +326,41 @@ class CayleyGroup(FiniteGroup):
             reached = set(closure(generators, lambda a, b: table[a][b], e))
         self._hold(n, e, [[row[g] for row in table] for g in generators])
 
-    def _hold(self, order: int, identity: int, action: Sequence) -> None:
-        """Hold the action, what both constructors keep, and walk it once
-        from the identity. The walk's BFS tree is kept as three lists in BFS
-        order, the identity left out: each element y, its parent x and the
-        generator position j with y = x * g_j, so a pass over them meets
-        every parent before its children. Raises ValueError if the walk
-        misses an element."""
+    def _hold(self, order: int, identity: int, action: Sequence, tree=None) -> None:
+        """Hold the action and its BFS tree: three sequences in BFS order,
+        the identity left out, of each element y, its parent x and the
+        generator position j with y = x * g_j, so a pass meets every parent
+        before its children. Without a tree, one walk of the action from the
+        identity builds it in C ints; ValueError if it misses an element."""
         self._identity = identity
         self.right = tuple(action)
         self._generators = tuple(row[identity] for row in action)
         self._elements = range(order)
-        seen = bytearray(order)
-        seen[identity] = 1
-        reached, parents, steps = [], [], []
-        for x in itertools.chain((identity,), reached):
-            for j, row in enumerate(self.right):
-                if not seen[y := row[x]]:
-                    seen[y] = 1
-                    reached.append(y)
-                    parents.append(x)
-                    steps.append(j)
-        if len(reached) + 1 != order:
-            raise ValueError(
-                f"generators do not generate the group: they reach "
-                f"{len(reached) + 1} of {order} elements"
-            )
-        self._tree = (reached, parents, steps)
+        if tree is None:
+            seen = bytearray(order)
+            seen[identity] = 1
+            tree = reached, parents, moves = array("i"), array("i"), array("i")
+            for x in itertools.chain((identity,), reached):
+                for j, row in enumerate(self.right):
+                    if not seen[y := row[x]]:
+                        seen[y] = 1
+                        reached.append(y)
+                        parents.append(x)
+                        moves.append(j)
+            if len(reached) + 1 != order:
+                raise ValueError(
+                    f"generators do not generate the group: they reach "
+                    f"{len(reached) + 1} of {order} elements"
+                )
+        self._tree = tree
 
     @classmethod
-    def from_action(cls, order: int, identity: int, action: Sequence) -> CayleyGroup:
+    def from_action(cls, order: int, identity: int, action: Sequence, tree=None) -> CayleyGroup:
         """The group on 0..order-1 in which action[j][i] is i * g_j for its
-        generators g_j, walked once by `_hold`. Its elements are
-        `range(order)`, which holds no int objects."""
+        generators g_j, with the given BFS tree or one `_hold` walks. Its
+        elements are `range(order)`, which holds no int objects."""
         group = cls.__new__(cls)
-        group._hold(order, identity, action)
+        group._hold(order, identity, action, tree)
         return group
 
     @property

@@ -278,11 +278,6 @@ class WitnessQuotient:
     deduplicated: bool
 
 
-def _move(a: tuple, rows: tuple) -> tuple:
-    """The int tuple `a` moved coordinatewise, a[i] to rows[i][a[i]]."""
-    return tuple(map(list.__getitem__, rows, a))
-
-
 def _partner_walk(identity: int, steps: Sequence[list], partner_steps: Sequence[list]) -> int:
     """The order of the subgroup of a kernel that the right-multiplication
     rows `steps` generate, walked from the identity; each element reached
@@ -307,8 +302,8 @@ def _partner_walk(identity: int, steps: Sequence[list], partner_steps: Sequence[
 
 class _WitnessGroup(GeneratedGroup):
     """A `GeneratedGroup` in a power of `target`, enumerated in the same
-    order on the target's ints: generator j moves coordinate i by the row
-    moves[j][i], and each tuple reached maps back through `target.elements`."""
+    order on the target's ints: generator j's step moves coordinate i by
+    the row moves[j][i], and each tuple reached maps back through `target.elements`."""
 
     def __init__(self, ambient, generators, target, moves):
         super().__init__(ambient, generators)
@@ -318,7 +313,8 @@ class _WitnessGroup(GeneratedGroup):
     def _generate(self) -> list:
         elems = self._target.elements
         start = (self._target.compiled.identity,) * len(self.ambient.factors)
-        ints, self._action = _enumerate(self._moves, _move, start)
+        steps = [lambda a, rows=rows: tuple(map(list.__getitem__, rows, a)) for rows in self._moves]
+        ints, self._walk = _enumerate(steps, start)
         return [tuple(map(elems.__getitem__, t)) for t in ints]
 
 

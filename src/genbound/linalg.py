@@ -6,6 +6,7 @@ here is integer arithmetic; no floating point is involved.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -26,9 +27,7 @@ def normalize_matrix(rows: Sequence[Sequence[int]], p: int) -> Matrix:
 
 def mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt) for row in a
-    )
+    return tuple(tuple([sum(map(mul, row, col)) % p for col in bt]) for row in a)
 
 
 def mat_vec(a: Matrix, v: Vector, p: int) -> Vector:

@@ -192,8 +192,7 @@ def _first_irreducible(source: Presentation, gl: MatrixGroup) -> ModuleAction | 
 
     if len(source.generators) == 1:
         m = _single_generator_order_bound(source, 0)
-        walk = _bfs(gl.generators, gl.mul, identity, [], [[] for _ in gl.generators])
-        for x in walk:
+        for x in _bfs(gl._steps(), identity, [], [[] for _ in gl.generators]):
             if gl.power(x, m) == identity and irreducible((x,)):
                 break
     else:

@@ -459,8 +459,12 @@ def five_second_deadline():
          f"--prime value {MERSENNE_61} is not below 2^32"),
         (["construct-solsol", "--primes", f"2,{MERSENNE_61}"],
          f"--primes value {MERSENNE_61} is not below 2^32"),
+        # each prime is below 2^32, but the Dirichlet modulus, their product, is not
+        (["construct-solsol", "--primes", "4294967291,4294967279"],
+         "--primes product value 18446743979220271189 is not below 2^32"),
     ],
-    ids=["dmin-matrix-prime", "opsub", "construct-thm1", "construct-solsol"],
+    ids=["dmin-matrix-prime", "opsub", "construct-thm1", "construct-solsol",
+         "construct-solsol-product"],
 )
 def test_an_input_prime_from_2_to_the_32_is_one_error_line(
     files, capsys, five_second_deadline, argv, message

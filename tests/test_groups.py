@@ -200,7 +200,7 @@ def test_walk_read_part_way_meets_the_elements_in_enumeration_order(p, dim):
     # stops at its first hit, so the module it reports is the first one in
     # `elements` order
     gl = general_linear_group(p, dim)
-    walk = groups._bfs(gl.generators, gl.mul, gl.identity, [], [[] for _ in gl.generators])
+    walk = groups._bfs(gl._steps(), gl.identity, [], [[] for _ in gl.generators])
     first = list(itertools.islice(walk, 5))
     assert first == list(gl.elements[:5])
     assert first + list(walk) == list(gl.elements)
