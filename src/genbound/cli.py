@@ -101,9 +101,11 @@ def _parse_primes(text: str) -> list[int]:
 def _cmd_homcount(args) -> tuple[int, dict]:
     factors = _require_presentations(args.factors, "factor")
     target = _require_group(args.target, "target")
+    results = count_homs_per_factor(factors, target)
+    order = results[0].target_order  # counts into Sym(n) and Alt(n) never enumerate them
     per_factor = []
     product = 1
-    for f, result in zip(factors, count_homs_per_factor(factors, target)):
+    for f, result in zip(factors, results):
         product *= result.count
         per_factor.append(
             {
@@ -113,7 +115,7 @@ def _cmd_homcount(args) -> tuple[int, dict]:
                 "h": result.h,
             }
         )
-    ratio = 0.0 if target.order == 1 else math.log(product) / math.log(target.order)
+    ratio = 0.0 if order == 1 else math.log(product) / math.log(order)
     report = {
         "per_factor": per_factor,
         "combined_count": str(product),

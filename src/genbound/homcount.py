@@ -8,13 +8,18 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd, prod
 from typing import Callable, Iterator, Sequence
 
+from . import perm
 from .groups import (
+    DEFAULT_ELEMENT_CAP,
+    ClosureOverflowError,
     FiniteGroup,
     GeneratedGroup,
+    PermGroup,
     ProductGroup,
     _enumerate,
     orbit_partition,
@@ -100,18 +105,24 @@ class _BacktrackSearch:
     Generators are assigned in order of ascending candidate-set size (most
     constrained first); each relator is checked as soon as all generators it
     mentions are assigned, as a power of its root (`cyclic_root`).
-    Deterministic given the target's element order.
+    Deterministic given the target's class table.
 
-    The search reads the target's conjugacy classes once, on its integer
-    kernel, and one element order per class (element order is a class
-    function). Let Omega_m be the union of the classes whose order divides
-    m (every class for m = 0), in element order. A generator with order
-    bound m takes the candidates Omega_m, the elements x with x^m = e, and
-    a relator root^n = e is checked as root in Omega_n: "(a*b)^n" costs one
-    product and a set lookup, and no element is ever powered.
+    The search reads the target only through its class table: the target's
+    order, one representative, size and element order per conjugacy class
+    (element order is a class function), Omega_m and a membership test for
+    it. Omega_m is the union of the classes whose order divides m (every
+    class for m = 0): the elements x with x^m = e. A generator with order
+    bound m takes the candidates Omega_m, and a relator root^n = e is
+    checked as root in Omega_n: "(a*b)^n" costs one product and a
+    membership test, and no element is ever powered. The table comes from
+    the enumerated kernel (`_kernel_classes`), or, for a count with
+    `by_cycle_type` into Sym(n) or Alt(n), from cycle types
+    (`_cycle_type_classes`), which never enumerates the target.
     """
 
-    def __init__(self, pres: Presentation, target: FiniteGroup, node_budget: int):
+    def __init__(
+        self, pres: Presentation, target: FiniteGroup, node_budget: int, by_cycle_type=False
+    ):
         self.pres = pres
         self.target = target
         self.node_budget = node_budget
@@ -119,15 +130,13 @@ class _BacktrackSearch:
         self.depth = 0  # the most generators assigned consistently so far
         k = len(pres.generators)
         self.bounds = [_single_generator_order_bound(pres, g) for g in range(k)]
-        kernel = target.compiled
-        self.classes = orbit_partition(kernel.order, kernel.conjugations)
-        elements = target.elements
-        self.class_orders = [target.element_order(elements[c[0]]) for c in self.classes]
-        self.candidates = [
-            tuple(map(elements.__getitem__, sorted(self._omega(m)))) for m in self.bounds
-        ]
+        table = by_cycle_type and _cycle_type_classes(self.bounds, target)
+        self.target_order, self.classes, self._omega, self._contains = (
+            table or _kernel_classes(target)
+        )
+        self.sizes = [sum(size for _, size, _ in self._classes(m)) for m in self.bounds]
         # most constrained generator first
-        self.order = sorted(range(k), key=lambda g: (len(self.candidates[g]), g))
+        self.order = sorted(range(k), key=lambda g: (self.sizes[g], g))
         position = {g: i for i, g in enumerate(self.order)}
         self.checks: list[list[tuple[Word, int]]] = [[] for _ in range(k)]
         for word in pres.relators:
@@ -137,38 +146,36 @@ class _BacktrackSearch:
                 continue
             self.checks[max(position[g] for g in used)].append(cyclic_root(word))
 
-    def _classes(self, m: int) -> list[list[int]]:
-        """The classes making up Omega_m, as sorted lists of kernel ints."""
-        return [c for c, order in zip(self.classes, self.class_orders) if m % order == 0]
-
-    def _omega(self, m: int) -> Iterator[int]:
-        """The kernel ints of Omega_m, class by class."""
-        return itertools.chain.from_iterable(self._classes(m))
+    def _classes(self, m: int) -> list[tuple]:
+        """The classes making up Omega_m."""
+        return [c for c in self.classes if m % c[2] == 0]
 
     def run(self, visit: Callable[[tuple], object] | None) -> int:
         """Visit each homomorphism, as its tuple of generator images, in
         order until `visit` returns a truthy value; the number visited.
 
         With no `visit` it only counts: the first generator in `order` takes
-        one representative x per conjugacy class in its Omega, the class's
-        least int, and |Hom| = sum over x of |x^G| * #{homs with that image},
-        since conjugating a hom by g gives a hom, sending it to g x g^-1."""
+        one representative x per class in its Omega, and
+        |Hom| = sum over x of |x^G| * #{homs with that image}, since
+        conjugating a hom by g gives a hom, sending it to g x g^-1. Every
+        other generator's Omega is built here, and one above the element
+        cap raises `ClosureOverflowError` before it is built."""
         k = len(self.pres.generators)
         target = self.target
-        candidates = self.candidates
+        first = self.order[0] if visit is None and self.order else None
         weights = None
-        if visit is None and self.order:  # a presentation may have no generator
-            first = self.order[0]
-            elements = target.elements
-            weights = {elements[c[0]]: len(c) for c in self._classes(self.bounds[first])}
-            candidates = list(candidates)
-            candidates[first] = tuple(weights)
-        # each Omega_n as a set of elements, built once per search
-        omegas = {
-            n: set(map(target.elements.__getitem__, self._omega(n)))
-            for n in {n for level in self.checks for _, n in level}
-        }
-        checks = [[(root, omegas[n]) for root, n in level] for level in self.checks]
+        candidates: list = [None] * k
+        for g, m in enumerate(self.bounds):
+            if g == first:
+                weights = {rep: size for rep, size, _ in self._classes(m)}
+                candidates[g] = tuple(weights)
+            elif self.sizes[g] > DEFAULT_ELEMENT_CAP:
+                raise ClosureOverflowError(DEFAULT_ELEMENT_CAP)
+            else:
+                candidates[g] = self._omega(m)
+        # each Omega_n's membership test, built once per search
+        contains = {n: self._contains(n) for n in {n for level in self.checks for _, n in level}}
+        checks = [[(root, contains[n]) for root, n in level] for level in self.checks]
         images: list = [None] * k
         count = 0
 
@@ -188,7 +195,7 @@ class _BacktrackSearch:
                     raise HomSearchBudgetError(self.node_budget, self.nodes, self.depth, k)
                 images[gen] = x
                 if all(
-                    evaluate_word(root, images, target) in omega for root, omega in level_checks
+                    member(evaluate_word(root, images, target)) for root, member in level_checks
                 ) and descend(level + 1):
                     return True
             images[gen] = None
@@ -201,15 +208,95 @@ class _BacktrackSearch:
         return count
 
 
+def _kernel_classes(target: FiniteGroup) -> tuple:
+    """The class table of an enumerated target, on its kernel: its order;
+    per conjugacy class, its least element, its size and its element order;
+    Omega_m in element order; Omega_n's membership, a set's."""
+    kernel = target.compiled
+    elements = target.elements
+    orbits = orbit_partition(kernel.order, kernel.conjugations)
+    classes = [(elements[c[0]], len(c), target.element_order(elements[c[0]])) for c in orbits]
+
+    def omega(m: int) -> tuple:
+        ints = [x for c, (_, _, order) in zip(orbits, classes) if m % order == 0 for x in c]
+        return tuple(map(elements.__getitem__, sorted(ints)))
+
+    return len(elements), classes, omega, lambda n: set(omega(n)).__contains__
+
+
+def _cycle_types(n: int, parts: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The partitions of n into `parts` (descending), largest parts first."""
+    if not parts:
+        if n == 0:
+            yield ()
+        return
+    for count in range(n // parts[0], -1, -1):
+        for rest in _cycle_types(n - count * parts[0], parts[1:]):
+            yield (parts[0],) * count + rest
+
+
+def _cycle_type_classes(bounds: Sequence[int], target: FiniteGroup) -> tuple | None:
+    """The class table of a permutation target of degree n whose order is
+    n! or n!/2, that is Sym(n) or Alt(n), read from cycle types; None for
+    any other target. One class per cycle type lambda whose parts divide a
+    bound (only the even ones in Alt(n)), of size n!/z_lambda and order
+    lcm(lambda). That size, the class's in Sym(n), is a valid weight in
+    Alt(n) too: conjugating by Sym(n) maps homs into Alt(n) to homs into
+    Alt(n). Omega_m is generated cycle type by cycle type, and a root lies in
+    Omega_n when its cycle lengths divide n.
+
+    Schreier-Sims (`perm.group_order`) runs only when the table could serve
+    the count: when each Omega_m with m > 0, at its size in Sym(n), and the
+    number of classes fit the element cap. Omega_0 is the target itself,
+    which `run` reports as an overflow when it is too large."""
+    if not isinstance(target, PermGroup):
+        return None
+    n = target.degree
+    full = math.factorial(n)
+    sizes = dict.fromkeys(bounds, 0)
+    types = []
+    for lengths in _cycle_types(n, [d for d in range(n, 0, -1) if any(m % d == 0 for m in sizes)]):
+        element_order = math.lcm(*lengths)
+        size = full // prod(d**c * math.factorial(c) for d, c in Counter(lengths).items())
+        for m in sizes:
+            if m % element_order == 0:
+                sizes[m] += size
+        if len(types) == DEFAULT_ELEMENT_CAP or any(
+            m and total > DEFAULT_ELEMENT_CAP for m, total in sizes.items()
+        ):
+            return None
+        types.append((lengths, size, element_order))
+    order = perm.group_order(n, target.generators)
+    if order != full and 2 * order != full:
+        return None
+    classes = [
+        (next(perm.perms_of_cycle_type(n, lengths)), size, element_order)
+        for lengths, size, element_order in types
+        if order == full or (n - len(lengths)) % 2 == 0
+    ]
+
+    def omega(m: int) -> tuple:
+        return tuple(
+            itertools.chain.from_iterable(
+                perm.perms_of_cycle_type(n, perm.cycle_lengths(rep))
+                for rep, _, element_order in classes
+                if m % element_order == 0
+            )
+        )
+
+    return order, classes, omega, lambda m: lambda x: perm.order_divides(x, m)
+
+
 def count_homs(
     pres: Presentation,
     target: FiniteGroup,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> HomCountResult:
     """Exact |Hom(P, target)| by backtracking over generator images, the
-    first generator's over conjugacy-class representatives only."""
-    count = _BacktrackSearch(pres, target, node_budget).run(None)
-    return HomCountResult(count, target.order)
+    first generator's over conjugacy-class representatives only; into
+    Sym(n) and Alt(n) from their cycle types."""
+    search = _BacktrackSearch(pres, target, node_budget, by_cycle_type=True)
+    return HomCountResult(search.run(None), search.target_order)
 
 
 def count_homs_per_factor(

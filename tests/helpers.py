@@ -10,14 +10,19 @@ the full symmetric group or, for transitive groups, from the Schreier
 generators of a point stabilizer, irreducibility from enumerating all
 subspaces, subset sums from explicit powerset search, homomorphisms from a
 concrete group by extending every candidate tuple and checking it on every
-element, equal kernels from closing paired images in the realization, and
-the minimal generator count by closing every candidate tuple.
+element, equal kernels from closing paired images in the realization,
+the minimal generator count by closing every candidate tuple, and triangle
+group counts into Sym(n) from Frobenius's class-sum formula with
+Murnaghan-Nakayama characters.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
+from collections import Counter
+from fractions import Fraction
 
 from typing import Sequence
 
@@ -47,6 +52,14 @@ def symmetric_group(n: int) -> PermGroup:
     if n >= 2:
         gens.append((1, 0) + tuple(range(2, n)))
     return PermGroup(n, gens)
+
+
+def alternating_group(n: int) -> PermGroup:
+    """Alt(n), n >= 3, by (0 1 2) and the n-cycle (n odd) or the
+    (n-1)-cycle fixing 0 (n even), both even."""
+    fixed = 1 - n % 2  # the points the long cycle fixes
+    cycle = tuple(range(fixed)) + tuple(range(fixed + 1, n)) + (fixed,)
+    return PermGroup(n, [(1, 2, 0) + tuple(range(3, n)), cycle])
 
 
 def alternating_group_5() -> PermGroup:
@@ -140,6 +153,65 @@ def power_target_count(
 
 
 # -- oracles -----------------------------------------------------------------
+
+
+def partitions(n: int, largest: int | None = None):
+    """The partitions of n, as non-increasing tuples."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, n if largest is None else largest), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part,) + rest
+
+
+@functools.lru_cache(maxsize=None)
+def murnaghan_nakayama(beta: tuple, mu: tuple) -> int:
+    """The irreducible character chi^lambda of Sym(n) at cycle type mu, by the
+    Murnaghan-Nakayama rule on lambda's beta-set, the distinct numbers
+    lambda_i + n - i (Sagan, The Symmetric Group, 4.10): removing a rim hook
+    of length r moves a bead from b to an empty b - r, with the sign
+    (-1)^(the beads between them)."""
+    if not mu:
+        return 1
+    r, total = mu[0], 0
+    for b in beta:
+        if b >= r and b - r not in beta:
+            sign = (-1) ** sum(1 for c in beta if b - r < c < b)
+            moved = tuple(sorted(set(beta) - {b} | {b - r}))
+            total += sign * murnaghan_nakayama(moved, mu[1:])
+    return total
+
+
+def frobenius_triangle_count(a: int, b: int, c: int, n: int) -> int:
+    """|Hom(<x, y | x^a, y^b, (x*y)^c>, Sym(n))| by Frobenius's class-sum
+    formula (Serre, Topics in Galois Theory, ch. 7): the solutions of
+    x y z = 1 with x, y, z in classes C_1, C_2, C_3 number
+    |C_1||C_2||C_3|/|G| * sum over chi of chi(C_1) chi(C_2) chi(C_3) / chi(1),
+    summed over the classes whose orders divide a, b and c."""
+    types = list(partitions(n))
+    betas = [
+        tuple(sorted(p + n - 1 - i for i, p in enumerate(lam + (0,) * (n - len(lam)))))
+        for lam in types
+    ]
+    chars = [[murnaghan_nakayama(beta, mu) for mu in types] for beta in betas]
+    sizes = [
+        math.factorial(n) // math.prod(d**k * math.factorial(k) for d, k in Counter(mu).items())
+        for mu in types
+    ]
+    orders = [math.lcm(*mu) for mu in types]
+
+    def classes(m):
+        return [i for i, order in enumerate(orders) if m % order == 0]
+
+    degree = types.index((1,) * n)
+    total = sum(
+        sizes[i] * sizes[j] * sizes[k]
+        * sum(Fraction(chi[i] * chi[j] * chi[k], chi[degree]) for chi in chars)
+        for i in classes(a) for j in classes(b) for k in classes(c)
+    ) / math.factorial(n)
+    assert total.denominator == 1
+    return int(total)
 
 
 def oracle_power_count(group: FiniteGroup, m: int) -> int:

@@ -2,9 +2,13 @@ import hashlib
 import itertools
 import json
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import genbound
 from genbound.cli import main
 
 
@@ -566,3 +570,37 @@ def test_construct_solsol_eight_primes(capsys, r_unenumerated):
     assert doc["dirichlet_prime"] == "106696591"
     assert doc["construction"] == {"p": "106696591", "l": "1", "m": "7", "r": "9699690"}
     assert doc["certificate"]["conclusion"] == 8
+
+
+# one CLI job in a process of its own; prints its exit status, the seconds
+# `main` took and the process's peak resident set in KiB
+TIMED_JOB = """
+import resource, sys, time
+from genbound.cli import main
+start = time.perf_counter()
+status = main(sys.argv[1:])
+elapsed = time.perf_counter() - start
+print(status, elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_free_pair_into_sym10_reports_the_overflow_at_once(tmp_path):
+    # b would take all 3,628,800 elements of Sym(10); the count reads that
+    # from the class sizes, where enumerating Sym(10) reads 10^6 elements
+    # before it overflows
+    free = tmp_path / "free.json"
+    free.write_text(json.dumps({"type": "presentation", "generators": ["a", "b"], "relators": []}))
+    sym10 = tmp_path / "sym10.json"
+    sym10.write_text(json.dumps(
+        {"type": "perm", "degree": 10, "generators": [[*range(1, 10), 0], [1, 0, *range(2, 10)]]}
+    ))
+    src = str(Path(genbound.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", TIMED_JOB, "homcount", "--factors", str(free), "--target", str(sym10)],
+        capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=60,
+    )
+    status, seconds, peak_kib = done.stdout.split()
+    assert status == "1"
+    assert done.stderr == "error: closure overflow: more than 1000000 elements\n"
+    assert float(seconds) < 0.5
+    assert int(peak_kib) < 60 * 1024

@@ -7,7 +7,9 @@ through `cli.main --json --reproducible`; each report's sha256 must match
 the table below. So do the reports of `CONSTRUCTION_JOBS`, constructions on
 further inputs: the coprime family at n = 1, metabelian targets small
 enough to be checked on their elements, module searches over noncyclic
-factors and abelianization splits. A refactor that means to keep every
+factors and abelianization splits; and so do the reports of `COUNT_JOBS`,
+counts into symmetric and alternating groups given by further generators
+and into groups of degree 7 and 8 that are neither. A refactor that means to keep every
 result keeps these tables. A change that means to change a report updates
 the table and says in CHANGES.md which reports changed and why.
 """
@@ -36,6 +38,12 @@ PERM_GROUPS = {
     # inputs of CONSTRUCTION_JOBS only
     "c2-perm": (2, [[1, 0]]),
     "sym3": (3, [[1, 2, 0], [1, 0, 2]]),
+    # inputs of COUNT_JOBS only: Sym(8) by the 8-cycle and (0 1), Alt(6) by
+    # (0 3)(1 5) and (0 4)(1 2 3 5), Alt(7) by (0 6)(2 4) and (0 1 3 2 5)
+    "sym8": (8, [[1, 2, 3, 4, 5, 6, 7, 0], [1, 0, 2, 3, 4, 5, 6, 7]]),
+    "sym9": (9, [[1, 2, 3, 4, 5, 6, 7, 8, 0], [1, 0, 2, 3, 4, 5, 6, 7, 8]]),
+    "alt6": (6, [[3, 5, 2, 0, 4, 1], [4, 2, 3, 5, 0, 1]]),
+    "alt7": (7, [[6, 1, 4, 3, 2, 5, 0], [1, 3, 5, 2, 4, 0, 6]]),
 }
 
 PRESENTATIONS = {
@@ -148,6 +156,31 @@ CONSTRUCTION_FROZEN = {
 }
 
 
+# Counts into symmetric and alternating groups, which are never enumerated,
+# and into two groups of degree 7 and 8 that are neither, with the same
+# conventions.
+COUNT_JOBS = [
+    ("hom-2-3-7-sym8", "homcount --factors @tri-2-3-7 --target @sym8"),
+    ("hom-2-3-5-alt6", "homcount --factors @tri-2-3-5 --target @alt6"),
+    ("hom-2-3-5-alt7", "homcount --factors @tri-2-3-5 --target @alt7"),
+    ("hom-2-3-7-agl-1-7", "homcount --factors @tri-2-3-7 --target @agl-1-7"),
+    ("hom-2-3-7-sym4-wr-c2", "homcount --factors @tri-2-3-7 --target @sym4-wr-c2"),
+    ("hom-c2-sym9", "homcount --factors @c2 --target @sym9"),
+    ("bound-2-3-7-cubed-sym8",
+     "bound --factors @tri-2-3-7 @tri-2-3-7 @tri-2-3-7 --target @sym8"),
+]
+
+COUNT_FROZEN = {
+    "hom-2-3-7-sym8": "3894d9686fc8d94d8b8200bcdee01f42ea5ea4a076ec87c1c9517c1c05f9ae86",
+    "hom-2-3-5-alt6": "391d4e1e222f0e330493a5581313ae43bd31070c298754cb97a975aeaefadc05",
+    "hom-2-3-5-alt7": "16cfdca23e3ffde14affcbb5ff76107f4fc25263888b9d96f000c6f529ae60c3",
+    "hom-2-3-7-agl-1-7": "8781b47bfe427b410a92e6b5d42f919b48f622e0a3808248ba3907ca89123ea9",
+    "hom-2-3-7-sym4-wr-c2": "078311203fe87fd2240985a3b0ec2008b0ff3f98f27d62b2aaea0d438700cd8e",
+    "hom-c2-sym9": "3ce7caefb6e4cf63aece87658423557b76f1a7ceca74d1a08112109ba44e68cc",
+    "bound-2-3-7-cubed-sym8": "c77a6b112ca2df26be61eec10e383bb1669d2d04fbd822ea4b3e141668d3ecf5",
+}
+
+
 def _inputs(directory) -> dict:
     """Each input document written to `directory`: name -> path."""
     docs = {
@@ -192,3 +225,11 @@ def test_every_construction_report_is_frozen(tmp_path):
         for name, data in reports(tmp_path, CONSTRUCTION_JOBS).items()
     }
     assert digests == CONSTRUCTION_FROZEN
+
+
+def test_every_count_report_is_frozen(tmp_path):
+    digests = {
+        name: hashlib.sha256(data).hexdigest()
+        for name, data in reports(tmp_path, COUNT_JOBS).items()
+    }
+    assert digests == COUNT_FROZEN

@@ -28,7 +28,7 @@ from genbound.homcount import (
     witness_quotient,
 )
 from genbound.modules import general_linear_group
-from genbound.perm import compose, inverse
+from genbound.perm import compose, group_order, inverse
 from genbound.presentations import cyclic_presentation, presentation_from_words
 from genbound.subgroups import (
     SubgroupHandle,
@@ -409,6 +409,31 @@ SYM4_WR_C2 = PermGroup(
 AGL_3_2 = PermGroup(
     8, [(1, 0, 3, 2, 5, 4, 7, 6), (0, 1, 3, 2, 4, 5, 7, 6), (0, 2, 4, 6, 1, 3, 5, 7)]
 )
+
+
+@given(small_perm_groups)
+@settings(max_examples=100, deadline=None)
+def test_schreier_sims_order_is_the_enumerated_order(group):
+    assert group_order(group.degree, group.generators) == len(group.elements)
+
+
+@pytest.mark.parametrize(
+    "group, order", [(SYM4_WR_C2, 1152), (AGL_3_2, 1344)], ids=["sym4-wr-c2", "agl-3-2"]
+)
+def test_schreier_sims_order_of_the_benchmark_groups(group, order):
+    # a Schreier-Sims that re-checks only the level it has just extended
+    # finds 576 for Sym(4) wr C2
+    assert group_order(group.degree, group.generators) == len(group.elements) == order
+
+
+def test_schreier_sims_order_on_degrees_0_to_2_and_the_trivial_group():
+    for n in range(3):
+        points = list(itertools.permutations(range(n)))
+        for k in range(3):
+            for generators in itertools.product(points, repeat=k):
+                order = len(PermGroup(n, generators).elements)
+                assert group_order(n, generators) == order
+    assert group_order(5, [tuple(range(5))]) == group_order(6, []) == 1
 
 
 @pytest.mark.parametrize("group", NONABELIAN_CORPUS, ids=lambda g: f"order-{g.order}")

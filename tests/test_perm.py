@@ -1,3 +1,7 @@
+import itertools
+from collections import Counter
+from math import factorial, prod
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,9 +12,13 @@ from genbound.perm import (
     cycle_lengths,
     identity_perm,
     inverse,
+    order_divides,
     perm_order,
+    perms_of_cycle_type,
     validate_perm,
 )
+
+from helpers import partitions
 
 perms = st.integers(min_value=1, max_value=7).flatmap(
     lambda n: st.permutations(list(range(n)))
@@ -94,3 +102,20 @@ def test_negative_power():
     group = PermGroup(4, [p])
     assert group.power(p, -1) == inverse(p)
     assert group.power(p, -3) == group.power(inverse(p), 3)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_perms_of_each_cycle_type_are_its_class_once(n):
+    seen = []
+    for lengths in partitions(n):
+        members = list(perms_of_cycle_type(n, lengths))
+        z = prod(d**k * factorial(k) for d, k in Counter(lengths).items())
+        assert len(members) == len(set(members)) == factorial(n) // z
+        assert all(sorted(cycle_lengths(p), reverse=True) == list(lengths) for p in members)
+        seen += members
+    assert sorted(seen) == list(itertools.permutations(range(n)))
+
+
+@given(st.integers(0, 9).flatmap(lambda n: st.permutations(list(range(n)))), st.integers(1, 30))
+def test_order_divides_reads_the_cycle_lengths(p, n):
+    assert order_divides(tuple(p), n) == (n % perm_order(p) == 0)
