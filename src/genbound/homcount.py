@@ -134,9 +134,9 @@ class _BacktrackSearch:
         self.target_order, self.classes, self._omega, self._contains = (
             table or _kernel_classes(target)
         )
-        self.sizes = [sum(size for _, size, _ in self._classes(m)) for m in self.bounds]
+        sizes = [sum(size for _, size, _ in self._classes(m)) for m in self.bounds]
         # most constrained generator first
-        self.order = sorted(range(k), key=lambda g: (self.sizes[g], g))
+        self.order = sorted(range(k), key=lambda g: (sizes[g], g))
         position = {g: i for i, g in enumerate(self.order)}
         self.checks: list[list[tuple[Word, int]]] = [[] for _ in range(k)]
         for word in pres.relators:
@@ -157,22 +157,15 @@ class _BacktrackSearch:
         With no `visit` it only counts: the first generator in `order` takes
         one representative x per class in its Omega, and
         |Hom| = sum over x of |x^G| * #{homs with that image}, since
-        conjugating a hom by g gives a hom, sending it to g x g^-1. Every
-        other generator's Omega is built here, and one above the element
-        cap raises `ClosureOverflowError` before it is built."""
+        conjugating a hom by g gives a hom, sending it to g x g^-1."""
         k = len(self.pres.generators)
         target = self.target
         first = self.order[0] if visit is None and self.order else None
+        candidates = [() if g == first else self._omega(m) for g, m in enumerate(self.bounds)]
         weights = None
-        candidates: list = [None] * k
-        for g, m in enumerate(self.bounds):
-            if g == first:
-                weights = {rep: size for rep, size, _ in self._classes(m)}
-                candidates[g] = tuple(weights)
-            elif self.sizes[g] > DEFAULT_ELEMENT_CAP:
-                raise ClosureOverflowError(DEFAULT_ELEMENT_CAP)
-            else:
-                candidates[g] = self._omega(m)
+        if first is not None:
+            weights = {rep: size for rep, size, _ in self._classes(self.bounds[first])}
+            candidates[first] = tuple(weights)
         # each Omega_n's membership test, built once per search
         contains = {n: self._contains(n) for n in {n for level in self.checks for _, n in level}}
         checks = [[(root, contains[n]) for root, n in level] for level in self.checks]
@@ -246,32 +239,37 @@ def _cycle_type_classes(bounds: Sequence[int], target: FiniteGroup) -> tuple | N
     Omega_n when its cycle lengths divide n.
 
     Schreier-Sims (`perm.group_order`) runs only when the table could serve
-    the count: when each Omega_m with m > 0, at its size in Sym(n), and the
-    number of classes fit the element cap. Omega_0 is the target itself,
-    which `run` reports as an overflow when it is too large."""
+    the count: when each Omega_m with m > 0 fits the element cap at its size
+    in Sym(n), counted before anything is listed. The permutations of j
+    points with x^m = e number a_j = sum over d | m of (j-1)!/(j-d)! a_{j-d},
+    d the length of the cycle through the last point, and a_j grows with j.
+    Omega_0 is the target itself: a recognized target above the cap raises
+    `ClosureOverflowError`, as its enumeration would."""
     if not isinstance(target, PermGroup):
         return None
     n = target.degree
-    full = math.factorial(n)
-    sizes = dict.fromkeys(bounds, 0)
-    types = []
-    for lengths in _cycle_types(n, [d for d in range(n, 0, -1) if any(m % d == 0 for m in sizes)]):
-        element_order = math.lcm(*lengths)
-        size = full // prod(d**c * math.factorial(c) for d, c in Counter(lengths).items())
-        for m in sizes:
-            if m % element_order == 0:
-                sizes[m] += size
-        if len(types) == DEFAULT_ELEMENT_CAP or any(
-            m and total > DEFAULT_ELEMENT_CAP for m, total in sizes.items()
-        ):
+    for m in set(bounds) - {0}:
+        a = [1]
+        while len(a) <= n and a[-1] <= DEFAULT_ELEMENT_CAP:
+            j = len(a)
+            divisors = [d for d in range(1, min(j, m) + 1) if m % d == 0]
+            a.append(sum(math.perm(j - 1, d - 1) * a[j - d] for d in divisors))
+        if a[-1] > DEFAULT_ELEMENT_CAP:
             return None
-        types.append((lengths, size, element_order))
+    full = math.factorial(n)
     order = perm.group_order(n, target.generators)
     if order != full and 2 * order != full:
         return None
+    if 0 in bounds and order > DEFAULT_ELEMENT_CAP:
+        raise ClosureOverflowError(DEFAULT_ELEMENT_CAP)
+    parts = [d for d in range(n, 0, -1) if any(m % d == 0 for m in bounds)]
     classes = [
-        (next(perm.perms_of_cycle_type(n, lengths)), size, element_order)
-        for lengths, size, element_order in types
+        (
+            next(perm.perms_of_cycle_type(n, lengths)),
+            full // prod(d**c * math.factorial(c) for d, c in Counter(lengths).items()),
+            math.lcm(*lengths),
+        )
+        for lengths in _cycle_types(n, parts)
         if order == full or (n - len(lengths)) % 2 == 0
     ]
 

@@ -5,6 +5,7 @@ permutation group, so it is counted on its own classes)."""
 
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -17,6 +18,7 @@ from genbound.presentations import presentation_from_words
 from helpers import (
     affine_group,
     alternating_group,
+    cyclic_perm_group,
     dihedral_group,
     frobenius_triangle_count,
     symmetric_group,
@@ -101,19 +103,30 @@ def test_count_into_sym_n_by_random_generators_matches_the_enumerated_kernel(n):
 
 
 def test_an_omega_past_the_element_cap_overflows_before_it_is_built(unenumerable):
-    # b would take all of Sym(10): the class sizes say so before any element is built
-    free = presentation_from_words(["a", "b"], [])
-    tracemalloc.start()
-    try:
-        with pytest.raises(ClosureOverflowError):
-            count_homs(free, symmetric_group(10))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-    # a takes one representative per cycle type, 42 of them
-    rank_one = presentation_from_words(["a"], [])
-    assert count_homs(rank_one, symmetric_group(10)).count == math.factorial(10)
+    # an unbounded generator takes all of Sym(10), known from its order
+    # before any element or cycle type is built
+    for rank in [2, 1]:
+        free = presentation_from_words(["a", "b"][:rank], [])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ClosureOverflowError):
+                count_homs(free, symmetric_group(10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+def test_an_unbounded_generator_into_a_small_target_of_large_degree_is_at_once():
+    # the 60-cycle has 966,467 cycle types of degree 60 but only 60 elements:
+    # its order is read before any cycle type is listed
+    target = cyclic_perm_group(60)
+    free = presentation_from_words(["a"], [])
+    abelian = presentation_from_words(["a", "b"], ["a*b*a^-1*b^-1"])
+    start = time.perf_counter()
+    assert count_homs(free, target) == HomCountResult(60, 60)
+    assert count_homs(abelian, target) == HomCountResult(3600, 60)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_schreier_sims_runs_only_when_the_route_could_serve_the_count(orders_found):
