@@ -38,7 +38,6 @@ from .groups import (
     MatrixGroup,
     PermGroup,
     ProductGroup,
-    closure,
 )
 from .homcount import (
     HomCountResult,

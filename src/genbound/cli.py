@@ -51,6 +51,8 @@ from .subgroups import d_min_generators, largest_normal_p_subgroup
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VERIFICATION = 2
+# `witness` reports witness_d only up to this witness order: d_min is a search
+WITNESS_DMIN_CAP = 512
 
 
 class JobError(RuntimeError):
@@ -146,7 +148,7 @@ def _cmd_witness(args) -> tuple[int, dict]:
         "deduplicated": witness.deduplicated,
         "witness_order": str(witness.group.order),
     }
-    if witness.group.order <= args.dmin_cap:
+    if witness.group.order <= WITNESS_DMIN_CAP:
         result = d_min_generators(witness.group)
         report["witness_d"] = result.value
         report["witness_d_exact"] = result.exact
@@ -309,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--width-cap", type=int, default=512)
     p.add_argument("--dedup", action="store_true", help="deduplicate homs by kernel")
-    p.add_argument("--dmin-cap", type=int, default=512)
     common(p)
     p.set_defaults(handler=_cmd_witness)
 

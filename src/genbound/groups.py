@@ -9,7 +9,8 @@ BFS run to the end that forms x * g by one unary step per generator and
 records their right action, then reads the BFS tree off it. Structure work
 runs on one integer kernel: `FiniteGroup.compiled`, that action and tree as
 a `CayleyGroup` on 0..n-1, whose words, table and conjugation maps are
-read from the tree. A Cayley table input is walked into such a kernel.
+read from the tree. `walk` is the one closure walk on kernel ints; it also
+picks the generators that turn a Cayley table input into such a kernel.
 """
 
 from __future__ import annotations
@@ -34,35 +35,29 @@ class ClosureOverflowError(RuntimeError):
         self.cap = cap
 
 
-def closure(
-    generators: Sequence,
-    mul: Callable,
-    identity,
-    cap: int = DEFAULT_ELEMENT_CAP,
-) -> list:
-    """Smallest set containing the generators and closed under mul.
-
-    In a finite group this is the generated subgroup (inverses arise as
-    powers). Returns elements in deterministic BFS insertion order, with
-    the identity first. Exceeding `cap` raises ClosureOverflowError;
-    results are never silently truncated.
-    """
-    out = [identity]
-    seen = {identity}
-    for a in out:
-        for g in generators:
-            b = mul(a, g)
-            if b not in seen:
-                seen.add(b)
-                out.append(b)
-                if len(out) > cap:
-                    raise ClosureOverflowError(cap)
-    return out
+def walk(steps, points: list, seen: bytearray, start: int = 0) -> Iterator[int]:
+    """The closure walk on kernel ints (Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, 2005, 4.1): yields points[start:], then
+    each int the unary `steps` reach from them, marking it in `seen` and
+    appending it to `points` as it is reached, so a reader may stop part
+    way. The caller marks the points it passes in. Each point from `start`
+    on meets every step once, so if the points before `start` already map
+    into `points` under every step, a walk run to the end leaves `points`
+    closed under them."""
+    yield from points[start:]
+    append = points.append
+    for x in itertools.islice(points, start, None):  # the list iterator sees appends
+        for step in steps:
+            if not seen[y := step(x)]:
+                seen[y] = 1
+                append(y)
+                yield y
 
 
 def _bfs(steps, identity, out: list, action: list) -> Iterator:
-    """The enumeration BFS behind `FiniteGroup.elements`: `closure`, with
-    steps[j] forming x * g_j. Appends each element to `out` as it is
+    """The enumeration BFS behind `FiniteGroup.elements`: `walk` on hashable
+    elements, with steps[j] forming x * g_j and a position dict for `seen`,
+    under `DEFAULT_ELEMENT_CAP`. Appends each element to `out` as it is
     reached, identity first, and yields it, so a reader may stop at the
     first element it wants; action[j][i] is the position of out[i] * g_j,
     filled for every element it has moved past."""
@@ -319,12 +314,14 @@ class CayleyGroup(FiniteGroup):
         for a, b, c in itertools.product(small, range(n), small):
             if table[table[a][b]][c] != table[a][table[b][c]]:
                 raise ValueError(f"table is not associative at ({a},{b},{c})")
-        generators: list[int] = []
-        reached = {e}
+        columns: list = []
+        reached, seen = [e], bytearray(n)
+        seen[e] = 1
         while len(reached) < n:
-            generators.append(next(x for x in range(n) if x not in reached))
-            reached = set(closure(generators, lambda a, b: table[a][b], e))
-        self._hold(n, e, [[row[g] for row in table] for g in generators])
+            columns.append([row[seen.index(0)] for row in table])
+            for _ in walk([c.__getitem__ for c in columns], reached, seen):
+                pass
+        self._hold(n, e, columns)
 
     def _hold(self, order: int, identity: int, action: Sequence, tree=None) -> None:
         """Hold the action and its BFS tree: three sequences in BFS order,
@@ -388,6 +385,18 @@ class CayleyGroup(FiniteGroup):
         for j in (self._words or self.words())[b]:
             a = right[j][a]
         return a
+
+    def step(self, s) -> Callable[[int], int]:
+        """x -> x * s as a unary step for `walk`: s's word read once, and
+        the rows right[j] along it bound once."""
+        rows = [self.right[j] for j in (self._words or self.words())[s]]
+
+        def times(x):
+            for row in rows:
+                x = row[x]
+            return x
+
+        return times
 
     def inv(self, a):
         """a^-1: if a = g_1 ... g_k along its word, e g_k^-1 ... g_1^-1,

@@ -1,7 +1,9 @@
 """Subgroup computations: derived subgroups, quotients, abelian invariants,
 minimal generator search, Sylow subgroups and their normal cores, and
 orbits. Structure work runs on the group's integer kernel
-(`FiniteGroup.compiled`); results are mapped back.
+(`FiniteGroup.compiled`); results are mapped back. Every subgroup closure
+is a `groups.walk`: a tuple's closure in `d_min_generators`, a closure
+extended by one generator (`_extend`) and a normal closure.
 """
 
 from __future__ import annotations
@@ -11,15 +13,7 @@ from dataclasses import dataclass, field
 from math import prod
 from typing import Iterator, Sequence
 
-from .groups import (
-    CayleyGroup,
-    ClosureOverflowError,
-    FiniteGroup,
-    GeneratedGroup,
-    PermGroup,
-    closure,
-    orbit_partition,
-)
+from .groups import CayleyGroup, FiniteGroup, GeneratedGroup, PermGroup, orbit_partition, walk
 from .numtheory import factorize, is_prime
 
 
@@ -51,10 +45,11 @@ class SubgroupHandle:
         # closed iff some of its elements generate exactly it; each element
         # added at least doubles the closure
         kernel = parent.compiled
-        gens, reached = [], [kernel.identity]
-        seen = set(reached)
+        gens, reached = {}, [kernel.identity]
+        seen = bytearray(kernel.order)
+        seen[kernel.identity] = 1
         for x in sorted(indices):
-            if x not in seen:
+            if not seen[x]:
                 start = len(reached)
                 _extend(kernel, gens, x, reached, seen)
                 if not indices.issuperset(reached[start:]):
@@ -82,23 +77,20 @@ def _handle(parent: FiniteGroup, indices, generators=()) -> SubgroupHandle:
     return SubgroupHandle(parent, members, tuple(elems[i] for i in generators))
 
 
-def _extend(kernel: CayleyGroup, gens: list, g: int, members: list, seen: set):
+def _extend(kernel: CayleyGroup, gens: dict, g: int, members: list, seen: bytearray):
     """Grow `members`, the subgroup the kernel ints `gens` generate, to
-    <gens, g>, appending g to `gens`: g meets each old member once, and
-    each new member meets every generator once. The old members are
-    closed under the old generators, so the result is closed under all."""
-    mul = kernel.mul
+    <gens, g>, adding g to `gens`, which maps each generator to its step:
+    g meets each old member once, then the walk from the new members on
+    meets every generator. The old members are closed under the old
+    generators, so the result is closed under all."""
     old = len(members)
-    gens.append(g)
+    step = gens[g] = kernel.step(g)
     for x in members[:old]:
-        if (y := mul(x, g)) not in seen:
-            seen.add(y)
+        if not seen[y := step(x)]:
+            seen[y] = 1
             members.append(y)
-    for x in itertools.islice(members, old, None):  # the list iterator sees appends
-        for h in gens:
-            if (y := mul(x, h)) not in seen:
-                seen.add(y)
-                members.append(y)
+    for _ in walk(list(gens.values()), members, seen, old):
+        pass
 
 
 def _normal_closure(kernel: CayleyGroup, seeds: Sequence) -> Iterator[int]:
@@ -109,22 +101,16 @@ def _normal_closure(kernel: CayleyGroup, seeds: Sequence) -> Iterator[int]:
     so under x -> x (h s h^-1) = h ((h^-1 x h) s) h^-1 too: it is the
     subgroup the conjugates of the seeds generate. A reader may stop part
     way."""
-    mul = kernel.mul
-    maps = kernel.conjugations
-    members = [kernel.identity]
-    seen = set(members)
-    for x in members:
-        yield x
-        for y in [mul(x, s) for s in seeds] + [c[x] for c in maps]:
-            if y not in seen:
-                seen.add(y)
-                members.append(y)
+    seen = bytearray(kernel.order)
+    seen[kernel.identity] = 1
+    steps = [kernel.step(s) for s in seeds] + [c.__getitem__ for c in kernel.conjugations]
+    return walk(steps, [kernel.identity], seen)
 
 
-def _reaches_all(walk: Iterator, wanted) -> bool:
-    """Whether `walk` yields every element of `wanted`, read only until it has."""
+def _reaches_all(points: Iterator, wanted) -> bool:
+    """Whether `points` yields every element of `wanted`, read only until it has."""
     missing = set(wanted)
-    for x in walk:
+    for x in points:
         missing.discard(x)
         if not missing:
             return True
@@ -270,9 +256,10 @@ def d_min_generators(G: FiniteGroup, budget: int = 200_000) -> MinGenResult:
                 tried += 1
                 if tried > budget:
                     return MinGenResult(d, None, False)
-                try:
-                    closure((first, *rest), kernel.mul, e, n // 2)
-                except ClosureOverflowError:
+                seen = bytearray(n)
+                seen[e] = 1
+                reached = walk([kernel.step(x) for x in (first, *rest)], [e], seen)
+                if next(itertools.islice(reached, n // 2, None), None) is not None:
                     return MinGenResult(d, tuple(elems[x] for x in (first, *rest)), True)
 
 
@@ -291,16 +278,17 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> SubgroupHandle:
         if _p_log(kernel.element_order(c[0]), p) is not None
         for x in c
     )
-    gens: list[int] = []
+    gens: dict = {}
     members = [kernel.identity]
-    seen = set(members)
+    seen = bytearray(n)
+    seen[kernel.identity] = 1
 
     def normalizes(y: int) -> bool:
         y_inv = kernel.inv(y)
-        return all(kernel.mul(kernel.mul(y, a), y_inv) in seen for a in gens)
+        return all(seen[kernel.mul(kernel.mul(y, a), y_inv)] for a in gens)
 
     while len(members) < target:
-        y = next(y for y in p_elements if y not in seen and normalizes(y))
+        y = next(y for y in p_elements if not seen[y] and normalizes(y))
         _extend(kernel, gens, y, members, seen)
     return _handle(G, members, gens)
 

@@ -24,20 +24,50 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from genbound.groups import (
+    DEFAULT_ELEMENT_CAP,
     CayleyGroup,
+    ClosureOverflowError,
     FiniteGroup,
     MatrixGroup,
     PermGroup,
     ProductGroup,
-    closure,
 )
 from genbound.homcount import HomCountResult, count_homs, group_presentation
 from genbound.perm import compose, identity_perm, inverse
 from genbound.presentations import Presentation
 from genbound.subgroups import MinGenResult, SubgroupHandle, orbits
+
+
+# -- the closure oracle ------------------------------------------------------
+
+
+def closure(
+    generators: Sequence,
+    mul: Callable,
+    identity,
+    cap: int = DEFAULT_ELEMENT_CAP,
+) -> list:
+    """Smallest set containing the generators and closed under mul.
+
+    In a finite group this is the generated subgroup (inverses arise as
+    powers). Returns elements in deterministic BFS insertion order, with
+    the identity first. Exceeding `cap` raises ClosureOverflowError;
+    results are never silently truncated.
+    """
+    out = [identity]
+    seen = {identity}
+    for a in out:
+        for g in generators:
+            b = mul(a, g)
+            if b not in seen:
+                seen.add(b)
+                out.append(b)
+                if len(out) > cap:
+                    raise ClosureOverflowError(cap)
+    return out
 
 
 # -- corpus groups -----------------------------------------------------------

@@ -164,6 +164,23 @@ def test_witness_subcommand(files, capsys):
     assert doc["witness_d"] == 2
 
 
+def test_witness_above_the_dmin_cap_leaves_out_witness_d(files):
+    # in a child process: the order-4,320 quotient would raise this
+    # process's peak RSS, which a child it starts later reads as its own
+    report = files["dir"] / "witness.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "genbound.cli", "witness", "--factors", files["c2.pres"],
+         files["c3.pres"], "--target", files["a5.perm"], "--json", "--reproducible",
+         "--output", str(report)],
+        capture_output=True, text=True, env={"PYTHONPATH": str(Path(genbound.__file__).parent.parent)},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(report.read_text())
+    assert doc["witness_order"] == "4320"
+    assert "witness_d" not in doc and "witness_d_exact" not in doc
+
+
 def test_dmin_and_opsub(files, capsys):
     status, out, _ = run(["dmin", files["klein.perm"], "--json", "--reproducible"], capsys)
     assert status == 0

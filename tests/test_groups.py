@@ -13,12 +13,12 @@ from genbound.groups import (
     MatrixGroup,
     PermGroup,
     ProductGroup,
-    closure,
 )
 from genbound.modules import ModuleAction, general_linear_group
 from genbound.presentations import cyclic_presentation
 from helpers import (
     alternating_group_5,
+    closure,
     cyclic_group,
     perm_parity,
     quaternion_group,

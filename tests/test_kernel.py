@@ -17,8 +17,8 @@ from genbound.groups import (
     ClosureOverflowError,
     PermGroup,
     ProductGroup,
-    closure,
     orbit_partition,
+    walk,
 )
 from genbound.homcount import (
     _BacktrackSearch,
@@ -48,6 +48,7 @@ from helpers import (
     brute_conjugations,
     brute_derived_subgroup,
     brute_largest_normal_p_subgroups,
+    closure,
     cyclic_group,
     cyclic_perm_group,
     dihedral_group,
@@ -520,6 +521,33 @@ def test_itemgetter_enumeration_matches_closure_over_compose(group):
     index = {x: i for i, x in enumerate(expected)}
     right = [[index[compose(x, g)] for x in expected] for g in gens]
     assert [list(row) for row in group.compiled.right] == right
+
+
+@given(small_perm_groups, st.data())
+@settings(max_examples=40, deadline=None)
+def test_walks_and_table_picks_match_the_closure_oracle(group, data):
+    kernel = group.compiled
+    n, e = kernel.order, kernel.identity
+    for _ in range(4):
+        gens = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
+        seen = bytearray(n)
+        seen[e] = 1
+        walked = list(walk([kernel.step(x) for x in gens], [e], seen))
+        assert walked == closure(gens, kernel.mul, e)
+        assert sorted(walked) == [x for x in range(n) if seen[x]]
+    # the same group as a table on relabelled ints, its identity moved too:
+    # each pick is the least int outside the closure of the picks before
+    sigma = data.draw(st.permutations(range(n)))
+    table = [[0] * n for _ in range(n)]
+    for a, row in enumerate(kernel.table):
+        for b, c in enumerate(row):
+            table[sigma[a]][sigma[b]] = sigma[c]
+    greedy: list = []
+    while len(reached := closure(greedy, lambda a, b: table[a][b], sigma[e])) < n:
+        greedy.append(min(set(range(n)).difference(reached)))
+    assert CayleyGroup(table).generators == tuple(greedy)
+    # a tuple's walk stops once it passes |G|/2 ints, not at |G|/2
+    assert d_min_generators(group) == unpruned_d_min_generators(group)
 
 
 @pytest.mark.parametrize("group", NONABELIAN_CORPUS + [SYM4_WR_C2], ids=lambda g: f"order-{g.order}")
