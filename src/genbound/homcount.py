@@ -11,6 +11,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd, prod
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from . import perm
@@ -388,19 +389,33 @@ def _partner_walk(identity: int, steps: Sequence[list], partner_steps: Sequence[
 class _WitnessGroup(GeneratedGroup):
     """A `GeneratedGroup` in a power of `target`, enumerated in the same
     order on the target's ints: generator j's step moves coordinate i by
-    the row moves[j][i], and each tuple reached maps back through `target.elements`."""
+    the row moves[j][i]. The BFS runs on the coordinates `reps` only, one
+    hom per conjugacy orbit: if phi_h = g phi_r g^-1, then coordinate h of
+    every element, phi_h(w), is g phi_r(w) g^-1, a function of coordinate
+    r. So the projection onto `reps` is injective on the group: the BFS on
+    it meets equal tuples exactly where the full-width BFS does, and
+    records the same order, action and tree. The full tuples are then
+    filled along that tree, one row lookup a coordinate per edge, and map
+    back through `target.elements`."""
 
-    def __init__(self, ambient, generators, target, moves):
+    def __init__(self, ambient, generators, target, moves, reps):
         super().__init__(ambient, generators)
         self._target = target
         self._moves = moves
+        self._reps = reps
 
     def _generate(self) -> list:
-        elems = self._target.elements
-        start = (self._target.compiled.identity,) * len(self.ambient.factors)
-        steps = [lambda a, rows=rows: tuple(map(list.__getitem__, rows, a)) for rows in self._moves]
-        ints, self._walk = _enumerate(steps, start)
-        return [tuple(map(elems.__getitem__, t)) for t in ints]
+        e, elems = self._target.compiled.identity, self._target.elements
+        reduced = [[rows[i] for i in self._reps] for rows in self._moves]
+        steps = [lambda a, rows=rows: tuple(map(list.__getitem__, rows, a)) for rows in reduced]
+        ints, self._walk = _enumerate(steps, (e,) * len(self._reps))
+        if len(self._reps) < len(self.ambient.factors):
+            ints = [(e,) * len(self.ambient.factors)]
+            for x, j in zip(*self._walk[1][1:]):
+                ints.append(tuple(map(list.__getitem__, self._moves[j], ints[x])))
+        if len(ints[0]) == 1:  # a single index makes itemgetter return no tuple
+            return [(elems[x],) for (x,) in ints]
+        return [itemgetter(*t)(elems) for t in ints]
 
 
 def witness_quotient(
@@ -416,6 +431,11 @@ def witness_quotient(
     retained homomorphisms; the returned group is the closure of those
     tuples under componentwise multiplication. Its minimal generator count
     bounds d of the profinite completion from below.
+
+    Conjugate homs share a kernel. The group is enumerated on the least
+    hom of each conjugacy orbit (`_WitnessGroup`), and deduplication
+    compares those only, in index order: a kernel class is a union of
+    orbits, so it keeps what a pass over every hom keeps.
     """
     combined = free_product(list(factors))
     per_factor = [enumerate_homs(f, target) for f in factors]
@@ -437,10 +457,13 @@ def witness_quotient(
         for j in kernel.words()[x]:
             row = list(map(kernel.right[j].__getitem__, row))
         rows[x] = row
+    index = {hom: i for i, hom in enumerate(ints)}
+    maps = [[index[tuple(map(c.__getitem__, hom))] for hom in ints] for c in kernel.conjugations]
+    reps = [orbit[0] for orbit in orbit_partition(len(ints), maps)]
     if len(homs) > width_cap:
         e = kernel.identity
-        images = [[rows[x] for x in hom] for hom in ints]
-        orders = [_partner_walk(e, steps, steps) for steps in images]
+        images = {i: [rows[x] for x in ints[i]] for i in reps}
+        orders = {i: _partner_walk(e, images[i], images[i]) for i in reps}
 
         def same_kernel(i: int, j: int) -> bool:
             """Whether ker phi_i = ker phi_j. The partner walk proves
@@ -450,10 +473,11 @@ def witness_quotient(
             return orders[i] == orders[j] and _partner_walk(e, images[j], images[i]) > 0
 
         kept: list[int] = []
-        for i in range(len(ints)):
+        for i in reps:
             if not any(same_kernel(i, j) for j in kept):
                 kept.append(i)
         homs, ints = [homs[i] for i in kept], [ints[i] for i in kept]
+        reps = range(len(kept))  # distinct kernels: no two kept homs are conjugate
         if len(homs) > width_cap:
             raise WitnessWidthError(
                 f"{len(homs)} distinct kernels still exceed the width cap {width_cap}"
@@ -463,7 +487,7 @@ def witness_quotient(
     k = len(combined.generators)
     gen_tuples = [tuple(hom[j] for hom in homs) for j in range(k)]
     moves = [tuple(rows[hom[j]] for hom in ints) for j in range(k)]
-    group = _WitnessGroup(ambient, gen_tuples, target, moves)
+    group = _WitnessGroup(ambient, gen_tuples, target, moves, reps)
     group.elements  # force closure now so cap errors surface here
     return WitnessQuotient(
         group=group,

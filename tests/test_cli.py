@@ -590,14 +590,21 @@ def test_construct_solsol_eight_primes(capsys, r_unenumerated):
 
 
 # one CLI job in a process of its own; prints its exit status, the seconds
-# `main` took and the process's peak resident set in KiB
+# `main` took and the process's peak resident set in KiB. The peak is read
+# from VmHWM where /proc has it: Linux carries ru_maxrss across exec, so a
+# child would report the test runner's peak if that one is larger
 TIMED_JOB = """
 import resource, sys, time
 from genbound.cli import main
 start = time.perf_counter()
 status = main(sys.argv[1:])
 elapsed = time.perf_counter() - start
-print(status, elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+try:
+    with open("/proc/self/status") as status_file:
+        peak = next(int(line.split()[1]) for line in status_file if line.startswith("VmHWM:"))
+except (OSError, StopIteration):
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(status, elapsed, peak)
 """
 
 

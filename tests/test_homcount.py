@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from genbound import groups
+from genbound import groups, homcount
 from genbound.groups import (
     ClosureOverflowError,
     GeneratedGroup,
@@ -444,6 +444,77 @@ def test_witness_dedup_keeps_the_homs_of_the_pairwise_kernel_check_on_random_tar
     w = witness_quotient(factors, target, width_cap=len(kept), dedup_kernels=True)
     assert w.width_used == len(kept)
     assert w.group.generators == tuple(zip(*kept))
+
+
+# <a, b | a^2, b^3, (ab)^3>, the tetrahedral group: a factor that is not cyclic
+TETRAHEDRAL = presentation_from_words(("a", "b"), ("a^2", "b^3", "(a*b)^3"))
+
+
+@st.composite
+def orbit_cases(draw):
+    n = draw(st.integers(3, 5))
+    gens = draw(st.lists(st.permutations(list(range(n))).map(tuple), min_size=2, max_size=2))
+    orders = draw(st.lists(st.integers(2, 4), min_size=2, max_size=2))
+    factors = [cyclic_presentation(m, f"g{i}") for i, m in enumerate(orders)]
+    if draw(st.booleans()):
+        factors[0] = TETRAHEDRAL
+    return factors, PermGroup(n, gens)
+
+
+@given(orbit_cases())
+@settings(max_examples=40, deadline=None)
+def test_witness_on_conjugacy_orbit_representatives_keeps_every_homs_answer(case):
+    # the witness is enumerated, and kernels are compared, on one hom per
+    # conjugacy orbit of the target; the oracles read every hom
+    factors, target = case
+    per_factor = [enumerate_homs(f, target) for f in factors]
+    homs = [tuple(x for part in combo for x in part) for combo in itertools.product(*per_factor)]
+    assume(len(homs) <= 200)
+    kept = []
+    for hom in homs:
+        if not any(kernels_equal(target, hom, other) for other in kept):
+            kept.append(hom)
+    w = witness_quotient(factors, target, width_cap=len(kept), dedup_kernels=True)
+    assert w.width_used == len(kept)
+    assert w.group.generators == tuple(zip(*kept))
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(groups, "DEFAULT_ELEMENT_CAP", 5000)
+            full = witness_quotient(factors, target)
+    except ClosureOverflowError:
+        return
+    assert full.width_used == len(homs)
+    if full.group.order * len(homs) <= 50_000:
+        check_witness_is_the_realization_bfs(full, target)
+
+
+def test_witness_of_the_trivial_hom_alone_is_one_wide():
+    target = cyclic_group(5)
+    witness = witness_quotient(C2_C3, target)
+    assert witness.width_used == 1
+    assert witness.group.elements == ((target.identity,),)
+    check_witness_is_the_realization_bfs(witness, target)
+
+
+@pytest.mark.parametrize(
+    "target,calls", [(affine_group(7, 3), 11), (symmetric_group(4), 8)], ids=["agl-1-7", "sym4"]
+)
+def test_witness_dedup_walks_one_hom_per_conjugacy_orbit(monkeypatch, target, calls):
+    # AGL(1,7) has 120 homs from C2*C3 in 8 conjugacy orbits, Sym(4) 90 in
+    # 7: one partner walk per orbit for its image order, and one per pair of
+    # representatives of equal image order up to the first with the same
+    # kernel (276 and 174 walks over every hom)
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return partner_walk(*args)
+
+    partner_walk = homcount._partner_walk
+    monkeypatch.setattr(homcount, "_partner_walk", counted)
+    witness = witness_quotient(C2_C3, target, width_cap=64, dedup_kernels=True)
+    assert witness.width_used == 6
+    assert len(walks) <= calls
 
 
 # -- class-representative counts and power relators ------------------------------
