@@ -67,7 +67,6 @@ from .subgroups import (
     largest_normal_p_subgroup,
     orbits,
     quotient_group,
-    sylow_subgroup,
 )
 
 __version__ = "0.1.0"

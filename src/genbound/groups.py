@@ -223,12 +223,18 @@ class FiniteGroup:
         """Conjugacy classes as tuples, each in element enumeration order and
         listed by first element: the orbits of x -> g x g^-1 over the
         generators g, walked on the kernel in O(|G| * #generators) once
-        `CayleyGroup.conjugations` has built each map in as much."""
+        `CayleyGroup.conjugations` has built each map in as much. The
+        kernel keeps the partition, so later calls, on the kernel or on the
+        group, walk nothing."""
+        kernel = self.compiled
+        if kernel._classes is None:
+            kernel._classes = [
+                tuple(orbit) for orbit in orbit_partition(kernel.order, kernel.conjugations)
+            ]
+        if self is kernel:
+            return list(kernel._classes)
         elems = self.elements
-        return [
-            tuple(elems[i] for i in orbit)
-            for orbit in orbit_partition(len(elems), self.compiled.conjugations)
-        ]
+        return [tuple(elems[i] for i in orbit) for orbit in kernel._classes]
 
     def describe(self) -> str:
         return f"{type(self).__name__}(order={self.order})"
@@ -284,15 +290,17 @@ class CayleyGroup(FiniteGroup):
     and its columns for a few generators are all that is kept.
     """
 
-    # Full associativity is cubic in the order; above this it is spot-checked.
-    FULL_ASSOCIATIVITY_LIMIT = 64
-    _words = _back = _conjugations = None
+    _words = _back = _conjugations = _classes = None
 
     def __init__(self, table: Sequence[Sequence[int]]):
         """The group of a multiplication table on 0..n-1. Its generators are
         picked greedily, each the least int outside the subgroup the earlier
         ones generate, so each pick at least doubles that subgroup and there
-        are at most log2(n) of them."""
+        are at most log2(n) of them. Associativity is Light's test over the
+        picks: (x g) y = x (g y) for all x, y and each pick g. The elements
+        a with (x a) y = x (a y) for all x, y are closed under products and
+        hold the identity, and each element is a left-nested product of
+        picks, so the whole table is associative."""
         n = len(table)
         table = tuple(tuple(row) for row in table)
         if any(len(row) != n for row in table):
@@ -306,14 +314,10 @@ class CayleyGroup(FiniteGroup):
         for a, b in enumerate(inv):
             if b is None or table[b][a] != e:
                 raise ValueError(f"element {a} has no two-sided inverse")
-        for a in range(n):
-            col = sorted(table[x][a] for x in range(n))
-            if sorted(table[a]) != list(range(n)) or col != list(range(n)):
+        full = list(range(n))
+        for a, (row, col) in enumerate(zip(table, zip(*table))):
+            if sorted(row) != full or sorted(col) != full:
                 raise ValueError(f"row/column of {a} is not a bijection")
-        small = range(n if n <= self.FULL_ASSOCIATIVITY_LIMIT else min(n, 16))
-        for a, b, c in itertools.product(small, range(n), small):
-            if table[table[a][b]][c] != table[a][table[b][c]]:
-                raise ValueError(f"table is not associative at ({a},{b},{c})")
         columns: list = []
         reached, seen = [e], bytearray(n)
         seen[e] = 1
@@ -321,6 +325,13 @@ class CayleyGroup(FiniteGroup):
             columns.append([row[seen.index(0)] for row in table])
             for _ in walk([c.__getitem__ for c in columns], reached, seen):
                 pass
+        for column in columns:
+            g = column[e]
+            times_g = itemgetter(*table[g])  # row x -> the row of x (g y) over y
+            for x, xg in enumerate(column):
+                if table[xg] != (right := times_g(table[x])):
+                    y = next(y for y in range(n) if table[xg][y] != right[y])
+                    raise ValueError(f"table is not associative at ({x},{g},{y})")
         self._hold(n, e, columns)
 
     def _hold(self, order: int, identity: int, action: Sequence, tree=None) -> None:

@@ -205,10 +205,10 @@ class _BacktrackSearch:
 def _kernel_classes(target: FiniteGroup) -> tuple:
     """The class table of an enumerated target, on its kernel: its order;
     per conjugacy class, its least element, its size and its element order;
-    Omega_m in element order; Omega_n's membership, a set's."""
-    kernel = target.compiled
+    Omega_m in element order; Omega_n's membership, a set's. The classes
+    are the kernel's, partitioned once per kernel."""
     elements = target.elements
-    orbits = orbit_partition(kernel.order, kernel.conjugations)
+    orbits = target.compiled.conjugacy_classes()
     classes = [(elements[c[0]], len(c), target.element_order(elements[c[0]])) for c in orbits]
 
     def omega(m: int) -> tuple:

@@ -1,9 +1,9 @@
 """Subgroup computations: derived subgroups, quotients, abelian invariants,
-minimal generator search, Sylow subgroups and their normal cores, and
-orbits. Structure work runs on the group's integer kernel
-(`FiniteGroup.compiled`); results are mapped back. Every subgroup closure
-is a `groups.walk`: a tuple's closure in `d_min_generators`, a closure
-extended by one generator (`_extend`) and a normal closure.
+minimal generator search, the largest normal p-subgroup O_p (read off the
+conjugacy classes), and orbits. Structure work runs on the group's integer
+kernel (`FiniteGroup.compiled`); results are mapped back. Every subgroup
+closure is a `groups.walk`: a tuple's closure in `d_min_generators`, a
+closure extended by one generator (`_extend`) and a normal closure.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from math import prod
 from typing import Iterator, Sequence
 
-from .groups import CayleyGroup, FiniteGroup, GeneratedGroup, PermGroup, orbit_partition, walk
+from .groups import CayleyGroup, FiniteGroup, PermGroup, orbit_partition, walk
 from .numtheory import factorize, is_prime
 
 
@@ -66,15 +66,11 @@ class SubgroupHandle:
         members = self.indices
         return all(c[x] in members for c in self.parent.compiled.conjugations for x in members)
 
-    def as_group(self) -> GeneratedGroup:
-        return GeneratedGroup(self.parent, self.generators)
 
-
-def _handle(parent: FiniteGroup, indices, generators=()) -> SubgroupHandle:
+def _handle(parent: FiniteGroup, indices) -> SubgroupHandle:
     """The subgroup with the given kernel indices, as parent elements."""
     elems = parent.elements
-    members = tuple(elems[i] for i in indices)
-    return SubgroupHandle(parent, members, tuple(elems[i] for i in generators))
+    return SubgroupHandle(parent, tuple(elems[i] for i in indices))
 
 
 def _extend(kernel: CayleyGroup, gens: dict, g: int, members: list, seen: bytearray):
@@ -263,53 +259,27 @@ def d_min_generators(G: FiniteGroup, budget: int = 200_000) -> MinGenResult:
                     return MinGenResult(d, tuple(elems[x] for x in (first, *rest)), True)
 
 
-def sylow_subgroup(G: FiniteGroup, p: int) -> SubgroupHandle:
-    """A Sylow p-subgroup grown from the trivial group: while P is below the
-    p-part of |G|, the first p-element y outside P that normalizes it (one
-    exists in N_S(P) for a Sylow S > P) extends it to <P, y>."""
-    n = G.order
-    kernel = G.compiled
-    target = 1
-    while n % (target * p) == 0:
-        target *= p
-    p_elements = sorted(
-        x
-        for c in kernel.conjugacy_classes()
-        if _p_log(kernel.element_order(c[0]), p) is not None
-        for x in c
-    )
-    gens: dict = {}
-    members = [kernel.identity]
-    seen = bytearray(n)
-    seen[kernel.identity] = 1
-
-    def normalizes(y: int) -> bool:
-        y_inv = kernel.inv(y)
-        return all(seen[kernel.mul(kernel.mul(y, a), y_inv)] for a in gens)
-
-    while len(members) < target:
-        y = next(y for y in p_elements if not seen[y] and normalizes(y))
-        _extend(kernel, gens, y, members, seen)
-    return _handle(G, members, gens)
-
-
 def largest_normal_p_subgroup(G: FiniteGroup, p: int) -> SubgroupHandle:
-    """O_p(G), the core of a Sylow p-subgroup S: the fixed point of
-    S <- S meet (the S^g over the generators g of G), which is normal in G
-    and contains every normal subgroup of G inside S."""
+    """O_p(G), the union of the conjugacy classes whose normal closure is a
+    p-group: each such closure is a normal p-subgroup, so lies in O_p, and
+    each x in O_p has <x^G> <= O_p. Only the classes of p-power element
+    order not in the union yet are walked, each closure stopping once it
+    passes the p-part of |G|."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    sylow = sylow_subgroup(G, p)
-    if sylow.order == 1:
-        return sylow
-    conjugations = G.compiled.conjugations
-    core = set(sylow.indices)
-    while True:
-        kept = {x for x in core if all(conj[x] in core for conj in conjugations)}
-        if len(kept) == len(core):
-            break
-        core = kept
-    handle = _handle(G, core)
+    kernel = G.compiled
+    top = 1
+    while kernel.order % (top * p) == 0:
+        top *= p
+    members = bytearray(kernel.order)
+    for c in kernel.conjugacy_classes():
+        if members[c[0]] or _p_log(kernel.element_order(c[0]), p) is None:
+            continue
+        closure = list(itertools.islice(_normal_closure(kernel, [c[0]]), top + 1))
+        if len(closure) <= top and _p_log(len(closure), p) is not None:
+            for x in closure:
+                members[x] = 1
+    handle = _handle(G, [x for x in range(kernel.order) if members[x]])
     assert handle.is_normal()
     return handle
 

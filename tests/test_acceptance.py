@@ -16,7 +16,7 @@ from genbound.constructions import (
     metabelian_target,
     semidirect_target,
 )
-from genbound.groups import ProductGroup
+from genbound.groups import GeneratedGroup, ProductGroup
 from genbound.homcount import count_homs
 from genbound.modules import ModuleAction, is_irreducible
 from genbound.numtheory import unit_of_order
@@ -119,7 +119,7 @@ def test_criterion_5_metabelian_target_for_2_3():
     assert result.certificate.comparison == Comparison(7, 6, ">")
     check_certificate(result.certificate)
     first = derived_subgroup(result.target.group)
-    second = derived_subgroup(first.as_group())
+    second = derived_subgroup(GeneratedGroup(first.parent, first.generators))
     assert second.order == 1
     assert result.metabelian is True
     gate.done()

@@ -17,7 +17,7 @@ from genbound.constructions import (
     semidirect_target,
     simple_modules,
 )
-from genbound.groups import PermGroup
+from genbound.groups import GeneratedGroup, PermGroup
 from genbound.homcount import count_homs
 from genbound.modules import ModuleAction
 from genbound.numtheory import is_prime, unit_of_order
@@ -225,7 +225,7 @@ def test_metabelian_witness_quotient_is_metabelian():
         dedup_kernels=True,
     )
     first = derived_subgroup(w.group)
-    second = derived_subgroup(first.as_group())
+    second = derived_subgroup(GeneratedGroup(first.parent, first.generators))
     assert second.order == 1
     assert d_min_generators(w.group).value >= result.certificate.conclusion
 

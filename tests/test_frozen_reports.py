@@ -7,9 +7,10 @@ through `cli.main --json --reproducible`; each report's sha256 must match
 the table below. So do the reports of `CONSTRUCTION_JOBS`, constructions on
 further inputs: the coprime family at n = 1, metabelian targets small
 enough to be checked on their elements, module searches over noncyclic
-factors and abelianization splits; and so do the reports of `COUNT_JOBS`,
+factors and abelianization splits; so do the reports of `COUNT_JOBS`,
 counts into symmetric and alternating groups given by further generators
-and into groups of degree 7 and 8 that are neither. A refactor that means to keep every
+and into groups of degree 7 and 8 that are neither; and so do those of
+`OPSUB_JOBS`, largest normal p-subgroups of further inputs. A refactor that means to keep every
 result keeps these tables. A change that means to change a report updates
 the table and says in CHANGES.md which reports changed and why.
 """
@@ -118,7 +119,7 @@ FROZEN = {
 
 # Constructions the benchmark never runs, with the same conventions. The
 # metabelian targets of two primes have at most 5,000 elements, so their
-# second derived subgroup is computed on the target group itself.
+# derived subgroup is computed on the target group itself and checked abelian.
 CONSTRUCTION_JOBS = [
     ("thm4-n1", "construct-thm4 --n 1"),
     ("solsol-2-3", "construct-solsol --primes 2,3"),
@@ -181,6 +182,24 @@ COUNT_FROZEN = {
 }
 
 
+# Largest normal p-subgroups on further inputs, with the same conventions:
+# the translations of AGL(1,7), V4 in Sym(4), the whole of C13 and the
+# trivial O_5 of the simple Alt(5).
+OPSUB_JOBS = [
+    ("opsub-agl-1-7-p7", "opsub @agl-1-7 --prime 7"),
+    ("opsub-sym4-p2", "opsub @sym4 --prime 2"),
+    ("opsub-c13-perm-p13", "opsub @c13-perm --prime 13"),
+    ("opsub-alt5-p5", "opsub @alt5 --prime 5"),
+]
+
+OPSUB_FROZEN = {
+    "opsub-agl-1-7-p7": "ea9cb13170b966d45b22f4f46235357b1c1c7653d4a421581e77e779820a1c3f",
+    "opsub-sym4-p2": "6170dd1e7fe0d404bd177e10ac889af27df35f23fe99bbad25d43b38271be1a7",
+    "opsub-c13-perm-p13": "7db52bd9430bc6963ff40a2e5b467045a9e4be94e878f2fa88759cbab0de211c",
+    "opsub-alt5-p5": "806ef7750910e6992d1c7e6ce9662ebbbc2643e4c0ff8d849706a5841e6b01e4",
+}
+
+
 def _inputs(directory) -> dict:
     """Each input document written to `directory`: name -> path."""
     docs = {
@@ -233,3 +252,11 @@ def test_every_count_report_is_frozen(tmp_path):
         for name, data in reports(tmp_path, COUNT_JOBS).items()
     }
     assert digests == COUNT_FROZEN
+
+
+def test_every_opsub_report_is_frozen(tmp_path):
+    digests = {
+        name: hashlib.sha256(data).hexdigest()
+        for name, data in reports(tmp_path, OPSUB_JOBS).items()
+    }
+    assert digests == OPSUB_FROZEN

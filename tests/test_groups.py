@@ -88,6 +88,23 @@ def test_cayley_rejects_bad_tables():
         CayleyGroup([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
 
 
+def test_cayley_rejects_a_latin_square_with_a_far_intercalate_swapped():
+    # C_68 with the 2 x 2 subsquare at rows 20, 54 and columns 30, 64
+    # swapped: still a Latin square with identity 0 and inverses, but 1,040
+    # triples are not associative, none of them with (a, c) both below 16
+    n = 68
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    for a in (20, 54):
+        table[a][30], table[a][64] = table[a][64], table[a][30]
+    bad = sum(
+        table[table[a][b]][c] != table[a][table[b][c]]
+        for a, b, c in itertools.product(range(n), repeat=3)
+    )
+    assert bad == 1040
+    with pytest.raises(ValueError, match="not associative"):
+        CayleyGroup(table)
+
+
 def test_cayley_identity_need_not_be_index_zero():
     c2 = CayleyGroup([[1, 0], [0, 1]])
     assert c2.identity == 1

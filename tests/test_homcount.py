@@ -31,7 +31,7 @@ from genbound.presentations import (
     free_product,
     presentation_from_words,
 )
-from genbound.subgroups import d_min_generators
+from genbound.subgroups import d_min_generators, largest_normal_p_subgroup
 
 from helpers import (
     affine_group,
@@ -515,6 +515,29 @@ def test_witness_dedup_walks_one_hom_per_conjugacy_orbit(monkeypatch, target, ca
     witness = witness_quotient(C2_C3, target, width_cap=64, dedup_kernels=True)
     assert witness.width_used == 6
     assert len(walks) <= calls
+
+
+def test_witness_partitions_its_target_into_classes_once(monkeypatch):
+    # each factor's search reads the class table of AGL(1,7), and d_min and
+    # O_p read its classes too: the kernel keeps the one partition of its
+    # ints under conjugation that the first of them walks
+    target = affine_group(7, 3)
+    partitions = []
+
+    def counted(n, maps):
+        if maps is target.compiled.conjugations:
+            partitions.append(n)
+        return orbit_partition(n, maps)
+
+    orbit_partition = groups.orbit_partition
+    monkeypatch.setattr(groups, "orbit_partition", counted)
+    monkeypatch.setattr(homcount, "orbit_partition", counted)
+    witness = witness_quotient(C2_C3, target)
+    assert witness.width_used == 120
+    assert d_min_generators(target).value == 2
+    assert largest_normal_p_subgroup(target, 7).order == 7
+    assert len(target.conjugacy_classes()) == 7
+    assert partitions == [42]
 
 
 # -- class-representative counts and power relators ------------------------------

@@ -14,7 +14,6 @@ from genbound.subgroups import (
     largest_normal_p_subgroup,
     orbits,
     quotient_group,
-    sylow_subgroup,
 )
 
 from helpers import (
@@ -212,16 +211,7 @@ def test_d_min_elementary_abelian_rank_three():
     assert d_min_generators(g).value == 3
 
 
-# -- Sylow subgroups and normal cores ----------------------------------------
-
-
-def test_sylow_orders():
-    s4 = symmetric_group(4)
-    assert sylow_subgroup(s4, 2).order == 8
-    assert sylow_subgroup(s4, 3).order == 3
-    a5 = alternating_group_5()
-    assert sylow_subgroup(a5, 2).order == 4
-    assert sylow_subgroup(a5, 5).order == 5
+# -- largest normal p-subgroups ------------------------------------------------
 
 
 def test_largest_normal_p_subgroup_sym4():
@@ -240,6 +230,17 @@ def test_largest_normal_p_subgroup_simple_group_trivial():
 def test_largest_normal_p_subgroup_whole_group():
     c3 = cyclic_perm_group(3)
     assert largest_normal_p_subgroup(c3, 3).order == 3
+
+
+def test_largest_normal_p_subgroup_skips_small_closures_of_other_orders():
+    # in Sym(3) x C4 the transpositions have order 2 and normal closure
+    # Sym(3), of order 6 below the 2-part 8 of 24, yet no 2-group:
+    # O_2 is the C4 alone
+    g = PermGroup(7, [(1, 2, 0, 3, 4, 5, 6), (1, 0, 2, 3, 4, 5, 6), (0, 1, 2, 4, 5, 6, 3)])
+    assert g.order == 24
+    o2 = largest_normal_p_subgroup(g, 2)
+    assert o2.order == 4
+    assert set(o2.elements) == brute_largest_normal_p_subgroups(g)[2]
 
 
 def test_largest_normal_p_subgroup_rejects_composite():
