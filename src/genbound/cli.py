@@ -38,6 +38,7 @@ from .constructions import (
 )
 from .groups import ClosureOverflowError, FiniteGroup
 from .homcount import (
+    DEFAULT_WITNESS_WIDTH_CAP,
     HomSearchBudgetError,
     WitnessWidthError,
     count_homs_per_factor,
@@ -200,14 +201,13 @@ def _cmd_construct_solsol(args) -> tuple[int, dict]:
 
 def _cmd_construct_thm1(args) -> tuple[int, dict]:
     factors = _require_presentations(args.factors, "factor")
-    modules, dims, r, failed = simple_modules(factors, _bounded(args.prime, "--prime"), args.dmax)
+    modules, dims, r, failed = simple_modules(factors, _bounded(args.prime, "--prime"))
     if failed:
         i, search = failed[0]
-        skipped = "; ".join(f"dim {d}: {why}" for d, why in search.skipped)
+        [(dim, why)] = search.skipped
         raise JobError(
             f"no nontrivial irreducible action of {factors[i].describe()} over "
-            f"F_{args.prime} up to dimension {args.dmax}"
-            + (f" ({skipped})" if skipped else "")
+            f"F_{args.prime} below dimension {dim} (dim {dim}: {why})"
         )
     target, contributions = semidirect_target(modules, args.m, module_dims=dims, r=r)
     cert = certify_formula([f.describe() for f in factors], target.describe(), contributions)
@@ -225,16 +225,14 @@ def _cmd_construct_thm1(args) -> tuple[int, dict]:
 
 
 def _cmd_construct_thm4(args) -> tuple[int, dict]:
-    instance = coprime_family(
-        args.n, sieve_bound=args.sieve_bound, sum_cap=args.sum_cap
-    )
+    instance = coprime_family(args.n)
     check_certificate(instance.certificate)
     return EXIT_OK, {"family": family_to_doc(instance)}
 
 
 def _cmd_decompose_thm3(args) -> tuple[int, dict]:
     groups = [_require_group(p, "factor") for p in args.factors]
-    split = abelianization_split(groups, d_max=args.dmax, m=args.m)
+    split = abelianization_split(groups, m=args.m)
     report = {
         "s_prime": split.s_prime,
         "p": str(split.p),
@@ -279,11 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    dmax_help = (
-        "largest d for the GL(d, p) module search (default 4); the search, "
-        "and so this bound, runs only when some factor is not cyclic: cyclic "
-        "factors get their modules in closed form, of any dimension"
-    )
 
     def common(p: argparse.ArgumentParser):
         p.add_argument("--json", action="store_true", help="emit the JSON report")
@@ -309,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="witness quotient order and d")
     p.add_argument("--factors", nargs="+", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--width-cap", type=int, default=512)
+    p.add_argument("--width-cap", type=int, default=DEFAULT_WITNESS_WIDTH_CAP)
     p.add_argument("--dedup", action="store_true", help="deduplicate homs by kernel")
     common(p)
     p.set_defaults(handler=_cmd_witness)
@@ -339,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factors", nargs="+", required=True)
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--dmax", type=int, default=4, help=dmax_help)
     common(p)
     p.set_defaults(handler=_cmd_construct_thm1)
 
@@ -347,8 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
         "construct-thm4", help="coprime family on a common symmetric target"
     )
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--sieve-bound", type=int, default=2000)
-    p.add_argument("--sum-cap", type=int, default=10**4)
     common(p)
     p.set_defaults(handler=_cmd_construct_thm4)
 
@@ -356,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
         "decompose-thm3", help="split factors through abelianizations"
     )
     p.add_argument("--factors", nargs="+", required=True)
-    p.add_argument("--dmax", type=int, default=4, help=dmax_help)
     p.add_argument("--m", type=int, default=None)
     common(p)
     p.set_defaults(handler=_cmd_decompose_thm3)

@@ -10,7 +10,8 @@ Four constructions are provided:
   reduced factors with an elementary abelian part;
 * families of solvable two-generated groups of pairwise coprime order that
   embed in a common symmetric group with trivial centralizer, built from
-  CRT residues, sieved prime progressions and a common subset sum.
+  CRT residues, sieved prime progressions and a common subset sum, the
+  sieve bound doubling up to `FAMILY_SIEVE_CEILING` until a sum exists.
 
 A target V^m : R is held as the affine matrices of F_p^(lm), built only
 when read. Each family group is held as the permutations of its two
@@ -32,6 +33,7 @@ from .bounds import (
     FormulaContribution,
     certify_embeddings,
     certify_formula,
+    power_conclusion,
 )
 from .groups import FiniteGroup, MatrixGroup, PermGroup
 from .homcount import group_presentation
@@ -116,14 +118,14 @@ def _affine(a: linalg.Matrix, v: linalg.Vector) -> linalg.Matrix:
     return tuple(row + (x,) for row, x in zip(a, v)) + ((0,) * len(v) + (1,),)
 
 
-def simple_modules(sources: Sequence[Presentation | FiniteGroup], p: int, d_max: int) -> tuple:
+def simple_modules(sources: Sequence[Presentation | FiniteGroup], p: int) -> tuple:
     """One nontrivial simple module per source over F_p, for
     `semidirect_target`: (modules, dims, r, failed). When every source is
     cyclic, `cyclic_modules` gives them in closed form, with dims and r.
-    Otherwise `find_simple_module` searches up to dimension d_max once per
-    distinct source presentation (a concrete group is read through its
-    Schreier presentation); dims and r are None, `failed` lists (index,
-    search) for each source with none found, and `modules` holds the others'.
+    Otherwise `find_simple_module` searches once per distinct source
+    presentation (a concrete group is read through its Schreier
+    presentation); dims and r are None, `failed` lists (index, search) for
+    each source with none found, and `modules` holds the others'.
     """
     sources = [group_presentation(s) if isinstance(s, FiniteGroup) else s for s in sources]
     closed = cyclic_modules(sources, p)
@@ -133,7 +135,7 @@ def simple_modules(sources: Sequence[Presentation | FiniteGroup], p: int, d_max:
     modules, failed = [], []
     for i, source in enumerate(sources):
         if source not in searches:
-            searches[source] = find_simple_module(source, p, d_max)
+            searches[source] = find_simple_module(source, p)
         if (found := searches[source].found) is None:
             failed.append((i, searches[source]))
         else:
@@ -202,11 +204,11 @@ def semidirect_target(
 
 
 def min_m_for_conclusion(n: int, p: int, l: int, r: int) -> int:
-    """Smallest m with p^(l*m) > r^(n-1), certifying conclusion n."""
+    """Smallest m for which `power_conclusion` certifies conclusion n at weight n."""
     if r < 1 or n < 1 or p < 2 or l < 1:
         raise ValueError("need n, l >= 1, p >= 2, r >= 1")
     m = 1
-    while p ** (l * m) <= r ** (n - 1):
+    while power_conclusion(p, l, m, r, n)[0] < n:
         m += 1
     return m
 
@@ -310,7 +312,6 @@ class SplitBound:
 def abelianization_split(
     factors: Sequence[FiniteGroup],
     factor_names: Sequence[str] | None = None,
-    d_max: int = 4,
     m: int | None = None,
 ) -> SplitBound:
     """Combine factors via their abelianizations into a certified bound.
@@ -362,7 +363,7 @@ def abelianization_split(
         reduced_names.append(f"{names[i]}/O_{p}")
     residual_name = f"C{p}^{residual_rank}"
     all_names = reduced_names + [residual_name]
-    modules, dims, r, failed = simple_modules(reduced, p, d_max)
+    modules, dims, r, failed = simple_modules(reduced, p)
     if failed:
         return SplitBound(
             s_prime, p, t, n, tuple(all_names), residual_rank,
@@ -430,11 +431,11 @@ def _block_commutator(translate: tuple[int, ...], multiply: tuple[int, ...]) -> 
 
 # family groups up to this order are also checked by enumeration
 CROSS_CHECK_CAP = 5000
+# the largest sieve bound B of the coprime family's search
+FAMILY_SIEVE_CEILING = 2**17
 
 
-def coprime_family(
-    n: int, sieve_bound: int = 2000, sum_cap: int = 10**4
-) -> CoprimeFamilyInstance:
+def coprime_family(n: int) -> CoprimeFamilyInstance:
     """Construct and verify the full coprime witness family for n factors.
 
     Pipeline: the first n odd primes; CRT residues congruent to 1 at the own
@@ -443,26 +444,35 @@ def coprime_family(
     blockwise translation and a diagonal multiplier. Every structural claim
     is verified exactly (per-block permutation computations plus integer
     arithmetic); any failure aborts naming the claim.
+
+    The sieve bound B starts at 2000, with sums up to 5B, and doubles up to
+    `FAMILY_SIEVE_CEILING` until a sum exists. n >= 2 whose primes multiply
+    past the ceiling is rejected first: each progression then holds at most
+    one number below it, and disjoint one-element sets share no sum.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    primes = first_odd_primes(n)
+    primes = first_odd_primes(n, product_bound=FAMILY_SIEVE_CEILING)
     modulus = prod(primes)
+    if n > 1 and modulus > FAMILY_SIEVE_CEILING:
+        raise ConstructionError(
+            f"no common subset sum for n = {n}: the first {len(primes)} odd primes "
+            f"multiply to {modulus}, past the sieve ceiling {FAMILY_SIEVE_CEILING}"
+        )
     residues = [
         crt_solve([1 if j == i else 2 for j in range(n)], primes) for i in range(n)
     ]
-    prime_sets = [
-        tuple(primes_in_progression(residues[i], modulus, sieve_bound))
-        for i in range(n)
-    ]
-    for i, s in enumerate(prime_sets):
-        if not s:
+    bound = 2000
+    while True:
+        prime_sets = [tuple(primes_in_progression(a, modulus, bound)) for a in residues]
+        found = common_subset_sum(prime_sets, 5 * bound)
+        if found is not None:
+            break
+        if 2 * bound > FAMILY_SIEVE_CEILING:
             raise ConstructionError(
-                f"no primes = {residues[i]} (mod {modulus}) up to {sieve_bound}"
+                f"no common subset sum up to {5 * bound} of the primes up to {bound}"
             )
-    found = common_subset_sum(prime_sets, sum_cap)
-    if found is None:
-        raise ConstructionError(f"no common subset sum up to {sum_cap}")
+        bound *= 2
     k, decomps = found
 
     flags: dict[str, bool] = {}

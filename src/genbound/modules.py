@@ -1,6 +1,6 @@
-"""Module actions over prime fields: irreducibility by spinning, bounded
-search for nontrivial irreducible actions of a given finite source, and
-closed-form actions of cyclic sources by roots of unity in F_(p^l).
+"""Module actions over prime fields: irreducibility by spinning, search for
+nontrivial irreducible actions of a finite source in each GL(d, p) within a
+cap, and closed-form actions of cyclic sources by roots of unity in F_(p^l).
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ class SimpleModuleSearch:
     """Result of the bounded irreducible-module search.
 
     `found` is None when the search was inconclusive (never a disproof);
-    `skipped` lists dimensions that were not searched, with reasons.
+    then `skipped` holds the dimension where it stopped, with the reason.
     """
 
     found: ModuleAction | None
@@ -129,17 +129,18 @@ class SimpleModuleSearch:
     skipped: tuple[tuple[int, str], ...]
 
 
-def find_simple_module(source: Presentation, p: int, d_max: int) -> SimpleModuleSearch:
-    """Search dimensions 1..d_max for a nontrivial irreducible action of the
-    source over F_p.
+def find_simple_module(source: Presentation, p: int) -> SimpleModuleSearch:
+    """Search dimensions d = 1, 2, ... for a nontrivial irreducible action
+    of the source over F_p, up to the first d whose matrix group GL(d, p)
+    exceeds `DEFAULT_GL_ORDER_CAP`. That d is reported as skipped; |GL(d, p)|
+    grows with d, so no later dimension could fit.
 
     Each dimension tests the homomorphisms into the full matrix group for
     irreducibility as they are found, and stops at the first nontrivial
-    irreducible one (small dimensions keep downstream targets small).
-    Dimensions whose matrix group exceeds `DEFAULT_GL_ORDER_CAP` are
-    reported as skipped. A dimension where every generator has an order
-    bound m prime to |GL(d, p)| admits only the trivial hom (Lagrange), so
-    it counts as searched without building the matrix group. For a
+    irreducible one (small dimensions keep downstream targets small). A
+    dimension where every generator has an order bound m prime to
+    |GL(d, p)| admits only the trivial hom (Lagrange), so it counts as
+    searched without building the matrix group. For a
     one-generator source, m is taken with its p-part removed: the image of
     a p-element A is unipotent (A - I is nilpotent), so it fixes a nonzero
     vector and acts irreducibly only when trivial. With more generators
@@ -151,24 +152,20 @@ def find_simple_module(source: Presentation, p: int, d_max: int) -> SimpleModule
         while bounds[0] % p == 0:
             bounds[0] //= p
     searched: list[int] = []
-    skipped: list[tuple[int, str]] = []
-    for dim in range(1, d_max + 1):
+    for dim in itertools.count(1):
         gl_order = general_linear_order(p, dim)
         # a dimension within this cap has p^dim <= SPACE_CAP, which
         # `is_irreducible` needs, while DEFAULT_GL_ORDER_CAP < SPACE_CAP:
         # p = |GL(1, p)| + 1, and p^d <= |GL(d, p)| for d >= 2
         if gl_order > DEFAULT_GL_ORDER_CAP:
-            skipped.append(
-                (dim, f"matrix group order {gl_order} exceeds cap {DEFAULT_GL_ORDER_CAP}")
-            )
-            continue
+            reason = f"matrix group order {gl_order} exceeds cap {DEFAULT_GL_ORDER_CAP}"
+            return SimpleModuleSearch(None, tuple(searched), ((dim, reason),))
         searched.append(dim)
         if 0 not in bounds and all(gcd(m, gl_order) == 1 for m in bounds):
             continue  # by Lagrange every image is trivial: no module here
         found = _first_irreducible(source, general_linear_group(p, dim))
         if found is not None:
-            return SimpleModuleSearch(found, tuple(searched), tuple(skipped))
-    return SimpleModuleSearch(None, tuple(searched), tuple(skipped))
+            return SimpleModuleSearch(found, tuple(searched), ())
 
 
 def _first_irreducible(source: Presentation, gl: MatrixGroup) -> ModuleAction | None:

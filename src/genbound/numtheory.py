@@ -55,12 +55,15 @@ def largest_prime_factor(n: int) -> int:
     return factors[-1][0]
 
 
-def first_odd_primes(n: int) -> list[int]:
-    out = []
+def first_odd_primes(n: int, product_bound: int | None = None) -> list[int]:
+    """The first n odd primes, ended early by the first one that takes
+    their product past `product_bound`."""
+    out, product = [], 1
     candidate = 3
-    while len(out) < n:
+    while len(out) < n and (product_bound is None or product <= product_bound):
         if is_prime(candidate):
             out.append(candidate)
+            product *= candidate
         candidate += 2
     return out
 
@@ -125,12 +128,9 @@ def dirichlet_prime(a: int, modulus: int) -> int:
 
 
 def primes_in_progression(residue: int, modulus: int, bound: int) -> list[int]:
-    """All primes p <= bound with p = residue (mod modulus)."""
-    return [
-        p
-        for p in range(2, bound + 1)
-        if p % modulus == residue % modulus and is_prime(p)
-    ]
+    """All primes p <= bound with p = residue (mod modulus), read off the
+    progression itself."""
+    return [p for p in range(residue % modulus, bound + 1, modulus) if is_prime(p)]
 
 
 def crt_solve(residues: Sequence[int], moduli: Sequence[int]) -> int:

@@ -576,10 +576,11 @@ def enumerated_general_linear_group(p: int, dim: int) -> MatrixGroup:
     return gl
 
 
-def eager_find_simple_module(source, p: int, d_max: int):
-    """The module search that collects first, with the default caps: every
-    homomorphism into a fully enumerated GL(d, p), in search order, then
-    the first nontrivial irreducible one."""
+def eager_find_simple_module(source, p: int):
+    """The module search that collects first, with the same dimension rule:
+    every homomorphism into a fully enumerated GL(d, p) for d = 1, 2, ...,
+    in search order, then the first nontrivial irreducible one, up to the
+    first d whose order exceeds the GL cap."""
     from genbound.homcount import enumerate_homs, group_presentation
     from genbound.modules import (
         DEFAULT_GL_ORDER_CAP,
@@ -592,17 +593,13 @@ def eager_find_simple_module(source, p: int, d_max: int):
 
     if isinstance(source, FiniteGroup):
         source = group_presentation(source)
-    searched, skipped = [], []
-    for dim in range(1, d_max + 1):
+    searched = []
+    for dim in itertools.count(1):
         gl_order = general_linear_order(p, dim)
         if gl_order > DEFAULT_GL_ORDER_CAP:
-            skipped.append(
-                (dim, f"matrix group order {gl_order} exceeds cap {DEFAULT_GL_ORDER_CAP}")
-            )
-            continue
-        if p**dim > SPACE_CAP:
-            skipped.append((dim, f"space size {p}^{dim} exceeds cap {SPACE_CAP}"))
-            continue
+            reason = f"matrix group order {gl_order} exceeds cap {DEFAULT_GL_ORDER_CAP}"
+            return SimpleModuleSearch(None, tuple(searched), ((dim, reason),))
+        assert p**dim <= SPACE_CAP
         gl = enumerated_general_linear_group(p, dim)
         searched.append(dim)
         homs = enumerate_homs(source, gl)
@@ -610,5 +607,4 @@ def eager_find_simple_module(source, p: int, d_max: int):
             if any(m != gl.identity for m in images):
                 action = ModuleAction(p, dim, images, source)
                 if is_irreducible(action):
-                    return SimpleModuleSearch(action, tuple(searched), tuple(skipped))
-    return SimpleModuleSearch(None, tuple(searched), tuple(skipped))
+                    return SimpleModuleSearch(action, tuple(searched), ())

@@ -159,7 +159,7 @@ def test_criterion_7_split_bound_desk_scale():
 
 def test_criterion_8_coprime_family_n2():
     gate = Gate(8, "coprime family n=2 reproduces k=224 with all claims verified", 120)
-    instance = coprime_family(2, sieve_bound=2000, sum_cap=10**4)
+    instance = coprime_family(2)
     # k was fixed beforehand by the subset-sum oracle over the sieved
     # progressions 7 mod 15 and 11 mod 15 (see helpers.brute_common_subset_sum)
     assert instance.k == 224

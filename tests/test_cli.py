@@ -4,6 +4,7 @@ import json
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -328,6 +329,32 @@ def test_construct_thm4_n2_report_is_frozen(capsys):
     )
 
 
+def test_construct_thm4_n1_text_report(capsys):
+    # without --json the report is rendered as text: a nested object indents
+    # its keys, a list of at most 100 characters stays on its key's line and
+    # a longer one puts each item on a "- " line of its own
+    status, out, _ = run(["construct-thm4", "--n", "1", "--reproducible"], capsys)
+    assert status == 0
+    lines = out.splitlines()
+    assert lines[:9] == [
+        "command: construct-thm4",
+        "family:",
+        "  schema: genbound-family/1",
+        "  n: 1",
+        "  construction:",
+        '    primes: ["3"]',
+        "    modulus: 3",
+        '    residues: ["1"]',
+        "    prime_sets:",
+    ]
+    assert lines[9].startswith('      - ["7", "13", "19", ')
+    assert "    k: 7" in lines and "    exhaustive-cross-check[0]: True" in lines
+    assert lines[-1] == "    total_h: 1.000023271467696"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d2254268af9242325c54f23d9c990808144bf43ba11d5445a6a08646b6163cf1"
+    )
+
+
 def test_verify_family_certificate(files, capsys, tmp_path):
     report = tmp_path / "family.json"
     run(["construct-thm4", "--n", "1", "--json", "--reproducible",
@@ -563,19 +590,82 @@ def test_construct_thm1_p_power_factor_is_one_error_line(capsys, tmp_path):
     assert err == "error: C8 has no nontrivial irreducible action over F_2: its order 8 is a power of 2\n"
 
 
-def test_construct_thm1_without_a_module_up_to_dmax_is_one_error_line(capsys, tmp_path):
-    # A5's nontrivial irreducible modules over F_2 have dimension 4
+def test_construct_thm1_without_a_module_within_the_gl_cap_is_one_error_line(
+    capsys, tmp_path, monkeypatch
+):
+    # A5's nontrivial irreducible modules over F_2 have dimension 4, and
+    # |GL(4, 2)| = 20,160 is past the lowered cap
+    monkeypatch.setattr(genbound.modules, "DEFAULT_GL_ORDER_CAP", 200)
     path = tmp_path / "a5.json"
     path.write_text(json.dumps({
         "type": "presentation", "generators": ["a", "b"],
         "relators": ["a^2", "b^3", "(a*b)^5"], "name": "A5",
     }))
     status, out, err = run(
-        ["construct-thm1", "--factors", str(path), str(path), "--prime", "2", "--dmax", "2"],
-        capsys,
+        ["construct-thm1", "--factors", str(path), str(path), "--prime", "2"], capsys
     )
     assert status == 1 and out == ""
-    assert err == "error: no nontrivial irreducible action of A5 over F_2 up to dimension 2\n"
+    assert err == (
+        "error: no nontrivial irreducible action of A5 over F_2 below dimension 4 "
+        "(dim 4: matrix group order 20160 exceeds cap 200)\n"
+    )
+
+
+def test_construct_thm1_with_no_dimension_within_the_gl_cap_is_one_error_line(capsys, tmp_path):
+    # |GL(1, 30011)| = 30,010 already exceeds the cap: no dimension is searched
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps({
+        "type": "presentation", "generators": ["a", "b"],
+        "relators": ["a^2", "b^3", "(a*b)^2"], "name": "S3",
+    }))
+    status, out, err = run(["construct-thm1", "--factors", str(path), "--prime", "30011"], capsys)
+    assert status == 1 and out == ""
+    assert err == (
+        "error: no nontrivial irreducible action of S3 over F_30011 below dimension 1 "
+        "(dim 1: matrix group order 30010 exceeds cap 25000)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (3, "embedding degree 207824 out of range"),
+        (4, "no common subset sum up to 640000 of the primes up to 128000"),
+        (10**6, "no common subset sum for n = 1000000: the first 6 odd primes multiply "
+                "to 255255, past the sieve ceiling 131072"),
+    ],
+    ids=["n3-degree", "n4-ceiling", "n1000000-primes"],
+)
+def test_construct_thm4_past_n_2_is_one_error_line(capsys, n, message):
+    start = time.perf_counter()
+    status, out, err = run(["construct-thm4", "--n", str(n)], capsys)
+    elapsed = time.perf_counter() - start
+    assert status == 1 and out == ""
+    assert err == f"error: {message}\n"
+    if n > 3:  # n = 3 verifies its family of degree 207,824 before the certificate fails
+        assert elapsed < 1, elapsed
+
+
+def test_decompose_thm3_without_a_module_reports_the_missing_factor(files, capsys, monkeypatch):
+    # Alt(5) avoids p = 2 in its abelianization, so it stays as a factor, and
+    # its first nontrivial module over F_2, in GL(4, 2), is past the cap
+    monkeypatch.setattr(genbound.modules, "DEFAULT_GL_ORDER_CAP", 200)
+    status, out, _ = run(
+        ["decompose-thm3", "--factors", files["a5.perm"], files["klein.perm"],
+         "--json", "--reproducible"],
+        capsys,
+    )
+    assert status == 2
+    assert json.loads(out) == {
+        "command": "decompose-thm3",
+        "s_prime": 2,
+        "p": "2",
+        "t": 1,
+        "parts": ["perm-group(degree=5, generators=2)/O_2", "C2^2"],
+        "residual_rank": 2,
+        "conditional": True,
+        "missing_modules": ["perm-group(degree=5, generators=2)/O_2"],
+    }
 
 
 def test_construct_solsol_eight_primes(capsys, r_unenumerated):

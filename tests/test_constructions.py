@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+import genbound.modules
+from genbound import constructions
 from genbound.bounds import certify_formula, check_certificate
 from genbound.constructions import (
     ConstructionError,
@@ -102,7 +104,7 @@ def _affine_perm_group(target) -> PermGroup:
 
 def test_target_group_matches_its_affine_maps_on_the_vectors():
     s3 = presentation_from_words(["a", "b"], ["a^2", "b^3", "(a*b)^2"], "S3")
-    modules, _, _, failed = simple_modules([s3, cyclic_presentation(3)], 2, 4)
+    modules, _, _, failed = simple_modules([s3, cyclic_presentation(3)], 2)
     assert failed == []
     targets = [
         metabelian_target([2, 3], m=1).target,
@@ -253,8 +255,11 @@ def test_split_prime_cyclic_factors_concludes_n():
     check_certificate(split.certificate)
 
 
-def test_split_with_perfect_factor_computes_s_prime():
-    split = abelianization_split([alternating_group_5(), cyclic_perm_group(2)], d_max=2)
+def test_split_with_perfect_factor_computes_s_prime(monkeypatch):
+    # the GL cap admits GL(2, 2) and GL(3, 2), of orders 6 and 168, and
+    # not GL(4, 2), where Alt(5)'s first nontrivial module over F_2 lies
+    monkeypatch.setattr(genbound.modules, "DEFAULT_GL_ORDER_CAP", 200)
+    split = abelianization_split([alternating_group_5(), cyclic_perm_group(2)])
     assert split.s_prime == 1  # Alt(5) abelianization is trivial, d = 0
     assert split.p == 2
     # Alt(5) is in the p-avoiding part but has no small module over F_2:
@@ -361,7 +366,7 @@ def test_block_centralizer_order_matches_the_stabilizer_oracle():
 
 
 def test_family_n2_reproduces_the_frozen_k():
-    fam = coprime_family(2, sieve_bound=2000, sum_cap=10**4)
+    fam = coprime_family(2)
     assert fam.k == 224
     assert fam.primes == (3, 5)
     assert fam.residues == (7, 11)
@@ -379,14 +384,20 @@ def test_family_is_deterministic():
     assert family_to_doc(one) == family_to_doc(two)
 
 
-def test_family_sieve_too_small():
-    with pytest.raises(ConstructionError, match="no primes"):
-        coprime_family(1, sieve_bound=5)
+def test_family_stops_at_the_sieve_ceiling(monkeypatch):
+    # n = 3 first finds a common sum at B = 64,000; a ceiling of 2^15 stops
+    # the doubling after B = 32,000
+    monkeypatch.setattr(constructions, "FAMILY_SIEVE_CEILING", 2**15)
+    with pytest.raises(
+        ConstructionError, match="no common subset sum up to 160000 of the primes up to 32000"
+    ):
+        coprime_family(3)
 
 
-def test_family_sum_cap_too_small():
-    with pytest.raises(ConstructionError, match="subset sum"):
-        coprime_family(2, sieve_bound=2000, sum_cap=100)
+def test_family_rejects_n_whose_primes_multiply_past_the_ceiling():
+    # 3 * 5 * 7 * 11 * 13 * 17 = 255,255 > 2^17: no residue is computed
+    with pytest.raises(ConstructionError, match="the first 6 odd primes multiply to 255255"):
+        coprime_family(10**6)
 
 
 def test_verification_failure_names_the_claim():

@@ -7,7 +7,8 @@ through `cli.main --json --reproducible`; each report's sha256 must match
 the table below. So do the reports of `CONSTRUCTION_JOBS`, constructions on
 further inputs: the coprime family at n = 1, metabelian targets small
 enough to be checked on their elements, module searches over noncyclic
-factors and abelianization splits; so do the reports of `COUNT_JOBS`,
+factors and abelianization splits, one of them reducing a factor modulo
+its largest normal p-subgroup; so do the reports of `COUNT_JOBS`,
 counts into symmetric and alternating groups given by further generators
 and into groups of degree 7 and 8 that are neither; and so do those of
 `OPSUB_JOBS`, largest normal p-subgroups of further inputs. A refactor that means to keep every
@@ -39,6 +40,7 @@ PERM_GROUPS = {
     # inputs of CONSTRUCTION_JOBS only
     "c2-perm": (2, [[1, 0]]),
     "sym3": (3, [[1, 2, 0], [1, 0, 2]]),
+    "a4": (4, [[1, 2, 0, 3], [1, 0, 3, 2]]),
     # inputs of COUNT_JOBS only: Sym(8) by the 8-cycle and (0 1), Alt(6) by
     # (0 3)(1 5) and (0 4)(1 2 3 5), Alt(7) by (0 6)(2 4) and (0 1 3 2 5)
     "sym8": (8, [[1, 2, 3, 4, 5, 6, 7, 0], [1, 0, 2, 3, 4, 5, 6, 7]]),
@@ -136,6 +138,9 @@ CONSTRUCTION_JOBS = [
     ("thm1-s3-c3-f2", "construct-thm1 --factors @sym3-pres @c3 --prime 2"),
     ("thm3-s3-s4", "decompose-thm3 --factors @sym3 @sym4"),
     ("thm3-s3-c2-c3", "decompose-thm3 --factors @sym3 @c2-perm @c3-perm"),
+    # Alt(4) avoids p = 2 in its abelianization C3, so it is reduced modulo
+    # its O_2, the Klein four-group, to C3
+    ("thm3-c2-a4", "decompose-thm3 --factors @c2-perm @a4"),
 ]
 
 CONSTRUCTION_FROZEN = {
@@ -154,6 +159,7 @@ CONSTRUCTION_FROZEN = {
     "thm1-s3-c3-f2": "6db25a0a174eecdc997336ce8ff1fbab1617405cbed48d6a10c63611214aaf43",
     "thm3-s3-s4": "1488d427279f8fa5836dc70a4ca8cf2b1c37f53a34fa19f518687fdf141755d2",
     "thm3-s3-c2-c3": "a6b443c6bb2b92978fc024d87960023de185007d6f0d903d40b390ccd219d276",
+    "thm3-c2-a4": "e8e5e9caf4c2bb9a686afbe1d78779a699e27204527de10bb96f3db99c60fd51",
 }
 
 

@@ -147,14 +147,14 @@ def test_general_linear_orders():
 
 
 def test_find_simple_module_c2_mod3():
-    search = find_simple_module(C2, 3, 2)
+    search = find_simple_module(C2, 3)
     assert search.found is not None
     assert search.found.dim == 1
     assert search.found.matrices == (((2,),),)  # the unit -1
 
 
 def test_find_simple_module_c3_mod2_needs_dim_two():
-    search = find_simple_module(C3, 2, 3)
+    search = find_simple_module(C3, 2)
     assert search.found is not None
     assert search.found.dim == 2
     assert is_irreducible(search.found)
@@ -162,21 +162,23 @@ def test_find_simple_module_c3_mod2_needs_dim_two():
 
 
 def test_find_simple_module_c2_mod2_inconclusive():
-    search = find_simple_module(C2, 2, 2)
+    # every dimension within the GL cap is searched, then the first past it
+    # is reported: |GL(5, 2)| = 9,999,360
+    search = find_simple_module(C2, 2)
     assert search.found is None
-    assert search.searched_dims == (1, 2)
-    assert search.skipped == ()
+    assert search.searched_dims == (1, 2, 3, 4)
+    assert search.skipped == ((5, "matrix group order 9999360 exceeds cap 25000"),)
 
 
 def test_find_simple_module_from_concrete_group():
     s3 = symmetric_group(3)
-    search = find_simple_module(group_presentation(s3), 5, 2)
+    search = find_simple_module(group_presentation(s3), 5)
     assert search.found is not None
     assert search.found.dim == 1  # sign action: the unit -1 mod 5
 
 
 def test_module_action_on_concrete_source_checks_its_relators():
-    source = find_simple_module(group_presentation(symmetric_group(3)), 5, 2).found.source
+    source = find_simple_module(group_presentation(symmetric_group(3)), 5).found.source
     assert source.relators
     # the generators are the 3-cycle and the transposition; 2 has order 4
     # mod 5, so it cannot be the image of the transposition
@@ -185,11 +187,12 @@ def test_module_action_on_concrete_source_checks_its_relators():
 
 
 def test_find_simple_module_reports_skipped_dimensions(monkeypatch):
+    # |GL(1, 7)| = 6 already exceeds the cap, and |GL(d, p)| grows with d
     monkeypatch.setattr(modules, "DEFAULT_GL_ORDER_CAP", 5)
-    search = find_simple_module(C2, 7, 4)
+    search = find_simple_module(C2, 7)
     assert search.found is None
-    assert all(reason.startswith("matrix group order") for _, reason in search.skipped)
-    assert [d for d, _ in search.skipped] == [1, 2, 3, 4]
+    assert search.searched_dims == ()
+    assert search.skipped == ((1, "matrix group order 6 exceeds cap 5"),)
 
 
 def test_every_dimension_within_the_gl_cap_is_within_the_space_cap():
@@ -202,16 +205,27 @@ def test_every_dimension_within_the_gl_cap_is_within_the_space_cap():
                 assert p**d <= modules.SPACE_CAP
 
 
-def test_find_simple_module_inconclusive_for_a5_at_small_dims():
+def search_up_to(monkeypatch, p: int, dim: int):
+    """Lower the GL cap so that the module search over F_p stops after
+    dimension `dim`, or where the default cap stops it if that is earlier."""
+    cap = min(general_linear_order(p, dim), modules.DEFAULT_GL_ORDER_CAP)
+    monkeypatch.setattr(modules, "DEFAULT_GL_ORDER_CAP", cap)
+
+
+def test_find_simple_module_inconclusive_for_a5_at_small_dims(monkeypatch):
     # nontrivial actions of Alt(5) over F_2 first appear in dimension 4;
-    # a bounded search below that is inconclusive, not a disproof
-    search = find_simple_module(group_presentation(alternating_group_5()), 2, 2)
+    # a search capped below that is inconclusive, not a disproof
+    search_up_to(monkeypatch, 2, 3)
+    search = find_simple_module(group_presentation(alternating_group_5()), 2)
     assert search.found is None
+    assert search.searched_dims == (1, 2, 3)
+    assert [d for d, _ in search.skipped] == [4]
 
 
 # -- the streamed search against the eager one -----------------------------
 
 TWO_GENERATOR_SYM3 = presentation_from_words(("a", "b"), ("a^2", "b^3", "(a*b)^2"))
+# (source, p, the largest dimension searched, unless the default cap stops earlier)
 STREAM_CORPUS = [
     *((cyclic_presentation(n), p, 3) for p in (2, 3, 5, 7) for n in range(2, 14)),
     (group_presentation(symmetric_group(3)), 5, 2),
@@ -222,11 +236,12 @@ STREAM_CORPUS = [
 
 
 @pytest.mark.parametrize(
-    "source,p,d_max", STREAM_CORPUS, ids=lambda x: x.describe() if hasattr(x, "describe") else x
+    "source,p,dim", STREAM_CORPUS, ids=lambda x: x.describe() if hasattr(x, "describe") else x
 )
-def test_streamed_search_matches_eager_search(source, p, d_max):
-    streamed = find_simple_module(source, p, d_max)
-    eager = eager_find_simple_module(source, p, d_max)
+def test_streamed_search_matches_eager_search(monkeypatch, source, p, dim):
+    search_up_to(monkeypatch, p, dim)
+    streamed = find_simple_module(source, p)
+    eager = eager_find_simple_module(source, p)
     assert streamed.found == eager.found
     assert streamed.searched_dims == eager.searched_dims
     assert streamed.skipped == eager.skipped
@@ -244,7 +259,7 @@ def test_module_search_stops_at_the_first_irreducible_action(monkeypatch):
         return mul(self, a, b)
 
     monkeypatch.setattr(MatrixGroup, "mul", counted)
-    search = find_simple_module(cyclic_presentation(13), 3, 3)
+    search = find_simple_module(cyclic_presentation(13), 3)
     assert search.found.matrices == (((1, 1, 1), (0, 1, 1), (1, 0, 1)),)
     assert calls <= 2000
 
@@ -262,23 +277,23 @@ def test_module_search_skips_matrix_groups_of_coprime_order(monkeypatch):
         return mul(self, a, b)
 
     monkeypatch.setattr(MatrixGroup, "mul", counted)
-    search = find_simple_module(cyclic_presentation(13), 2, 4)
+    search = find_simple_module(cyclic_presentation(13), 2)
     assert search.found is None
-    assert search.searched_dims == (1, 2, 3, 4) and search.skipped == ()
+    assert search.searched_dims == (1, 2, 3, 4) and [d for d, _ in search.skipped] == [5]
     assert calls == 0
     # an order bound sharing a factor with |GL(2,2)| = 6 is still searched
-    assert find_simple_module(cyclic_presentation(39), 2, 4).found.dim == 2
+    assert find_simple_module(cyclic_presentation(39), 2).found.dim == 2
     assert calls > 0
 
 
 def test_generator_without_order_bound_blocks_the_coprime_skip():
     free_and_c13 = presentation_from_words(("a", "b"), ("a^13",))
-    search = find_simple_module(free_and_c13, 2, 2)
+    search = find_simple_module(free_and_c13, 2)
     assert search.found is not None and search.found.matrices[0] == ((1, 0), (0, 1))
 
 
-@pytest.mark.parametrize("m,p,d_max", [(2, 2, 4), (4, 2, 4), (9, 3, 3)])
-def test_module_search_skips_cyclic_sources_of_p_power_order(monkeypatch, m, p, d_max):
+@pytest.mark.parametrize("m,p,dim", [(2, 2, 4), (4, 2, 4), (9, 3, 3)])
+def test_module_search_skips_cyclic_sources_of_p_power_order(monkeypatch, m, p, dim):
     # the image of a p-element is unipotent and fixes a nonzero vector, so
     # C_m has no nontrivial simple module over F_p; reading GL(4, 2) alone
     # costs over 200,000 products
@@ -291,9 +306,11 @@ def test_module_search_skips_cyclic_sources_of_p_power_order(monkeypatch, m, p, 
         return mul(self, a, b)
 
     monkeypatch.setattr(MatrixGroup, "mul", counted)
-    search = find_simple_module(cyclic_presentation(m), p, d_max)
+    # `dim` is the last dimension within the default GL cap
+    search = find_simple_module(cyclic_presentation(m), p)
     assert search.found is None
-    assert search.searched_dims == tuple(range(1, d_max + 1)) and search.skipped == ()
+    assert search.searched_dims == tuple(range(1, dim + 1))
+    assert [d for d, _ in search.skipped] == [dim + 1]
     assert calls == 0
 
 
@@ -305,10 +322,11 @@ def _powers(p: int, bound: int) -> set[int]:
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_closed_form_matches_the_module_search(p):
+def test_closed_form_matches_the_module_search(monkeypatch, p):
     # where the GL(d, p) search finds a module of C_m in dimension <= 3, the
     # closed-form summand has that dimension and is irreducible; where it
     # finds none, the closed form's dimension is one it did not search
+    search_up_to(monkeypatch, p, 3)
     for m in sorted(set(range(2, 61)) - _powers(p, 60)):
         p_free = m // max(q for q in _powers(p, m) if m % q == 0)
         if all(gcd(p_free, general_linear_order(p, d)) == 1 for d in (1, 2, 3)):
@@ -316,7 +334,7 @@ def test_closed_form_matches_the_module_search(p):
             # nonzero vector: the search, which would read all of each
             # GL(d, p) that shares a factor with m, can find no module
             continue
-        search = find_simple_module(cyclic_presentation(m), p, 3)
+        search = find_simple_module(cyclic_presentation(m), p)
         (action,), (dim,), r = cyclic_modules([cyclic_presentation(m)], p)
         assert action.dim == dim and m % r == 0, m  # one factor: l is its own dimension
         if search.found is None:
