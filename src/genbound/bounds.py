@@ -9,6 +9,7 @@ ratios differ from 1 by less than 1e-100, far below float resolution.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
@@ -21,6 +22,12 @@ from .presentations import Presentation
 PROOF_EXACT = "exact-count"
 PROOF_POWER = "power-inequality"
 PROOF_SYMBOLIC = "symbolic-strict"
+
+# A document stores each integer in decimal, and Python parses at most
+# MAX_DIGITS digits (`sys.set_int_max_str_digits`; 0 lifts the limit). An
+# integer of at least 2^_MAX_BITS has more digits than that.
+MAX_DIGITS = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+_MAX_BITS = (10**MAX_DIGITS).bit_length()
 
 
 class CertificateError(ValueError):
@@ -131,6 +138,25 @@ def weak_bound(orders: Sequence[int]) -> Fraction:
     return Fraction(len(orders)) - sum(Fraction(1, o) for o in orders)
 
 
+def _bounded(log2_floor: int, what: str) -> None:
+    """Rejects a derivation before it forms `what`, an integer of at least
+    2^log2_floor, if that many bits make more than MAX_DIGITS digits: no
+    document could store it, and forming it takes unbounded time."""
+    if log2_floor >= _MAX_BITS:
+        raise CertificateError(f"{what} would exceed {MAX_DIGITS} decimal digits")
+
+
+def _ilog(x: int, base: int) -> int:
+    """The largest k with base^k <= x, for x >= 1 and base >= 2: read off
+    float logarithms, then confirmed by exact comparison."""
+    k = int(math.log(x, base))
+    while base**k > x:
+        k -= 1
+    while base ** (k + 1) <= x:
+        k += 1
+    return k
+
+
 def power_conclusion(
     p: int, l: int, m: int, r: int, weight_total: int
 ) -> tuple[int, Comparison]:
@@ -138,14 +164,26 @@ def power_conclusion(
 
     The per-factor bounds sum to at least W*A/(A+B) with A = lm*log(p) and
     B = log(r), so conclusion c holds iff W*A/(A+B) > c-1, which is the
-    integer inequality p^(lm*(W-c+1)) > r^(c-1).
+    integer inequality p^(lm*e) > r^(W-e) with e = W-c+1 >= 1. The largest
+    c has the least such e, the least e > W*B/(A+B): read off float
+    logarithms, then confirmed by exact comparison.
+
+    Raises CertificateError before forming p^(lm) or a side of more than
+    MAX_DIGITS digits. For r >= 2 the larger side is at least
+    2^max(e, c-1) >= 2^(W/2), which bounds W before it meets a float.
     """
-    for c in range(weight_total, 0, -1):
-        lhs = p ** (l * m * (weight_total - c + 1))
-        rhs = r ** (c - 1)
-        if lhs > rhs:
-            return c, Comparison(lhs, rhs)
-    return 0, Comparison(1, 0)
+    _bounded(l * m * (p.bit_length() - 1), "p^(lm)")
+    base, w, e = p ** (l * m), weight_total, 1
+    if r > 1:
+        _bounded(w // 2, "comparison side")
+        e = min(w, int(w * math.log(r) / math.log(base * r)) + 1)
+        # the float estimate is off by at most one
+        _bounded((e - 1) * (base.bit_length() - 1), "comparison side")
+        while e > 1 and base ** (e - 1) > r ** (w - e + 1):
+            e -= 1
+        while base**e <= r ** (w - e):
+            e += 1
+    return w - e + 1, Comparison(base**e, r ** (w - e))
 
 
 def _shared(values, what: str):
@@ -162,13 +200,17 @@ def _shared(values, what: str):
 
 
 def _derive_exact(parts: Sequence[ExactContribution]) -> tuple[int, int, Comparison]:
-    """The largest c with (product of counts) > |target|^(c-1). c = 0 is
-    vacuous (any d >= 0), recorded with rhs 0, and the only conclusion a
-    trivial target gives, since only the trivial hom reaches it."""
+    """The largest c with (product of counts) > |target|^(c-1), that is the
+    least c with product <= |target|^c. c = 0 is vacuous (any d >= 0),
+    recorded with rhs 0, and the only conclusion a trivial target gives,
+    since only the trivial hom reaches it."""
     target_order = _shared((part.target_order for part in parts), "one target order")
-    lhs, c = prod(part.count for part in parts), 0
-    while target_order > 1 and lhs > target_order**c:
-        c += 1
+    if target_order < 1 or any(part.count < 1 for part in parts):
+        raise CertificateError("exact counts and the target order must be >= 1")
+    # a count of k bits is at least 2^(k-1)
+    _bounded(sum(part.count.bit_length() - 1 for part in parts), "product of counts")
+    lhs = prod(part.count for part in parts)
+    c = _ilog(lhs - 1, target_order) + 1 if lhs > 1 and target_order > 1 else 0
     return target_order, c, Comparison(lhs, target_order ** (c - 1) if c else 0)
 
 
@@ -176,11 +218,16 @@ def _derive_power(parts: Sequence[FormulaContribution]) -> tuple[int, int, Compa
     p, l, m, r = _shared(((c.p, c.l, c.m, c.r) for c in parts), "p, l, m, r")
     if p < 2 or min(l, m, r, *(c.weight for c in parts)) < 1:
         raise CertificateError("formula needs p >= 2 and l, m, r and every weight >= 1")
-    return p ** (l * m) * r, *power_conclusion(p, l, m, r, sum(c.weight for c in parts))
+    conclusion, comparison = power_conclusion(p, l, m, r, sum(c.weight for c in parts))
+    return p ** (l * m) * r, conclusion, comparison
 
 
 def _derive_symbolic(parts: Sequence[EmbeddingContribution]) -> tuple[int, int, Comparison]:
-    kfact = factorial(_shared((c.degree for c in parts), "one embedding degree"))
+    degree = _shared((c.degree for c in parts), "one embedding degree")
+    # the top half of the factors of degree! each exceed degree // 2
+    half = degree // 2
+    _bounded(half * (half.bit_length() - 1), "degree!")
+    kfact = factorial(degree)
     return kfact, len(parts) + 1, Comparison(kfact + 1, kfact)
 
 

@@ -30,6 +30,7 @@ from typing import Sequence
 from . import linalg
 from .bounds import (
     BoundCertificate,
+    EmbeddingContribution,
     FormulaContribution,
     certify_embeddings,
     certify_formula,
@@ -474,6 +475,7 @@ def coprime_family(n: int) -> CoprimeFamilyInstance:
             )
         bound *= 2
     k, decomps = found
+    EmbeddingContribution(k)  # the certificate's degree range, checked before any claim
 
     flags: dict[str, bool] = {}
     for i in range(n):

@@ -22,6 +22,7 @@ from .groups import (
     GeneratedGroup,
     PermGroup,
     ProductGroup,
+    _bfs,
     _enumerate,
     orbit_partition,
 )
@@ -364,26 +365,16 @@ class WitnessQuotient:
     deduplicated: bool
 
 
-def _partner_walk(identity: int, steps: Sequence[list], partner_steps: Sequence[list]) -> int:
-    """The order of the subgroup of a kernel that the right-multiplication
-    rows `steps` generate, walked from the identity; each element reached
-    carries the partner the same word gives along `partner_steps`. Returns
-    0 at the first element reached with two different partners: the map
-    from one image to the other is then not well defined."""
-    pairs = list(zip(steps, partner_steps))
-    partner = {identity: identity}
-    reached = [identity]
-    for x in reached:
-        px = partner[x]
-        for row, partner_row in pairs:
-            y, py = row[x], partner_row[px]
-            q = partner.get(y)
-            if q is None:
-                partner[y] = py
-                reached.append(y)
-            elif q != py:
-                return 0
-    return len(reached)
+def _image_key(identity: int, steps: Sequence[list]) -> tuple:
+    """The action table the enumeration BFS (`groups._bfs`) records on the
+    subgroup of a kernel that the right-multiplication rows `steps`
+    generate. Two homs, each image marked by the generators' images, give
+    equal tables exactly when the marks extend to an isomorphism of the
+    images, that is when their kernels are equal."""
+    action: list = [[] for _ in steps]
+    for _ in _bfs([row.__getitem__ for row in steps], identity, [], action):
+        pass
+    return tuple(map(tuple, action))
 
 
 class _WitnessGroup(GeneratedGroup):
@@ -433,9 +424,9 @@ def witness_quotient(
     bounds d of the profinite completion from below.
 
     Conjugate homs share a kernel. The group is enumerated on the least
-    hom of each conjugacy orbit (`_WitnessGroup`), and deduplication
-    compares those only, in index order: a kernel class is a union of
-    orbits, so it keeps what a pass over every hom keeps.
+    hom of each conjugacy orbit (`_WitnessGroup`); deduplication keeps the
+    first of those, in index order, per image action table (`_image_key`):
+    a kernel class is a union of orbits, so it keeps what every hom would.
     """
     combined = free_product(list(factors))
     per_factor = [enumerate_homs(f, target) for f in factors]
@@ -461,21 +452,10 @@ def witness_quotient(
     maps = [[index[tuple(map(c.__getitem__, hom))] for hom in ints] for c in kernel.conjugations]
     reps = [orbit[0] for orbit in orbit_partition(len(ints), maps)]
     if len(homs) > width_cap:
-        e = kernel.identity
-        images = {i: [rows[x] for x in ints[i]] for i in reps}
-        orders = {i: _partner_walk(e, images[i], images[i]) for i in reps}
-
-        def same_kernel(i: int, j: int) -> bool:
-            """Whether ker phi_i = ker phi_j. The partner walk proves
-            phi_j(w) -> phi_i(w) well defined, that is ker phi_j <= ker phi_i,
-            or stops at the first word that shows it is not; with images
-            of equal order the inclusion is an equality."""
-            return orders[i] == orders[j] and _partner_walk(e, images[j], images[i]) > 0
-
-        kept: list[int] = []
+        first: dict[tuple, int] = {}
         for i in reps:
-            if not any(same_kernel(i, j) for j in kept):
-                kept.append(i)
+            first.setdefault(_image_key(kernel.identity, [rows[x] for x in ints[i]]), i)
+        kept = list(first.values())
         homs, ints = [homs[i] for i in kept], [ints[i] for i in kept]
         reps = range(len(kept))  # distinct kernels: no two kept homs are conjugate
         if len(homs) > width_cap:

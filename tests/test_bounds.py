@@ -1,13 +1,15 @@
 import json
+import time
 from dataclasses import replace
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from genbound.bounds import (
+    MAX_DIGITS,
     PROOF_EXACT,
     PROOF_POWER,
     PROOF_SYMBOLIC,
@@ -19,12 +21,15 @@ from genbound.bounds import (
     certificate_from_doc,
     certificate_to_doc,
     certify_embeddings,
+    certify_exact_counts,
     certify_formula,
     check_certificate,
     lower_bound_explicit,
     power_conclusion,
     weak_bound,
 )
+from genbound.cli import main
+from genbound.homcount import HomCountResult
 from genbound.presentations import cyclic_presentation, presentation_from_words
 
 from helpers import alternating_group_5, free_presentation, symmetric_group
@@ -119,6 +124,43 @@ def test_power_conclusion_examples():
     # r = 1 always certifies the full weight at m = 1
     c, _ = power_conclusion(5, 1, 1, 1, 4)
     assert c == 4
+
+
+def looped_power_conclusion(p, l, m, r, weight_total):
+    """The largest c, tried downward from W, with p^(lm(W-c+1)) > r^(c-1)."""
+    for c in range(weight_total, 0, -1):
+        lhs, rhs = p ** (l * m * (weight_total - c + 1)), r ** (c - 1)
+        if lhs > rhs:
+            return c, Comparison(lhs, rhs)
+
+
+@given(
+    st.integers(2, 40), st.integers(1, 3), st.integers(1, 3), st.integers(0, 6),
+    st.integers(1, 50), st.integers(1, 12),
+)
+def test_power_conclusion_matches_the_downward_loop(p, l, m, power, r, weight_total):
+    # r = p^power and r = (p^(lm))^power make P^e = r^(W-e) ties possible
+    for r in (r, p**power, p ** (l * m * power)):
+        assert power_conclusion(p, l, m, r, weight_total) == looped_power_conclusion(
+            p, l, m, r, weight_total
+        )
+
+
+@given(
+    st.lists(st.integers(1, 10**6), min_size=1, max_size=4),
+    st.integers(1, 10**4),
+    st.integers(0, 3),
+)
+def test_exact_conclusion_matches_the_upward_loop(counts, target_order, power):
+    counts.append(target_order**power)  # lands some products on a power of the order
+    lhs, c = prod(counts), 0
+    while target_order > 1 and lhs > target_order**c:
+        c += 1
+    cert = certify_exact_counts(["G"] * len(counts), "t", [
+        HomCountResult(count, target_order) for count in counts
+    ])
+    assert cert.conclusion == c
+    assert cert.comparison == Comparison(lhs, target_order ** (c - 1) if c else 0)
 
 
 def test_certify_formula_round_trip():
@@ -337,3 +379,74 @@ def test_proof_kind_round_trips_and_rejects_a_raised_conclusion(proof_kind):
     assert json.dumps(certificate_to_doc(again), sort_keys=True) == text
     with pytest.raises(CertificateError, match="re-derivation mismatch"):
         check_certificate(replace(cert, conclusion=cert.conclusion + 1))
+
+
+def _hostile(proof_kind, *parts):
+    """A certificate document over `parts` whose stored comparison holds, so
+    that only the re-derivation can reject it."""
+    return {
+        "schema": "genbound-certificate/1",
+        "factors": ["G"] * len(parts),
+        "target": "t",
+        "target_order": "60",
+        "per_factor": list(parts),
+        "comparison": {"lhs": "10000", "rhs": "3600", "relation": ">"},
+        "conclusion": 3,
+        "proof_kind": proof_kind,
+    }
+
+
+def _formula(**fields):
+    return {"kind": "formula", "p": "7", "l": "1", "m": "1", "r": "6", "weight": 1, **fields}
+
+
+TOO_LARGE = f"would exceed {MAX_DIGITS} decimal digits"
+
+# out-of-range documents, with the reason verify gives, for each proof kind;
+# a kind added to PROOFS needs at least one here
+HOSTILE = {
+    PROOF_EXACT: {
+        # (-100)^2 = 10000 > 60^2 would conclude 3
+        "negative-counts": (
+            _hostile(PROOF_EXACT, *[{"kind": "exact", "count": "-100", "target_order": "60"}] * 2),
+            "exact counts and the target order must be >= 1",
+        ),
+        "product-of-counts": (
+            _hostile(
+                PROOF_EXACT,
+                *[{"kind": "exact", "count": "9" * MAX_DIGITS, "target_order": "60"}] * 2,
+            ),
+            f"product of counts {TOO_LARGE}",
+        ),
+    },
+    PROOF_POWER: {
+        "l-and-m": (
+            _hostile(PROOF_POWER, _formula(l="100000", m="100000")), f"p^(lm) {TOO_LARGE}"
+        ),
+        "weight": (
+            _hostile(PROOF_POWER, _formula(weight=10**8)), f"comparison side {TOO_LARGE}"
+        ),
+    },
+    PROOF_SYMBOLIC: {
+        "degree": (
+            _hostile(PROOF_SYMBOLIC, {"kind": "embedding", "degree": "100000"}),
+            f"degree! {TOO_LARGE}",
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("proof_kind", sorted(PROOFS))
+def test_proof_kind_rejects_hostile_documents_in_bounded_time(proof_kind, tmp_path, capsys):
+    assert HOSTILE[proof_kind]
+    for name, (doc, reason) in HOSTILE[proof_kind].items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        status = main(["verify", "--certificate", str(path), "--json", "--reproducible"])
+        elapsed = time.perf_counter() - start
+        assert status == 2, name
+        assert json.loads(capsys.readouterr().out) == {
+            "command": "verify", "valid": False, "reason": reason
+        }
+        assert elapsed < 1, (name, elapsed)

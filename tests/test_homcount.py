@@ -497,24 +497,22 @@ def test_witness_of_the_trivial_hom_alone_is_one_wide():
 
 
 @pytest.mark.parametrize(
-    "target,calls", [(affine_group(7, 3), 11), (symmetric_group(4), 8)], ids=["agl-1-7", "sym4"]
+    "target,calls", [(affine_group(7, 3), 8), (symmetric_group(4), 7)], ids=["agl-1-7", "sym4"]
 )
 def test_witness_dedup_walks_one_hom_per_conjugacy_orbit(monkeypatch, target, calls):
     # AGL(1,7) has 120 homs from C2*C3 in 8 conjugacy orbits, Sym(4) 90 in
-    # 7: one partner walk per orbit for its image order, and one per pair of
-    # representatives of equal image order up to the first with the same
-    # kernel (276 and 174 walks over every hom)
-    walks = []
+    # 7: one image enumeration per orbit, keyed by its action table
+    keyed = []
 
     def counted(*args):
-        walks.append(args)
-        return partner_walk(*args)
+        keyed.append(args)
+        return image_key(*args)
 
-    partner_walk = homcount._partner_walk
-    monkeypatch.setattr(homcount, "_partner_walk", counted)
+    image_key = homcount._image_key
+    monkeypatch.setattr(homcount, "_image_key", counted)
     witness = witness_quotient(C2_C3, target, width_cap=64, dedup_kernels=True)
     assert witness.width_used == 6
-    assert len(walks) <= calls
+    assert len(keyed) == calls
 
 
 def test_witness_partitions_its_target_into_classes_once(monkeypatch):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from genbound.cli import main
 from genbound.groups import CayleyGroup, MatrixGroup, PermGroup
 from genbound.io import FileFormatError, dump_document, parse_group_file, serialize_group
 from genbound.presentations import Presentation
@@ -123,6 +124,65 @@ def test_cayley_order_must_be_a_positive_integer_matching_the_table(tmp_path, or
     })
     with pytest.raises(FileFormatError, match=message):
         parse_group_file(path)
+
+
+PERM = {"type": "perm", "degree": 3, "generators": [[1, 0, 2]]}
+MATRIX = {"type": "matrix", "prime": 2, "dim": 2, "generators": [[0, 1, 1, 1]]}
+PRESENTATION = {"type": "presentation", "generators": ["a"], "relators": ["a^2"]}
+
+# one document per rejection branch of parse_group_file not reached above,
+# with the anchor and message it fails with: it is parsed as "g.json", next
+# to "perm.json", so a presentation-ref can point at either
+REJECTED = {
+    "perm-degree": ({**PERM, "degree": 0}, "degree", "must be a positive integer"),
+    "perm-no-generators": ({**PERM, "generators": []}, "generators", "must be a nonempty array"),
+    "perm-generator-degree": (
+        {**PERM, "generators": [[1, 0]]}, "generators[0]", "degree 2 != 3"
+    ),
+    "cayley-table-type": ({"type": "cayley", "table": 5}, "table", "must be an array of rows"),
+    "cayley-not-a-group": (
+        {"type": "cayley", "table": [[0, 1], [0, 1]]}, "table", "table has no two-sided identity"
+    ),
+    "matrix-dim": ({**MATRIX, "dim": 0}, "dim", "must be a positive integer"),
+    "matrix-no-generators": (
+        {**MATRIX, "generators": []}, "generators", "must be a nonempty array"
+    ),
+    "matrix-row-major-length": (
+        {**MATRIX, "generators": [[0, 1, 1]]}, "generators[0]", "need 4 row-major entries"
+    ),
+    "matrix-singular": (
+        {**MATRIX, "generators": [[0, 0, 0, 0]]}, "generators", "matrix is singular mod 2"
+    ),
+    "presentation-generators": (
+        {**PRESENTATION, "generators": ["a", 1]}, "generators", "must be an array of names"
+    ),
+    "presentation-relators": (
+        {**PRESENTATION, "relators": "a^2"}, "relators", "must be an array of words"
+    ),
+    "ref-path-type": ({"type": "presentation-ref", "path": 3}, "path", "must be a string"),
+    "ref-chain-too-deep": (
+        {"type": "presentation-ref", "path": "g.json"}, "path", "reference chain too deep"
+    ),
+    "ref-to-a-group": (
+        {"type": "presentation-ref", "path": "perm.json"},
+        "path",
+        "referenced document is not a presentation",
+    ),
+}
+
+
+@pytest.mark.parametrize("doc, anchor, message", REJECTED.values(), ids=REJECTED.keys())
+def test_every_rejection_names_its_anchor_and_exits_1(tmp_path, capsys, doc, anchor, message):
+    write(tmp_path, "perm.json", PERM)
+    path = write(tmp_path, "g.json", doc)
+    with pytest.raises(FileFormatError) as raised:
+        parse_group_file(path)
+    assert str(raised.value).endswith(f": {anchor}: {message}")
+    assert main(["dmin", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f": {anchor}: {message}" in captured.err
 
 
 def test_unknown_type(tmp_path):

@@ -23,7 +23,7 @@ from genbound.groups import (
 )
 from genbound.homcount import (
     _BacktrackSearch,
-    _partner_walk,
+    _image_key,
     count_homs,
     enumerate_homs,
     witness_quotient,
@@ -464,10 +464,9 @@ def test_walked_normal_closure_matches_the_normal_subgroup_lattice(group):
     ],
     ids=["sym4", "agl-1-7"],
 )
-def test_partner_walk_decides_kernel_equality_on_every_hom_pair(degree, gens):
+def test_image_key_decides_kernel_equality_on_every_hom_pair(degree, gens):
     target = PermGroup(degree, gens)
     kernel = target.compiled
-    e = kernel.identity
     homs = [
         a + b
         for a in enumerate_homs(cyclic_presentation(2, "a"), target)
@@ -475,17 +474,15 @@ def test_partner_walk_decides_kernel_equality_on_every_hom_pair(degree, gens):
     ]
     # right-multiplication rows read off the kernel's own product
     rows = {x: [kernel.mul(y, x) for y in range(kernel.order)] for x in range(kernel.order)}
-    images = [[rows[target.element_index(x)] for x in hom] for hom in homs]
-    orders = [_partner_walk(e, steps, steps) for steps in images]
-    for hom, order in zip(homs, orders):
-        assert order == len(closure(list(hom), target.mul, target.identity))
+    ints = [[target.element_index(x) for x in hom] for hom in homs]
+    keys = [_image_key(kernel.identity, [rows[x] for x in hom]) for hom in ints]
+    for hom, key in zip(homs, keys):
+        # one action column per element of the image
+        assert len(key[0]) == len(closure(list(hom), target.mul, target.identity))
     # the oracle closes the images in the target's multiplication table
     table = CayleyGroup(kernel.table)
-    ints = [[target.element_index(x) for x in hom] for hom in homs]
     for i, j in itertools.combinations_with_replacement(range(len(homs)), 2):
-        equal = kernels_equal(table, ints[i], ints[j])
-        for a, b in ((i, j), (j, i)):
-            assert (orders[a] == orders[b] and _partner_walk(e, images[b], images[a]) > 0) == equal
+        assert (keys[i] == keys[j]) == kernels_equal(table, ints[i], ints[j])
 
 
 @pytest.mark.parametrize(
