@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .groups import FiniteGroup
 from .homcount import HomCountResult, count_homs_per_factor
 from .presentations import Presentation
+from .records import immutable, record_eq, record_hash, record_repr, set_fields
 
 PROOF_EXACT = "exact-count"
 PROOF_POWER = "power-inequality"
@@ -34,8 +34,7 @@ class CertificateError(ValueError):
     """A certificate failed independent re-validation."""
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(NamedTuple):
     """An exact big-integer comparison lhs RELATION rhs."""
 
     lhs: int
@@ -47,8 +46,7 @@ class Comparison:
         return self.relation == ">" and self.lhs > self.rhs
 
 
-@dataclass(frozen=True)
-class ExactContribution:
+class ExactContribution(NamedTuple):
     """A factor contributing an exact homomorphism count."""
 
     count: int
@@ -59,8 +57,7 @@ class ExactContribution:
         return HomCountResult(self.count, self.target_order).h
 
 
-@dataclass(frozen=True)
-class FormulaContribution:
+class FormulaContribution(NamedTuple):
     """A factor contributing h >= weight * lm*log(p) / (lm*log(p) + log(r)).
 
     Weight 1 is the plain conjugate-count bound for a factor acting on the
@@ -81,7 +78,6 @@ class FormulaContribution:
         return self.weight * a / (a + b)
 
 
-@dataclass(frozen=True)
 class EmbeddingContribution:
     """A factor with a centralizer-free embedding into Sym(degree).
 
@@ -92,11 +88,14 @@ class EmbeddingContribution:
     # keeps factorial evaluation of untrusted certificate documents bounded
     MAX_DEGREE = 10**5
 
-    degree: int
+    __slots__ = _fields = ("degree",)
+    __setattr__ = __delattr__ = immutable
+    __repr__, __eq__, __hash__ = record_repr, record_eq, record_hash
 
-    def __post_init__(self):
-        if not (1 <= self.degree <= self.MAX_DEGREE):
-            raise CertificateError(f"embedding degree {self.degree} out of range")
+    def __init__(self, degree: int):
+        if not (1 <= degree <= self.MAX_DEGREE):
+            raise CertificateError(f"embedding degree {degree} out of range")
+        set_fields(self, degree=degree)
 
     @property
     def h(self) -> float:
@@ -109,8 +108,7 @@ class EmbeddingContribution:
 Contribution = ExactContribution | FormulaContribution | EmbeddingContribution
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(NamedTuple):
     """Machine-checkable record of an integer lower bound on d.
 
     The target order, the comparison and the conclusion are re-derivable
@@ -231,8 +229,7 @@ def _derive_symbolic(parts: Sequence[EmbeddingContribution]) -> tuple[int, int, 
     return kfact, len(parts) + 1, Comparison(kfact + 1, kfact)
 
 
-@dataclass(frozen=True)
-class _Proof:
+class _Proof(NamedTuple):
     """One proof kind: the contributions it takes, how a document writes
     them, and the derivation its certificates rest on."""
 
@@ -338,14 +335,18 @@ def _contribution_to_doc(c: Contribution) -> dict:
 
 
 def _field(doc, key: str, where: str, kind: type = str):
-    """doc[key], checked to be a `kind`; an int may be a decimal string. A
-    missing or mistyped field raises CertificateError naming it."""
+    """doc[key], checked to be a `kind`; an int may be a decimal string of
+    at most MAX_DIGITS digits. A missing, mistyped or too long field raises
+    CertificateError naming it."""
     if not isinstance(doc, dict):
         raise CertificateError(f"{where} must be an object")
     if key not in doc:
         raise CertificateError(f"{where} lacks the field {key!r}")
     value = doc[key]
-    if kind is int and isinstance(value, str) and value.removeprefix("-").isdecimal():
+    digits = value.removeprefix("-") if kind is int and isinstance(value, str) else ""
+    if digits.isdecimal():
+        if len(digits) > MAX_DIGITS:
+            raise CertificateError(f"{where}.{key} has more than {MAX_DIGITS} digits")
         value = int(value)
     if not isinstance(value, kind):
         raise CertificateError(f"{where}.{key} must be of type {kind.__name__}")
@@ -357,7 +358,11 @@ def _contribution_from_doc(doc, where: str) -> Contribution:
     if kind not in _BY_KIND:
         raise CertificateError(f"unknown contribution kind {kind!r}")
     proof = _BY_KIND[kind]
-    return proof.contribution_type(*(_field(doc, key, where, int) for key in proof.fields))
+    values = [_field(doc, key, where, int) for key in proof.fields]
+    try:
+        return proof.contribution_type(*values)
+    except CertificateError as exc:  # a value out of the contribution's range
+        raise CertificateError(f"{where}: {exc}") from None
 
 
 def certificate_to_doc(cert: BoundCertificate) -> dict:

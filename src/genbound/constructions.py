@@ -22,10 +22,9 @@ and by integer arithmetic on the block sizes, and only a group of at most
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm, prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg
 from .bounds import (
@@ -53,6 +52,7 @@ from .numtheory import (
 )
 from .perm import compose, inverse, perm_order
 from .presentations import Presentation, cyclic_presentation
+from .records import immutable, record_repr, set_fields
 from .subgroups import (
     abelian_invariants,
     d_min_generators,
@@ -78,16 +78,19 @@ class VerificationFailure(RuntimeError):
 # -- semidirect power targets -------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SemidirectTarget:
     """The affine target V^m : R with V = F_p^l and R the joint matrix group."""
 
-    p: int
-    l: int
-    m: int
-    r: int
-    point_group: MatrixGroup
-    module_dims: tuple[int, ...]
+    # no __slots__: the instance `__dict__` also holds the cached `group`
+    _fields = ("p", "l", "m", "r", "point_group", "module_dims")
+    __setattr__ = __delattr__ = immutable
+    __repr__ = record_repr
+
+    def __init__(
+        self, p: int, l: int, m: int, r: int, point_group: MatrixGroup,
+        module_dims: tuple[int, ...],
+    ):
+        set_fields(self, p=p, l=l, m=m, r=r, point_group=point_group, module_dims=module_dims)
 
     @property
     def order(self) -> int:
@@ -217,8 +220,7 @@ def min_m_for_conclusion(n: int, p: int, l: int, r: int) -> int:
 # -- metabelian targets for cyclic factors ------------------------------------
 
 
-@dataclass(frozen=True)
-class MetabelianTarget:
+class MetabelianTarget(NamedTuple):
     """Target for distinct prime-order cyclic factors, plus its certificate.
 
     `metabelian` is True when the derived subgroup was computed and found
@@ -283,8 +285,7 @@ def metabelian_target(primes: Sequence[int], m: int | None = None) -> Metabelian
 # -- split through abelianizations --------------------------------------------
 
 
-@dataclass(frozen=True)
-class SplitBound:
+class SplitBound(NamedTuple):
     """Reduction of arbitrary factors through their abelianizations.
 
     The first t reduced factors are the originals modulo their largest
@@ -383,8 +384,7 @@ def abelianization_split(
 # -- coprime families with a common symmetric target --------------------------
 
 
-@dataclass(frozen=True)
-class CoprimeFamilyInstance:
+class CoprimeFamilyInstance(NamedTuple):
     """Witness package: n solvable two-generated groups of pairwise coprime
     order acting on a common point set with trivial centralizers, plus the
     certificate concluding n+1."""

@@ -9,10 +9,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd, prod
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import perm
 from .groups import (
@@ -34,6 +33,7 @@ from .presentations import (
     free_product,
     inverse_word,
 )
+from .records import immutable, record_eq, record_repr, set_fields
 
 DEFAULT_NODE_BUDGET = 5_000_000
 DEFAULT_WITNESS_WIDTH_CAP = 512
@@ -58,7 +58,6 @@ class WitnessWidthError(RuntimeError):
     """Too many homomorphisms for a witness quotient at the given cap."""
 
 
-@dataclass(frozen=True)
 class HomCountResult:
     """Exact homomorphism count into a target of known order.
 
@@ -66,14 +65,16 @@ class HomCountResult:
     only. Downstream certificates compare the exact pair.
     """
 
-    count: int
-    target_order: int
+    __slots__ = _fields = ("count", "target_order")
+    __setattr__ = __delattr__ = immutable
+    __repr__, __eq__ = record_repr, record_eq
 
-    def __post_init__(self):
-        if self.count < 1:
+    def __init__(self, count: int, target_order: int):
+        if count < 1:
             raise ValueError("homomorphism count must be >= 1")
-        if self.target_order < 1:
+        if target_order < 1:
             raise ValueError("target order must be >= 1")
+        set_fields(self, count=count, target_order=target_order)
 
     @property
     def h(self) -> float:
@@ -349,8 +350,7 @@ def group_presentation(G: FiniteGroup) -> Presentation:
 # -- witness quotients ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WitnessQuotient:
+class WitnessQuotient(NamedTuple):
     """Finite quotient of a free product realizing its full hom count.
 
     The group lives in a direct power of the target: each free-product

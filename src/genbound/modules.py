@@ -6,9 +6,8 @@ cap, and closed-form actions of cyclic sources by roots of unity in F_(p^l).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd, lcm, prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg
 from .groups import MatrixGroup, _bfs
@@ -28,13 +27,13 @@ from .numtheory import (
     root_of_unity,
 )
 from .presentations import Presentation
+from .records import immutable, record_eq, record_repr, set_fields
 
 SPACE_CAP = 10**5
 CLOSED_FORM_DEGREE_CAP = 64  # l for cyclic_modules: l x l matrices, fields of p^l
 DEFAULT_GL_ORDER_CAP = 25_000
 
 
-@dataclass(frozen=True)
 class ModuleAction:
     """A linear action of the source on F_p^dim, one matrix per generator.
 
@@ -42,12 +41,20 @@ class ModuleAction:
     relators, and are not all the identity.
     """
 
-    p: int
-    dim: int
-    matrices: tuple[linalg.Matrix, ...]
-    source: Presentation
+    __slots__ = _fields = ("p", "dim", "matrices", "source")
+    __setattr__ = __delattr__ = immutable
+    __repr__, __eq__ = record_repr, record_eq
+
+    def __init__(
+        self, p: int, dim: int, matrices: tuple[linalg.Matrix, ...], source: Presentation
+    ):
+        set_fields(self, p=p, dim=dim, matrices=matrices, source=source)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Validate the stored fields and normalize the matrices. A method of
+        its own, since perfbench's tracer counts candidate actions by
+        wrapping it."""
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         if len(self.matrices) != len(self.source.generators):
@@ -55,7 +62,7 @@ class ModuleAction:
         # normalizes the matrices and rejects wrong dimensions and singular ones
         group = MatrixGroup(self.p, self.dim, self.matrices)
         mats = group.generators
-        object.__setattr__(self, "matrices", mats)
+        set_fields(self, matrices=mats)
         for word in self.source.relators:
             if evaluate_word(word, mats, group) != group.identity:
                 raise ValueError("matrices do not satisfy the source relators")
@@ -116,8 +123,7 @@ def general_linear_group(p: int, dim: int) -> MatrixGroup:
     return MatrixGroup(p, dim, general_linear_generators(p, dim))
 
 
-@dataclass(frozen=True)
-class SimpleModuleSearch:
+class SimpleModuleSearch(NamedTuple):
     """Result of the bounded irreducible-module search.
 
     `found` is None when the search was inconclusive (never a disproof);

@@ -8,10 +8,10 @@ relator lists.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Sequence
 
 from .numtheory import factorize
+from .records import immutable, record_eq, record_hash, record_repr, set_fields
 
 Word = tuple[tuple[int, int], ...]
 
@@ -20,21 +20,25 @@ Word = tuple[tuple[int, int], ...]
 MAX_WORD_SYLLABLES = 10**6
 
 
-@dataclass(frozen=True)
 class Presentation:
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...]
-    name: str = ""
+    """Generator names and relator words; `name` overrides `describe`.
+    Construction rejects duplicate generator names, relators that name an
+    undeclared generator and zero exponents."""
 
-    def __post_init__(self):
-        if len(set(self.generators)) != len(self.generators):
+    __slots__ = _fields = ("generators", "relators", "name")
+    __setattr__ = __delattr__ = immutable
+    __repr__, __eq__, __hash__ = record_repr, record_eq, record_hash
+
+    def __init__(self, generators: tuple[str, ...], relators: tuple[Word, ...], name: str = ""):
+        if len(set(generators)) != len(generators):
             raise ValueError("duplicate generator names")
-        for word in self.relators:
+        for word in relators:
             for idx, exp in word:
-                if not (0 <= idx < len(self.generators)):
+                if not (0 <= idx < len(generators)):
                     raise ValueError(f"relator references undeclared generator {idx}")
                 if exp == 0:
                     raise ValueError("zero exponent in relator word")
+        set_fields(self, generators=generators, relators=relators, name=name)
 
     def describe(self) -> str:
         if self.name:

@@ -9,15 +9,14 @@ closure extended by one generator (`_extend`) and a normal closure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import prod
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .groups import CayleyGroup, FiniteGroup, PermGroup, orbit_partition, walk
 from .numtheory import factorize, is_prime
+from .records import immutable, record_repr, set_fields
 
 
-@dataclass(frozen=True)
 class SubgroupHandle:
     """A subgroup of `parent` held as an explicit element tuple, sorted for
     determinism; `indices` holds their positions in the parent's kernel.
@@ -25,15 +24,13 @@ class SubgroupHandle:
     With no `generators` given, it keeps the ones its closure check found.
     """
 
-    parent: FiniteGroup
-    elements: tuple
-    generators: tuple = ()
-    indices: frozenset = field(init=False, repr=False, compare=False)
+    _fields = ("parent", "elements", "generators")
+    __slots__ = _fields + ("indices",)
+    __setattr__ = __delattr__ = immutable
+    __repr__ = record_repr
 
-    def __post_init__(self):
-        elems = tuple(sorted(set(self.elements)))
-        object.__setattr__(self, "elements", elems)
-        parent = self.parent
+    def __init__(self, parent: FiniteGroup, elements: tuple, generators: tuple = ()):
+        elems = tuple(sorted(set(elements)))
         if parent.identity not in elems:
             raise ValueError("subgroup does not contain the identity")
         if parent.order % len(elems):
@@ -41,7 +38,6 @@ class SubgroupHandle:
                 f"Lagrange violation: {len(elems)} does not divide {parent.order}"
             )
         indices = frozenset(parent.element_index(x) for x in elems)
-        object.__setattr__(self, "indices", indices)
         # closed iff some of its elements generate exactly it; each element
         # added at least doubles the closure
         kernel = parent.compiled
@@ -54,8 +50,9 @@ class SubgroupHandle:
                 _extend(kernel, gens, x, reached, seen)
                 if not indices.issuperset(reached[start:]):
                     raise ValueError("subgroup is not closed under products")
-        if not self.generators:
-            object.__setattr__(self, "generators", tuple(parent.elements[i] for i in gens))
+        if not generators:
+            generators = tuple(parent.elements[i] for i in gens)
+        set_fields(self, parent=parent, elements=elems, generators=generators, indices=indices)
 
     @property
     def order(self) -> int:
@@ -194,8 +191,7 @@ def _p_log(n: int, p: int) -> int | None:
     return k if n == 1 else None
 
 
-@dataclass(frozen=True)
-class MinGenResult:
+class MinGenResult(NamedTuple):
     """Outcome of the minimal-generator search.
 
     When exact, `value` is d(G) and `witness` a generating tuple. When the

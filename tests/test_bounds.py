@@ -1,6 +1,5 @@
 import json
 import time
-from dataclasses import replace
 from fractions import Fraction
 from math import factorial, prod
 
@@ -33,6 +32,12 @@ from genbound.homcount import HomCountResult
 from genbound.presentations import cyclic_presentation, presentation_from_words
 
 from helpers import alternating_group_5, free_presentation, symmetric_group
+
+
+def replace(record, **changes):
+    """A copy of a record with the given fields changed."""
+    fields = {name: getattr(record, name) for name in record._fields}
+    return type(record)(**{**fields, **changes})
 
 
 def a5_presentation():

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import genbound
+from genbound.bounds import MAX_DIGITS, certificate_to_doc, certify_embeddings
 from genbound.cli import main
 
 
@@ -165,6 +166,10 @@ CERTIFICATE_REJECTIONS = {
     ),
     "factors-not-strings": (("factors",), [1, 2], 1, "certificate.factors must hold strings"),
     "comparison-fails": (("comparison", "lhs"), "6", 2, "stored comparison does not hold"),
+    "too-many-digits": (
+        ("per_factor", 0, "p"), "9" * (MAX_DIGITS + 1), 1,
+        f"certificate.per_factor[0].p has more than {MAX_DIGITS} digits",
+    ),
 }
 
 
@@ -189,6 +194,16 @@ def test_verify_rejection_exit_status(capsys, tmp_path, path, value, status, mes
         assert result[1:] == ("", f"error: {message}\n")
     else:
         assert json.loads(result[1])["reason"] == message
+
+
+def test_verify_names_the_contribution_of_an_out_of_range_degree(capsys, tmp_path):
+    doc = certificate_to_doc(certify_embeddings(["G1", "G2"], 5))
+    doc["per_factor"][0]["degree"] = str(10**6)
+    (tmp_path / "cert.json").write_text(json.dumps(doc))
+    result = run(["verify", "--certificate", str(tmp_path / "cert.json"), "--json"], capsys)
+    assert result == (
+        1, "", "error: certificate.per_factor[0]: embedding degree 1000000 out of range\n"
+    )
 
 
 def test_witness_subcommand(files, capsys):
@@ -471,18 +486,18 @@ def test_construct_thm1_searches_repeated_factors_once(files, capsys, monkeypatc
 
     entries, built = [], []
     closed_form = constructions.cyclic_modules
-    post_init = modules.ModuleAction.__post_init__
+    init = modules.ModuleAction.__init__
 
     def counted_entry(factors, p):
         entries.append([f.name for f in factors])
         return closed_form(factors, p)
 
-    def counted_build(action):
+    def counted_build(action, *args):
+        init(action, *args)
         built.append(action.source.name)
-        post_init(action)
 
     monkeypatch.setattr(constructions, "cyclic_modules", counted_entry)
-    monkeypatch.setattr(modules.ModuleAction, "__post_init__", counted_build)
+    monkeypatch.setattr(modules.ModuleAction, "__init__", counted_build)
     status, out, _ = run(
         ["construct-thm1", "--factors", files["c3.pres"], files["c2.pres"], files["c3.pres"],
          "--prime", "7", "--json", "--reproducible"],
