@@ -4,9 +4,11 @@ Two concrete realizations are provided, permutations and matrices over a
 prime field, plus direct products and subgroups generated inside an
 ambient group. Elements are plain hashable values (tuples or ints); every
 group value is immutable after construction and enumeration caches are
-write-once. Each enumerates once, on the first read of `elements`, by a
-BFS run to the end that forms x * g by one unary step per generator and
-records their right action, then reads the BFS tree off it. Structure work
+write-once. `step(c)` is x -> x * c as a unary map (c's itemgetter on
+permutations, which `map` calls with no Python frame). Each enumerates
+once, on the first read of `elements`, by a BFS run to the end that forms
+x * g by each generator's step and records their right action, then reads
+the BFS tree off it. Structure work
 runs on one integer kernel: `FiniteGroup.compiled`, that action and tree as
 a `CayleyGroup` on 0..n-1, whose words, table and conjugation maps are
 read from the tree. `walk` is the one closure walk on kernel ints; it also
@@ -144,9 +146,13 @@ class FiniteGroup:
     def generators(self) -> tuple:
         raise NotImplementedError
 
+    def step(self, c) -> Callable:
+        """x -> x * c as a unary step: x -> mul(x, c)."""
+        return lambda x, mul=self.mul: mul(x, c)
+
     def _steps(self) -> list:
-        """One unary step per generator, forming x * g: x -> mul(x, g)."""
-        return [lambda x, g=g, mul=self.mul: mul(x, g) for g in self.generators]
+        """One unary step per generator, forming x * g (`step`)."""
+        return list(map(self.step, self.generators))
 
     def _generate(self) -> list:
         """The elements in enumeration order: the BFS over the generators'
@@ -270,12 +276,10 @@ class PermGroup(FiniteGroup):
     def element_order(self, a) -> int:
         return perm.perm_order(a)
 
-    def _steps(self) -> list:
-        """Each generator's itemgetter, forming the `perm.compose` product
-        uncalled; below degree 2, where it returns no tuple, x -> mul(x, g)."""
-        if self.degree < 2:
-            return super()._steps()
-        return [itemgetter(*g) for g in self._generators]
+    def step(self, c) -> Callable:
+        """c's itemgetter, forming the `perm.compose` product x * c uncalled;
+        below degree 2, where it returns no tuple, x -> mul(x, c)."""
+        return itemgetter(*c) if self.degree > 1 else super().step(c)
 
     def describe(self) -> str:
         return f"perm-group(degree={self.degree}, generators={len(self._generators)})"

@@ -43,12 +43,13 @@ class HomSearchBudgetError(RuntimeError):
     """The backtracking search exceeded its node budget; no partial counts.
 
     `nodes` is the number of nodes visited when it stopped and `depth` the
-    most generators it had assigned consistently with the relators."""
+    most generators it had assigned consistently with the relators; or, if
+    `planned`, the nodes a count's class table shows it would visit, and 0."""
 
-    def __init__(self, budget: int, nodes: int, depth: int, generators: int):
+    def __init__(self, budget: int, nodes: int, depth: int, generators: int, planned=False):
         super().__init__(
-            f"search exceeded {budget} nodes: visited {nodes}, deepest level "
-            f"{depth} of {generators} generators"
+            f"search exceeded {budget} nodes: {'planned' if planned else 'visited'} {nodes}, "
+            f"deepest level {depth} of {generators} generators"
         )
         self.nodes = nodes
         self.depth = depth
@@ -102,6 +103,15 @@ def evaluate_word(word: Word, images: Sequence, group: FiniteGroup):
     return group.identity if result is None else result
 
 
+def _stages(root: Word, gen: int) -> list:
+    """A root that starts at `gen` as the stages of its check on gen's
+    candidates x: the exponent e of each syllable gen^e, for x^e, and each
+    run of other syllables as a word. A root without gen starts at x^0."""
+    runs = itertools.groupby(root, lambda s: s[0] == gen)
+    stages = [next(run)[1] if own else tuple(run) for own, run in runs]
+    return stages if isinstance(stages[0], int) else [0, *stages]
+
+
 class _BacktrackSearch:
     """Shared backtracking core for counting/enumerating homomorphisms.
 
@@ -116,9 +126,12 @@ class _BacktrackSearch:
     it. Omega_m is the union of the classes whose order divides m (every
     class for m = 0): the elements x with x^m = e. A generator with order
     bound m takes the candidates Omega_m, and a relator root^n = e is
-    checked as root in Omega_n: "(a*b)^n" costs one product and a
-    membership test, and no element is ever powered. The table comes from
-    the enumerated kernel (`_kernel_classes`), or, for a count with
+    checked as root in Omega_n, which is closed under conjugation: so each
+    root starts at its level's generator, and a level filters its candidates
+    x at once, mapping them through x -> x * C (`FiniteGroup.step`) for each
+    run C of earlier images and x -> x * x^e (powers listed once a search):
+    "(a*b)^n" costs one step and one membership test a candidate. The table
+    comes from the enumerated kernel (`_kernel_classes`), or, for a count with
     `by_cycle_type` into Sym(n) or Alt(n), from cycle types
     (`_cycle_type_classes`), which never enumerates the target.
     """
@@ -137,17 +150,20 @@ class _BacktrackSearch:
         self.target_order, self.classes, self._omega, self._contains = (
             table or _kernel_classes(target)
         )
-        sizes = [sum(size for _, size, _ in self._classes(m)) for m in self.bounds]
+        self.sizes = [sum(size for _, size, _ in self._classes(m)) for m in self.bounds]
         # most constrained generator first
-        self.order = sorted(range(k), key=lambda g: (sizes[g], g))
+        self.order = sorted(range(k), key=lambda g: (self.sizes[g], g))
         position = {g: i for i, g in enumerate(self.order)}
         self.checks: list[list[tuple[Word, int]]] = [[] for _ in range(k)]
         for word in pres.relators:
             used = {idx for idx, _ in word}
-            # single-generator relators hold for every candidate already
-            if len(used) < 2:
+            root, n = cyclic_root(word)
+            # single-generator relators and roots () hold for every candidate already
+            if len(used) < 2 or not root:
                 continue
-            self.checks[max(position[g] for g in used)].append(cyclic_root(word))
+            gen = self.order[level := max(position[g] for g in used)]
+            r = next((i for i, (g, _) in enumerate(root) if g == gen), 0)
+            self.checks[level].append((root[r:] + root[:r], n))
 
     def _classes(self, m: int) -> list[tuple]:
         """The classes making up Omega_m."""
@@ -164,16 +180,31 @@ class _BacktrackSearch:
         k = len(self.pres.generators)
         target = self.target
         first = self.order[0] if visit is None and self.order else None
-        candidates = [() if g == first else self._omega(m) for g, m in enumerate(self.bounds)]
         weights = None
         if first is not None:
             weights = {rep: size for rep, size, _ in self._classes(self.bounds[first])}
-            candidates[first] = tuple(weights)
+            # level 0 has no checks: each representative tries all of level 1
+            planned = len(weights) * (1 + (self.sizes[self.order[1]] if k > 1 else 0))
+            if planned > self.node_budget:
+                raise HomSearchBudgetError(self.node_budget, planned, 0, k, planned=True)
         # each Omega_n's membership test, built once per search
         contains = {n: self._contains(n) for n in {n for level in self.checks for _, n in level}}
-        checks = [[(root, contains[n]) for root, n in level] for level in self.checks]
+        # per level, its checks' stages, and its candidates' powers that they
+        # read by exponent: the candidates themselves at 1
+        checks, powers = [], []
+        for gen, level_checks in zip(self.order, self.checks):
+            xs = tuple(weights) if gen == first else self._omega(self.bounds[gen])
+            checks.append([(_stages(root, gen), contains[n]) for root, n in level_checks])
+            exponents = {e for stages, _ in checks[-1] for e in stages if isinstance(e, int)}
+            powers.append({e: [target.power(x, e) for x in xs] for e in exponents - {1}} | {1: xs})
         images: list = [None] * k
         count = 0
+
+        def charge(tried: int) -> None:
+            """Count `tried` more nodes, stopping at the first past the budget."""
+            self.nodes = min(self.nodes + tried, self.node_budget + 1)
+            if self.nodes > self.node_budget:
+                raise HomSearchBudgetError(self.node_budget, self.nodes, self.depth, k)
 
         def descend(level: int) -> bool:
             """Extend the assignment from `level` on; True to stop."""
@@ -184,17 +215,27 @@ class _BacktrackSearch:
                 count += weights[images[first]] if weights else 1
                 return visit is not None and bool(visit(tuple(images)))
             gen = self.order[level]
-            level_checks = checks[level]
-            for x in candidates[gen]:
-                self.nodes += 1
-                if self.nodes > self.node_budget:
-                    raise HomSearchBudgetError(self.node_budget, self.nodes, self.depth, k)
-                images[gen] = x
-                if all(
-                    member(evaluate_word(root, images, target)) for root, member in level_checks
-                ) and descend(level + 1):
+            xs = powers[level][1]
+            alive = range(len(xs))  # the positions of the candidates kept
+            for (head, *rest), member in checks[level]:
+                values = map(powers[level][head].__getitem__, alive)
+                for stage in rest:
+                    values = (
+                        map(target.mul, values, map(powers[level][stage].__getitem__, alive))
+                        if isinstance(stage, int)
+                        else map(target.step(evaluate_word(stage, images, target)), values)
+                    )
+                alive = list(itertools.compress(alive, map(member, values)))
+            # charge the candidates filtered out at each descent, as if each
+            # were checked as it is reached
+            tried = 0
+            for p in alive:
+                charge(p + 1 - tried)
+                tried = p + 1
+                images[gen] = xs[p]
+                if descend(level + 1):
                     return True
-            images[gen] = None
+            charge(len(xs) - tried)
             return False
 
         try:

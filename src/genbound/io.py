@@ -18,6 +18,7 @@ canonical form.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from . import perm
@@ -45,6 +46,9 @@ def _load_json(path: Path) -> dict:
         raise FileFormatError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError:  # a number past int's digit limit: kept as text, for checks to name
+        limit = sys.get_int_max_str_digits()
+        doc = json.loads(text, parse_int=lambda s: int(s) if len(s.lstrip("-")) <= limit else s)
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top level must be an object")
     return doc

@@ -10,10 +10,11 @@ the full symmetric group or, for transitive groups, from the Schreier
 generators of a point stabilizer, irreducibility from enumerating all
 subspaces, subset sums from explicit powerset search, homomorphisms from a
 concrete group by extending every candidate tuple and checking it on every
-element, equal kernels from closing paired images in the realization,
-the minimal generator count by closing every candidate tuple, and triangle
-group counts into Sym(n) from Frobenius's class-sum formula with
-Murnaghan-Nakayama characters.
+element, hom counts from a presentation by multiplying out its relators
+at every tuple of images, equal kernels from closing paired images in the
+realization, the minimal generator count by closing every candidate tuple,
+and triangle group counts into Sym(n) from Frobenius's class-sum formula
+with Murnaghan-Nakayama characters.
 """
 
 from __future__ import annotations
@@ -325,6 +326,37 @@ def brute_homs_group(source: FiniteGroup, target: FiniteGroup) -> set[tuple]:
         ):
             found.add(images)
     return found
+
+
+def brute_count_homs(pres: Presentation, target: FiniteGroup, cap: int = 60_000) -> int | None:
+    """|Hom(P, target)| by multiplying out each relator as written, one
+    letter at a time: each generator's images are the elements that satisfy
+    its own one-generator relators, and every tuple of those is tried on the
+    rest; None if there are more than `cap` tuples."""
+    identity = target.identity
+    inverse = {x: target.inv(x) for x in target.elements}
+
+    def holds(word, images) -> bool:
+        value = identity
+        for idx, exp in word:
+            letter = images[idx] if exp > 0 else inverse[images[idx]]
+            for _ in range(abs(exp)):
+                value = target.mul(value, letter)
+        return value == identity
+
+    mentions = [{idx for idx, _ in w} for w in pres.relators]
+    rest = [w for w, used in zip(pres.relators, mentions) if len(used) != 1]
+    candidates = [
+        [
+            x
+            for x in target.elements
+            if all(holds(w, {g: x}) for w, used in zip(pres.relators, mentions) if used == {g})
+        ]
+        for g in range(len(pres.generators))
+    ]
+    if math.prod(map(len, candidates)) > cap:
+        return None
+    return sum(all(holds(w, images) for w in rest) for images in itertools.product(*candidates))
 
 
 def brute_conjugacy_classes(G: FiniteGroup) -> list[tuple]:

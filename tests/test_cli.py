@@ -206,6 +206,23 @@ def test_verify_names_the_contribution_of_an_out_of_range_degree(capsys, tmp_pat
     )
 
 
+def test_json_number_past_the_digit_limit_names_its_field(capsys, tmp_path):
+    # json.loads raises Python's own digit-limit message on such a number;
+    # the document is read again with the number kept as text, which the
+    # field checks reject by name
+    number = "9" * (MAX_DIGITS + 1)
+    doc = certificate_to_doc(certify_embeddings(["G1", "G2"], 5))
+    text = json.dumps({**doc, "conclusion": 0})
+    text = text.replace('"conclusion": 0', f'"conclusion": {number}')
+    (tmp_path / "cert.json").write_text(text)
+    result = run(["verify", "--certificate", str(tmp_path / "cert.json"), "--json"], capsys)
+    assert result == (1, "", f"error: certificate.conclusion has more than {MAX_DIGITS} digits\n")
+    group = tmp_path / "group.json"
+    group.write_text(f'{{"type": "perm", "degree": {number}, "generators": [[1, 0]]}}')
+    result = run(["dmin", str(group)], capsys)
+    assert result == (1, "", f"error: {group}: degree: must be a positive integer\n")
+
+
 def test_witness_subcommand(files, capsys):
     status, out, _ = run(
         ["witness", "--factors", files["c2.pres"], files["c3.pres"],

@@ -12,12 +12,13 @@ import pytest
 
 from genbound import perm
 from genbound.groups import ClosureOverflowError, FiniteGroup, PermGroup
-from genbound.homcount import HomCountResult, count_homs
-from genbound.presentations import presentation_from_words
+from genbound.homcount import HomCountResult, _BacktrackSearch, count_homs
+from genbound.presentations import Presentation, presentation_from_words
 
 from helpers import (
     affine_group,
     alternating_group,
+    brute_count_homs,
     cyclic_perm_group,
     dihedral_group,
     frobenius_triangle_count,
@@ -142,3 +143,35 @@ def test_schreier_sims_runs_only_when_the_route_could_serve_the_count(orders_fou
         assert target._elements is not None
         assert counted == count_homs(triangle(2, 3, 4), target.compiled)
     assert orders_found == [12, 7, 8]
+
+
+# b, the deepest generator into each target below, in roots that hold it two
+# or more times with exponents +-1 and +-2, in one whose cyclic reduction
+# loses it (a^2 must be e, whatever b is: one test for all of b's
+# candidates), and in one that reduces to () with nothing left to test
+A, B = 0, 1
+CLASS_SOURCE_CASES = {
+    "b-thrice": presentation_from_words(["a", "b"], ["a^2", "b^4", "a*b*a*b^-1*a*b^2"]),
+    "b-squared-both-ways": presentation_from_words(
+        ["a", "b"], ["a^3", "a*b^-2*a^-1*b^2*a*b*a*b^-1"]
+    ),
+    "root-loses-b": presentation_from_words(["a", "b"], ["a^6", "b^2*a^2*b^-2"]),
+    "root-reduces-away": Presentation(
+        ("a", "b"), (((A, 2),), ((B, 4),), ((A, -3), (A, 3), (B, -2), (B, 2)))
+    ),
+}
+
+
+@pytest.mark.parametrize("pres", CLASS_SOURCE_CASES.values(), ids=CLASS_SOURCE_CASES.keys())
+@pytest.mark.parametrize(
+    "target", [lambda: symmetric_group(5), lambda: symmetric_group(6), lambda: alternating_group(6)],
+    ids=["sym5", "sym6", "alt6"],
+)
+def test_cycle_type_count_matches_the_kernel_classes_and_brute_force(pres, target):
+    by_cycle_type = count_homs(pres, fresh := target())
+    assert fresh._elements is None  # read from cycle types, never enumerated
+    search = _BacktrackSearch(pres, target(), 10**6)
+    assert search.order[-1] == B
+    assert by_cycle_type.count == search.run(None)
+    brute = brute_count_homs(pres, target())
+    assert brute in (by_cycle_type.count, None)

@@ -142,11 +142,32 @@ def test_budget_exceeded_is_an_error_not_partial():
 
 
 def test_budget_error_reports_nodes_and_depth():
-    # nodes 1-3 assign the three generators one by one; node 3 trips
+    # the 5 class representatives of the first generator each try all 24
+    # images of the second, 125 nodes in all: under a budget of 130, node
+    # 131 is the 4th image of the third generator under the 6th of the
+    # second, with all three assigned before it
     with pytest.raises(HomSearchBudgetError) as caught:
-        count_homs(free_presentation(3), symmetric_group(4), node_budget=2)
-    assert (caught.value.nodes, caught.value.depth) == (3, 2)
-    assert "visited 3, deepest level 2 of 3 generators" in str(caught.value)
+        count_homs(free_presentation(3), symmetric_group(4), node_budget=130)
+    assert (caught.value.nodes, caught.value.depth) == (131, 3)
+    assert "visited 131, deepest level 3 of 3 generators" in str(caught.value)
+
+
+def test_budget_error_on_the_planned_nodes_builds_no_candidate(monkeypatch):
+    # the same 125 nodes, read off the class table, exceed a budget of 2
+    # before any Omega is built; a visiting search may stop early, so it
+    # plans nothing and stops at its first hom, on node 3
+    built = []
+    search = _BacktrackSearch(free_presentation(3), symmetric_group(4), 2)
+    omega = search._omega
+    monkeypatch.setattr(search, "_omega", lambda m: built.append(m) or omega(m))
+    with pytest.raises(HomSearchBudgetError) as caught:
+        search.run(None)
+    assert (caught.value.nodes, caught.value.depth, built) == (125, 0, [])
+    assert str(caught.value) == (
+        "search exceeded 2 nodes: planned 125, deepest level 0 of 3 generators"
+    )
+    search = _BacktrackSearch(free_presentation(3), symmetric_group(4), 3)
+    assert search.run(lambda hom: True) == 1 and search.nodes == 3
 
 
 def test_result_rejects_zero_count():

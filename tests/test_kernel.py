@@ -338,6 +338,18 @@ class CountingPermGroup(PermGroup):
         CountingPermGroup.calls += 1
         return super().inv(a)
 
+    def step(self, c):
+        # a product formed by mapping a step counts as a call, and so does
+        # building the step
+        CountingPermGroup.calls += 1
+        times_c = super().step(c)
+
+        def counted(x):
+            CountingPermGroup.calls += 1
+            return times_c(x)
+
+        return counted
+
 
 def test_witness_structure_work_is_bounded_by_one_enumeration():
     # Compiling the order-288 witness quotient of C2*C3 in Sym(4) and
@@ -391,11 +403,16 @@ def test_witness_quotient_works_on_the_targets_ints(degree, gens, dedup):
 def test_class_filtered_count_makes_at_most_two_products_a_node():
     # Candidates and relator checks read the target's conjugacy classes on
     # its kernel, so no element is powered: the only realization products
-    # are one per (a*b) evaluated
+    # are a's image, read once per entry to b's level as the step x -> x*a,
+    # and that step mapped over b's candidates
     sym7 = CountingPermGroup(7, [(1, 2, 3, 4, 5, 6, 0), (1, 0, 2, 3, 4, 5, 6)])
     pres = presentation_from_words(["a", "b"], ["a^2", "b^3", "(a*b)^7"])
     CountingPermGroup.calls = 0
     search = _BacktrackSearch(pres, sym7, 10**6)
+    # the class table enumerates Sym(7) once, by the steps of its two
+    # generators
+    assert CountingPermGroup.calls == 2 + 2 * 5040
+    CountingPermGroup.calls = 0
     assert search.run(None) == 10081
     assert CountingPermGroup.calls <= 2 * search.nodes
     # neither the element index nor the kernel's words were built
