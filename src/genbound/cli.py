@@ -52,7 +52,8 @@ from .subgroups import d_min_generators, largest_normal_p_subgroup
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VERIFICATION = 2
-# `witness` reports witness_d only up to this witness order: d_min is a search
+# `witness` runs d_min, a search, on the witness kernel only up to this
+# witness order; above it the report gives the reason as witness_d_skipped
 WITNESS_DMIN_CAP = 512
 
 
@@ -137,6 +138,8 @@ def _cmd_bound(args) -> tuple[int, dict]:
 
 
 def _cmd_witness(args) -> tuple[int, dict]:
+    if args.width_cap < 1:
+        raise JobError(f"--width-cap {args.width_cap} is below 1: a witness is 1 hom wide or more")
     factors = _require_presentations(args.factors, "factor")
     target = _require_group(args.target, "target")
     witness = witness_quotient(
@@ -150,9 +153,13 @@ def _cmd_witness(args) -> tuple[int, dict]:
         "witness_order": str(witness.group.order),
     }
     if witness.group.order <= WITNESS_DMIN_CAP:
-        result = d_min_generators(witness.group)
+        result = d_min_generators(witness.group.compiled)
         report["witness_d"] = result.value
         report["witness_d_exact"] = result.exact
+    else:
+        report["witness_d_skipped"] = (
+            f"witness order {witness.group.order} exceeds the d_min cap {WITNESS_DMIN_CAP}"
+        )
     return EXIT_OK, report
 
 

@@ -251,6 +251,19 @@ def test_witness_above_the_dmin_cap_leaves_out_witness_d(files):
     doc = json.loads(report.read_text())
     assert doc["witness_order"] == "4320"
     assert "witness_d" not in doc and "witness_d_exact" not in doc
+    assert doc["witness_d_skipped"] == "witness order 4320 exceeds the d_min cap 512"
+
+
+@pytest.mark.parametrize("cap,dedup", [("-1", []), ("0", ["--dedup"])], ids=["minus-1", "0-dedup"])
+def test_witness_width_cap_below_1_is_one_error_line(files, capsys, cap, dedup):
+    # every witness is at least one hom wide, so no such cap can be met
+    status, out, err = run(
+        ["witness", "--factors", files["c2.pres"], files["c3.pres"],
+         "--target", files["a5.perm"], "--width-cap", cap, *dedup],
+        capsys,
+    )
+    assert status == 1 and out == ""
+    assert err == f"error: --width-cap {cap} is below 1: a witness is 1 hom wide or more\n"
 
 
 def test_dmin_and_opsub(files, capsys):

@@ -19,6 +19,7 @@ the table and says in CHANGES.md which reports changed and why.
 import hashlib
 import json
 
+from genbound import homcount
 from genbound.cli import main
 
 PERM_GROUPS = {
@@ -266,3 +267,20 @@ def test_every_opsub_report_is_frozen(tmp_path):
         for name, data in reports(tmp_path, OPSUB_JOBS).items()
     }
     assert digests == OPSUB_FROZEN
+
+
+def test_witness_reports_form_no_full_width_tuple(tmp_path, monkeypatch):
+    # `witness` reads the order and d off the witness kernel, so the
+    # full-width tuples that only `elements` forms are never built: the
+    # frozen witness reports, and Alt(5)'s order-4,320 witness, hold with
+    # that fill refused
+    def refuse(self):
+        raise AssertionError("full-width witness tuples formed")
+
+    monkeypatch.setattr(homcount._WitnessGroup, "_generate", refuse)
+    jobs = [job for job in JOBS if job[1].startswith("witness ")]
+    jobs.append(("witness-alt5", "witness --factors @c2 @c3 --target @alt5"))
+    out = reports(tmp_path, jobs)
+    assert json.loads(out.pop("witness-alt5"))["witness_order"] == "4320"
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in out.items()}
+    assert digests == {name: FROZEN[name] for name in digests} and len(digests) == 3

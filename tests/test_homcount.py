@@ -381,13 +381,16 @@ def test_witness_dedup_keeps_the_homs_of_the_pairwise_kernel_check():
 
 
 def check_witness_is_the_realization_bfs(witness, target):
-    # the int enumeration reaches the realization BFS's elements in its
-    # order and records the same generator action
+    # the int enumeration records the realization BFS's generator action
+    # before any full-width tuple is formed; the tuples it then fills along
+    # its tree are the realization BFS's elements in its order
     ambient = ProductGroup([target] * witness.width_used)
     reference = GeneratedGroup(ambient, witness.group.generators)
-    assert witness.group.elements == reference.elements
+    assert witness.group._elements is None
     assert witness.group.compiled.identity == reference.compiled.identity
     assert witness.group.compiled.right == reference.compiled.right
+    assert witness.group._elements is None
+    assert witness.group.elements == reference.elements
 
 
 C2_C3 = [cyclic_presentation(2, "a"), cyclic_presentation(3, "b")]
@@ -513,8 +516,31 @@ def test_witness_of_the_trivial_hom_alone_is_one_wide():
     target = cyclic_group(5)
     witness = witness_quotient(C2_C3, target)
     assert witness.width_used == 1
-    assert witness.group.elements == ((target.identity,),)
     check_witness_is_the_realization_bfs(witness, target)
+    assert witness.group.elements == ((target.identity,),)
+
+
+@pytest.mark.parametrize(
+    "target,dedup,order",
+    [
+        (symmetric_group(4), False, 288),
+        (affine_group(7, 3), False, 294),
+        (affine_group(7, 3), True, 294),
+        (alternating_group_5(), False, 4320),
+    ],
+    ids=["sym4", "agl-1-7", "agl-1-7-dedup", "alt5"],
+)
+def test_witness_quotient_forms_no_full_width_tuple(monkeypatch, target, dedup, order):
+    # the witness is compiled on its representatives' coordinates; its
+    # order and kernel are read without the full-width fill
+    def refuse(self):
+        raise AssertionError("full-width witness tuples formed")
+
+    monkeypatch.setattr(homcount._WitnessGroup, "_generate", refuse)
+    witness = witness_quotient(C2_C3, target, width_cap=64 if dedup else 512, dedup_kernels=dedup)
+    assert witness.group.order == witness.group.compiled.order == order
+    with pytest.raises(AssertionError, match="full-width"):
+        witness.group.elements
 
 
 @pytest.mark.parametrize(
