@@ -348,7 +348,8 @@ def _field(doc, key: str, where: str, kind: type = str):
         if len(digits) > MAX_DIGITS:
             raise CertificateError(f"{where}.{key} has more than {MAX_DIGITS} digits")
         value = int(value)
-    if not isinstance(value, kind):
+    # JSON's true and false load as bools, which Python counts as ints
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise CertificateError(f"{where}.{key} must be of type {kind.__name__}")
     return value
 

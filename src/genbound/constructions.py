@@ -332,7 +332,7 @@ def abelianization_split(
     n = len(groups)
     invariants = []
     for g in groups:
-        ab, _ = quotient_group(g, derived_subgroup(g))
+        ab = quotient_group(g, derived_subgroup(g))
         invariants.append(abelian_invariants(ab))
     d_values = [len(inv) for inv in invariants]
     s_prime = max(d_values)
@@ -356,7 +356,7 @@ def abelianization_split(
         if o_p.order == 1:
             h_i: FiniteGroup = groups[i]
         else:
-            h_i, _ = quotient_group(groups[i], o_p)
+            h_i = quotient_group(groups[i], o_p)
         if largest_normal_p_subgroup(h_i, p).order != 1:
             raise AssertionError("quotient retains a nontrivial normal p-subgroup")
         if groups[i].order % h_i.order:

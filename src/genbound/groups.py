@@ -8,11 +8,11 @@ write-once. `step(c)` is x -> x * c as a unary map (c's itemgetter on
 permutations, which `map` calls with no Python frame). Each enumerates
 once, on the first read of `elements`, by a BFS run to the end that forms
 x * g by each generator's step and records their right action, then reads
-the BFS tree off it. Structure work
-runs on one integer kernel: `FiniteGroup.compiled`, that action and tree as
-a `CayleyGroup` on 0..n-1, whose words, table and conjugation maps are
-read from the tree. `walk` is the one closure walk on kernel ints; it also
-picks the generators that turn a Cayley table input into such a kernel.
+the BFS tree off it and compiles the two, as it ends, to the one integer
+kernel that structure work runs on: `FiniteGroup.compiled`, a `CayleyGroup`
+on 0..n-1, whose words, table and conjugation maps are read from the tree.
+`walk` is the one closure walk on kernel ints; it also picks the
+generators that turn a Cayley table input into such a kernel.
 """
 
 from __future__ import annotations
@@ -83,10 +83,11 @@ def _bfs(steps, identity, out: list, action: list) -> Iterator:
                 row.append(i)
 
 
-def _enumerate(steps, identity) -> tuple[list, tuple]:
-    """(elements, (action, tree)): the enumeration BFS run to the end, and
-    its tree as `CayleyGroup.from_action` takes it, read once the BFS has
-    freed its position dict: y is reached at the first product equal to y."""
+def _enumerate(steps, identity) -> tuple[list, CayleyGroup]:
+    """(elements, kernel): the enumeration BFS run to the end, and the
+    kernel it compiles to, from its action and its tree read once the BFS
+    has freed its position dict: y is reached at the first product equal to
+    y."""
     out: list = []
     action: list = [[] for _ in steps]
     for _ in _bfs(steps, identity, out, action):
@@ -100,7 +101,8 @@ def _enumerate(steps, identity) -> tuple[list, tuple]:
                 y += 1
                 parents.append(x)
                 moves.append(j)
-    return out, (action, (range(1, len(out)), parents, moves))
+    tree = (range(1, len(out)), parents, moves)
+    return out, CayleyGroup.from_action(len(out), 0, action, tree)
 
 
 def orbit_partition(n: int, maps: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -123,11 +125,11 @@ def orbit_partition(n: int, maps: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 class FiniteGroup:
-    """Base class: mul/inv/identity, cached enumeration and the int kernel."""
+    """Base class: mul/inv/identity, and a cached enumeration that compiles
+    the int kernel as it ends (`_generate`)."""
 
     _elements: Sequence | None = None  # a tuple, or a range on a kernel
     _index: dict | None = None
-    _walk: tuple | None = None  # (action, tree), as the enumeration BFS records them
     _compiled: CayleyGroup | None = None
 
     # -- realization interface -------------------------------------------
@@ -156,8 +158,8 @@ class FiniteGroup:
 
     def _generate(self) -> list:
         """The elements in enumeration order: the BFS over the generators'
-        steps, which records its walk for `compiled`, as an override does."""
-        out, self._walk = _enumerate(self._steps(), self.identity)
+        steps, which compiles the kernel as it ends, as an override does."""
+        out, self._compiled = _enumerate(self._steps(), self.identity)
         return out
 
     # -- derived, shared machinery ---------------------------------------
@@ -185,12 +187,11 @@ class FiniteGroup:
 
     @property
     def compiled(self) -> CayleyGroup:
-        """This group on 0..n-1, int i standing for elements[i], compiled
-        on first use and kept: the generators' right action and its BFS
-        tree, as the enumeration recorded them, so nothing is walked again."""
+        """This group on 0..n-1, int i standing for elements[i]: the
+        generators' right action and its BFS tree, compiled by the
+        enumeration as it ends, so nothing is walked again."""
         if self._compiled is None:
-            elems = self.elements  # the BFS reaches the identity first
-            self._compiled = CayleyGroup.from_action(len(elems), 0, *self._walk)
+            self.elements  # the enumeration compiles it
         return self._compiled
 
     def power(self, a, n: int):

@@ -16,7 +16,6 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from . import perm
 from .groups import (
     DEFAULT_ELEMENT_CAP,
-    CayleyGroup,
     ClosureOverflowError,
     FiniteGroup,
     GeneratedGroup,
@@ -420,42 +419,27 @@ def _image_key(identity: int, steps: Sequence[list]) -> tuple:
 
 
 class _WitnessGroup(GeneratedGroup):
-    """A `GeneratedGroup` in a power of `target`, compiled in the same
-    order on the target's ints: generator j's step moves coordinate i by
-    the row moves[j][i]. The BFS runs on the coordinates `reps` only, one
-    hom per conjugacy orbit: if phi_h = g phi_r g^-1, then coordinate h of
-    every element, phi_h(w), is g phi_r(w) g^-1, a function of coordinate
-    r. So the projection onto `reps` is injective on the group: the BFS on
-    it meets equal tuples exactly where the full-width BFS does, and
-    records the same order, action and tree, which `compiled` holds and
-    `order` reads. Only a read of `elements` forms the full tuples: they
-    are filled along the kernel's tree, one row lookup a coordinate per
-    edge, and map back through `target.elements`."""
+    """A `GeneratedGroup` in a power of a target, held as the kernel
+    `witness_quotient` compiled on the target's ints, where generator j's
+    step moves coordinate i by the row moves[j][i]. `order` reads that
+    kernel. Only a read of `elements` forms the full-width tuples: they are
+    filled along the kernel's tree, one row lookup a coordinate per edge,
+    and map back through the target's `elements`."""
 
-    def __init__(self, ambient, generators, target, moves, reps):
+    def __init__(self, ambient, generators, moves, kernel):
         super().__init__(ambient, generators)
-        self._target = target
         self._moves = moves
-        self._reps = reps
-
-    @property
-    def compiled(self) -> CayleyGroup:
-        if self._compiled is None:
-            reduced = [[rows[i] for i in self._reps] for rows in self._moves]
-            steps = [lambda a, r=rows: tuple(map(list.__getitem__, r, a)) for rows in reduced]
-            identity = (self._target.compiled.identity,) * len(self._reps)
-            ints, walk = _enumerate(steps, identity)
-            self._compiled = CayleyGroup.from_action(len(ints), 0, *walk)
-        return self._compiled
+        self._compiled = kernel
 
     @property
     def order(self) -> int:
-        return self.compiled.order
+        return self._compiled.order
 
     def _generate(self) -> list:
-        e, elems = self._target.compiled.identity, self._target.elements
+        target = self.ambient.factors[0]
+        e, elems = target.compiled.identity, target.elements
         ints = [(e,) * len(self.ambient.factors)]
-        for x, j in zip(*self.compiled._tree[1:]):
+        for x, j in zip(*self._compiled._tree[1:]):
             ints.append(tuple(map(list.__getitem__, self._moves[j], ints[x])))
         if len(ints[0]) == 1:  # a single index makes itemgetter return no tuple
             return [(elems[x],) for (x,) in ints]
@@ -476,12 +460,16 @@ def witness_quotient(
     tuples under componentwise multiplication. Its minimal generator count
     bounds d of the profinite completion from below.
 
-    Conjugate homs share a kernel. The group is compiled on the least hom
-    of each conjugacy orbit (`_WitnessGroup`), here, so that cap errors
-    surface here; its full-width tuples are formed only when `elements` is
-    read. Deduplication keeps the first of those homs, in index order, per
-    image action table (`_image_key`): a kernel class is a union of orbits,
-    so it keeps what every hom would.
+    Conjugate homs share a kernel: if phi_h = g phi_r g^-1, then coordinate
+    h of every element, phi_h(w), is g phi_r(w) g^-1, a function of
+    coordinate r. So the projection onto the least hom of each conjugacy
+    orbit is injective on the group: the enumeration BFS runs here on those
+    coordinates only, so that cap errors surface here, and meets equal
+    tuples exactly where the full-width BFS does, compiling the same kernel,
+    which the returned `_WitnessGroup` holds; its full-width tuples are
+    formed only when `elements` is read. Deduplication keeps the first of
+    those homs, in index order, per image action table (`_image_key`): a
+    kernel class is a union of orbits, so it keeps what every hom would.
     """
     combined = free_product(list(factors))
     per_factor = [enumerate_homs(f, target) for f in factors]
@@ -522,8 +510,9 @@ def witness_quotient(
     k = len(combined.generators)
     gen_tuples = [tuple(hom[j] for hom in homs) for j in range(k)]
     moves = [tuple(rows[hom[j]] for hom in ints) for j in range(k)]
-    group = _WitnessGroup(ambient, gen_tuples, target, moves, reps)
-    group.compiled  # compile now so cap errors surface here
+    steps = [lambda a, r=[m[i] for i in reps]: tuple(map(list.__getitem__, r, a)) for m in moves]
+    _, compiled = _enumerate(steps, (kernel.identity,) * len(reps))
+    group = _WitnessGroup(ambient, gen_tuples, moves, compiled)
     return WitnessQuotient(
         group=group,
         hom_count_used=total,

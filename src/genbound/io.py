@@ -11,6 +11,8 @@ Documents are JSON objects with a `type` field:
 * presentation-ref:{"type": "presentation-ref", "path": "relative/file.json"}
 
 Matrix generators are flat row-major integer arrays reduced mod the prime.
+An integer is read as `type(x) is int`: JSON's true and false load as
+bools, which Python counts as ints, and are rejected by name.
 Parsing then serializing then parsing again is the identity on the
 canonical form.
 """
@@ -61,7 +63,7 @@ def parse_group_file(path: str | Path, _depth: int = 0):
     kind = doc.get("type")
     if kind == "perm":
         degree = doc.get("degree")
-        if not isinstance(degree, int) or degree < 1:
+        if type(degree) is not int or degree < 1:
             _fail(path, "degree", "must be a positive integer")
         gens = doc.get("generators")
         if not isinstance(gens, list) or not gens:
@@ -72,6 +74,8 @@ def parse_group_file(path: str | Path, _depth: int = 0):
                 images = perm.validate_perm(g)
             except (ValueError, TypeError) as exc:
                 _fail(path, f"generators[{i}]", str(exc))
+            if not all(type(x) is int for x in images):
+                _fail(path, f"generators[{i}]", "must hold integers")
             if len(images) != degree:
                 _fail(path, f"generators[{i}]", f"degree {len(images)} != {degree}")
             validated.append(images)
@@ -80,9 +84,11 @@ def parse_group_file(path: str | Path, _depth: int = 0):
         table = doc.get("table")
         if not isinstance(table, list):
             _fail(path, "table", "must be an array of rows")
+        if not all(isinstance(row, list) and all(type(x) is int for x in row) for row in table):
+            _fail(path, "table", "rows must be arrays of integers")
         order = doc.get("order")
         if order is not None:
-            if not isinstance(order, int) or order < 1:
+            if type(order) is not int or order < 1:
                 _fail(path, "order", "must be a positive integer")
             if order != len(table):
                 _fail(path, "order", f"declared {order} but table has {len(table)} rows")
@@ -93,9 +99,9 @@ def parse_group_file(path: str | Path, _depth: int = 0):
     if kind == "matrix":
         prime = doc.get("prime")
         dim = doc.get("dim")
-        if not isinstance(prime, int) or prime >= INPUT_INTEGER_BOUND or not is_prime(prime):
+        if type(prime) is not int or prime >= INPUT_INTEGER_BOUND or not is_prime(prime):
             _fail(path, "prime", "must be a prime integer below 2^32")
-        if not isinstance(dim, int) or dim < 1:
+        if type(dim) is not int or dim < 1:
             _fail(path, "dim", "must be a positive integer")
         gens = doc.get("generators")
         if not isinstance(gens, list) or not gens:
@@ -104,6 +110,8 @@ def parse_group_file(path: str | Path, _depth: int = 0):
         for i, flat in enumerate(gens):
             if not isinstance(flat, list) or len(flat) != dim * dim:
                 _fail(path, f"generators[{i}]", f"need {dim * dim} row-major entries")
+            if not all(type(x) is int for x in flat):
+                _fail(path, f"generators[{i}]", "must hold integers")
             rows = [flat[r * dim : (r + 1) * dim] for r in range(dim)]
             matrices.append(rows)
         try:
@@ -115,6 +123,8 @@ def parse_group_file(path: str | Path, _depth: int = 0):
         relators = doc.get("relators", [])
         if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
             _fail(path, "generators", "must be an array of names")
+        if len(set(gens)) != len(gens):
+            _fail(path, "generators", "duplicate generator names")
         if not isinstance(relators, list):
             _fail(path, "relators", "must be an array of words")
         name = doc.get("name", "")

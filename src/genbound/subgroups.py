@@ -1,7 +1,8 @@
 """Subgroup computations: derived subgroups, quotients, abelian invariants,
 minimal generator search, the largest normal p-subgroup O_p (read off the
 conjugacy classes), and orbits. Structure work runs on the group's integer
-kernel (`FiniteGroup.compiled`); results are mapped back. Every subgroup
+kernel (`FiniteGroup.compiled`), and a subgroup is held as kernel ints
+(`SubgroupHandle`); only results are mapped back to elements. Every subgroup
 closure is a `groups.walk`: a tuple's closure in `d_min_generators`, a
 closure extended by one generator (`_extend`) and a normal closure.
 """
@@ -18,10 +19,11 @@ from .records import immutable, record_repr, set_fields
 
 
 class SubgroupHandle:
-    """A subgroup of `parent` held as an explicit element tuple, sorted for
-    determinism; `indices` holds their positions in the parent's kernel.
-    Construction verifies the identity, Lagrange and closure under products.
-    With no `generators` given, it keeps the ones its closure check found.
+    """A subgroup of `parent`, given by the kernel ints `indices` of its
+    members in the parent's kernel (`FiniteGroup.compiled`); `elements` is
+    their parent elements, sorted for determinism. Construction verifies
+    the range, the identity, Lagrange and closure under products. With no
+    `generators` given, it keeps the ones its closure check found.
     """
 
     _fields = ("parent", "elements", "generators")
@@ -29,18 +31,19 @@ class SubgroupHandle:
     __setattr__ = __delattr__ = immutable
     __repr__ = record_repr
 
-    def __init__(self, parent: FiniteGroup, elements: tuple, generators: tuple = ()):
-        elems = tuple(sorted(set(elements)))
-        if parent.identity not in elems:
+    def __init__(self, parent: FiniteGroup, indices, generators: tuple = ()):
+        indices = frozenset(indices)
+        kernel = parent.compiled
+        if kernel.identity not in indices:
             raise ValueError("subgroup does not contain the identity")
-        if parent.order % len(elems):
+        if min(indices) < 0 or max(indices) >= kernel.order:
+            raise ValueError(f"subgroup index outside 0..{kernel.order - 1}")
+        if kernel.order % len(indices):
             raise ValueError(
-                f"Lagrange violation: {len(elems)} does not divide {parent.order}"
+                f"Lagrange violation: {len(indices)} does not divide {kernel.order}"
             )
-        indices = frozenset(parent.element_index(x) for x in elems)
         # closed iff some of its elements generate exactly it; each element
         # added at least doubles the closure
-        kernel = parent.compiled
         gens, reached = {}, [kernel.identity]
         seen = bytearray(kernel.order)
         seen[kernel.identity] = 1
@@ -50,9 +53,11 @@ class SubgroupHandle:
                 _extend(kernel, gens, x, reached, seen)
                 if not indices.issuperset(reached[start:]):
                     raise ValueError("subgroup is not closed under products")
+        elems = parent.elements
         if not generators:
-            generators = tuple(parent.elements[i] for i in gens)
-        set_fields(self, parent=parent, elements=elems, generators=generators, indices=indices)
+            generators = tuple(elems[i] for i in gens)
+        elements = tuple(sorted(elems[i] for i in indices))
+        set_fields(self, parent=parent, elements=elements, generators=generators, indices=indices)
 
     @property
     def order(self) -> int:
@@ -62,12 +67,6 @@ class SubgroupHandle:
         """Whether conjugation by each generator of the parent keeps it."""
         members = self.indices
         return all(c[x] in members for c in self.parent.compiled.conjugations for x in members)
-
-
-def _handle(parent: FiniteGroup, indices) -> SubgroupHandle:
-    """The subgroup with the given kernel indices, as parent elements."""
-    elems = parent.elements
-    return SubgroupHandle(parent, tuple(elems[i] for i in indices))
 
 
 def _extend(kernel: CayleyGroup, gens: dict, g: int, members: list, seen: bytearray):
@@ -124,16 +123,16 @@ def derived_subgroup(G: FiniteGroup) -> SubgroupHandle:
     """
     kernel = G.compiled
     seeds = _commutator_seeds(kernel)
-    handle = _handle(G, list(_normal_closure(kernel, seeds)))
-    if seeds and not quotient_group(G, handle)[0].is_abelian():
+    handle = SubgroupHandle(G, _normal_closure(kernel, seeds))
+    if seeds and not quotient_group(G, handle).is_abelian():
         raise AssertionError("derived subgroup quotient is not abelian")
     return handle
 
 
-def quotient_group(G: FiniteGroup, N: SubgroupHandle) -> tuple[CayleyGroup, dict]:
-    """Quotient G/N, built from the action of G's generators on the cosets
-    (numbered by their first element in G's order), and the element ->
-    coset index projection. N must be normal."""
+def quotient_group(G: FiniteGroup, N: SubgroupHandle) -> CayleyGroup:
+    """Quotient G/N as a kernel on the coset numbers, built from the action
+    of G's generators on the cosets, each numbered by its first element in
+    G's order. N must be normal."""
     if N.parent is not G:
         raise ValueError("subgroup does not belong to this group")
     if not N.is_normal():
@@ -149,8 +148,7 @@ def quotient_group(G: FiniteGroup, N: SubgroupHandle) -> tuple[CayleyGroup, dict
     action: dict = {}
     for g, row in zip(kernel.generators, kernel.right):
         action.setdefault(coset[g], [coset[row[r]] for r in reps])
-    quotient = CayleyGroup.from_action(len(reps), coset[kernel.identity], list(action.values()))
-    return quotient, dict(zip(G.elements, coset))
+    return CayleyGroup.from_action(len(reps), coset[kernel.identity], list(action.values()))
 
 
 def abelian_invariants(G: FiniteGroup) -> list[int]:
@@ -275,7 +273,7 @@ def largest_normal_p_subgroup(G: FiniteGroup, p: int) -> SubgroupHandle:
         if len(closure) <= top and _p_log(len(closure), p) is not None:
             for x in closure:
                 members[x] = 1
-    handle = _handle(G, [x for x in range(kernel.order) if members[x]])
+    handle = SubgroupHandle(G, [x for x in range(kernel.order) if members[x]])
     assert handle.is_normal()
     return handle
 

@@ -148,7 +148,7 @@ def free_presentation(rank: int, prefix: str = "x") -> Presentation:
 def subgroup_from_generators(parent: FiniteGroup, generators: Sequence) -> SubgroupHandle:
     kernel = parent.compiled
     members = closure([parent.element_index(g) for g in generators], kernel.mul, kernel.identity)
-    return SubgroupHandle(parent, tuple(parent.elements[i] for i in members), tuple(generators))
+    return SubgroupHandle(parent, members, tuple(generators))
 
 
 # -- counts ------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 from fractions import Fraction
 from math import factorial, prod
@@ -17,6 +18,7 @@ from genbound.bounds import (
     Comparison,
     EmbeddingContribution,
     FormulaContribution,
+    _ilog,
     certificate_from_doc,
     certificate_to_doc,
     certify_embeddings,
@@ -146,6 +148,51 @@ def looped_power_conclusion(p, l, m, r, weight_total):
 def test_power_conclusion_matches_the_downward_loop(p, l, m, power, r, weight_total):
     # r = p^power and r = (p^(lm))^power make P^e = r^(W-e) ties possible
     for r in (r, p**power, p ** (l * m * power)):
+        assert power_conclusion(p, l, m, r, weight_total) == looped_power_conclusion(
+            p, l, m, r, weight_total
+        )
+
+
+# -- float-guided integer searches: a float logarithm is a first guess, which
+# each search corrects by exact comparison ------------------------------------
+
+
+def looped_ilog(x, base):
+    """The largest k with base^k <= x, counted up from 0."""
+    k = 0
+    while base ** (k + 1) <= x:
+        k += 1
+    return k
+
+
+def test_ilog_corrects_a_float_logarithm_in_either_direction():
+    # 2^60 - 1 rounds to the float 2^60, and log_10(1000) reads 2.999...
+    assert int(math.log(2**60 - 1, 2)) == 60 and _ilog(2**60 - 1, 2) == 59
+    assert int(math.log(1000, 10)) == 2 and _ilog(1000, 10) == 3
+
+
+def test_power_conclusion_corrects_a_float_estimate_in_either_direction():
+    # the estimate e = int(W log r / log(base r)) + 1 sees log(2^60 - 1) as
+    # log 2^60, one too high, and 3 log 64 / log 512 as 1.999..., one too low
+    base, r = 2**60, 2**60 - 1
+    assert int(2 * math.log(r) / math.log(base * r)) + 1 == 2
+    assert power_conclusion(2, 60, 1, r, 2) == (2, Comparison(2**60, 2**60 - 1))
+    assert int(3 * math.log(64) / math.log(8 * 64)) + 1 == 2
+    assert power_conclusion(2, 3, 1, 64, 3) == (1, Comparison(8**3, 1))
+
+
+@given(st.integers(2, 1000), st.integers(1, 80), st.sampled_from([-1, 0, 1]))
+def test_ilog_matches_the_integer_search_next_to_powers(base, k, offset):
+    x = base**k + offset
+    assert _ilog(x, base) == looped_ilog(x, base)
+
+
+@given(st.integers(2, 40), st.integers(1, 20), st.integers(1, 3), st.integers(1, 12))
+def test_power_conclusion_matches_the_integer_search_next_to_its_base(p, l, m, weight_total):
+    # r = base -+ 1 puts r^(W-e) next to base^(W-e), where floats cannot tell
+    # them apart, and r = base^2 makes ties base^e = r^(W-e) at W = 3e
+    base = p ** (l * m)
+    for r in (base - 1, base, base + 1, base**2):
         assert power_conclusion(p, l, m, r, weight_total) == looped_power_conclusion(
             p, l, m, r, weight_total
         )

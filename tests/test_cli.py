@@ -170,6 +170,7 @@ CERTIFICATE_REJECTIONS = {
         ("per_factor", 0, "p"), "9" * (MAX_DIGITS + 1), 1,
         f"certificate.per_factor[0].p has more than {MAX_DIGITS} digits",
     ),
+    "conclusion-bool": (("conclusion",), True, 1, "certificate.conclusion must be of type int"),
 }
 
 
@@ -194,6 +195,16 @@ def test_verify_rejection_exit_status(capsys, tmp_path, path, value, status, mes
         assert result[1:] == ("", f"error: {message}\n")
     else:
         assert json.loads(result[1])["reason"] == message
+
+
+def test_verify_rejects_a_bool_conclusion_that_equals_the_bound(files, capsys, tmp_path):
+    # C2 into Sym(3) concludes 1, and JSON's true loads as a bool equal to 1
+    args = ["bound", "--factors", files["c2.pres"], "--target", files["s3.perm"], "--json"]
+    doc = json.loads(run(args, capsys)[1])["certificate"]
+    assert doc["conclusion"] == 1
+    (tmp_path / "cert.json").write_text(json.dumps({**doc, "conclusion": True}))
+    result = run(["verify", "--certificate", str(tmp_path / "cert.json"), "--json"], capsys)
+    assert result == (1, "", "error: certificate.conclusion must be of type int\n")
 
 
 def test_verify_names_the_contribution_of_an_out_of_range_degree(capsys, tmp_path):

@@ -159,6 +159,30 @@ REJECTED = {
     "presentation-relators": (
         {**PRESENTATION, "relators": "a^2"}, "relators", "must be an array of words"
     ),
+    "presentation-duplicate-names": (
+        {**PRESENTATION, "generators": ["a", "a"]}, "generators", "duplicate generator names"
+    ),
+    # JSON's true and false load as bools, which isinstance(x, int) accepts
+    "perm-degree-bool": (
+        {**PERM, "degree": True, "generators": [[0]]}, "degree", "must be a positive integer"
+    ),
+    "perm-image-bool": (
+        {**PERM, "degree": 2, "generators": [[True, False]]}, "generators[0]", "must hold integers"
+    ),
+    "cayley-order-bool": (
+        {"type": "cayley", "order": True, "table": [[0]]}, "order", "must be a positive integer"
+    ),
+    "cayley-entry-bool": (
+        {"type": "cayley", "table": [[False]]}, "table", "rows must be arrays of integers"
+    ),
+    "matrix-dim-bool": (
+        {**MATRIX, "prime": 7, "dim": True, "generators": [[3]]}, "dim",
+        "must be a positive integer",
+    ),
+    "matrix-entry-bool": (
+        {**MATRIX, "generators": [[False, True, True, True]]}, "generators[0]",
+        "must hold integers",
+    ),
     "ref-path-type": ({"type": "presentation-ref", "path": 3}, "path", "must be a string"),
     "ref-chain-too-deep": (
         {"type": "presentation-ref", "path": "g.json"}, "path", "reference chain too deep"
